@@ -160,12 +160,15 @@ def load_belief(path):
             payload = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read belief {path}: {exc}")
-    comps = tuple(
-        ComponentMoments(c["mean"], c["covariance"], c.get("radius", 0.0))
-        for c in payload["components"]
-    )
-    belief = MixtureBelief(comps, payload["weights"])
-    theta0 = LinearClassifier(payload["theta0"])
+    try:
+        comps = tuple(
+            ComponentMoments(c["mean"], c["covariance"], c.get("radius", 0.0))
+            for c in payload["components"]
+        )
+        belief = MixtureBelief(comps, payload["weights"])
+        theta0 = LinearClassifier(payload["theta0"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise UsageError(f"malformed belief {path}: {type(exc).__name__}: {exc}")
     return belief, theta0
 
 
@@ -229,7 +232,13 @@ def load_recourses_csv(path):
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         ids, instances, recourses = [], [], []
-        d = sum(1 for name in reader.fieldnames if name.startswith("x0_"))
+        names = reader.fieldnames or []
+        d = sum(1 for name in names if name.startswith("x0_"))
+        required = ["instance_id", "error"]
+        required += [f"{prefix}_{j}" for prefix in ("x0", "x") for j in range(max(d, 1))]
+        missing = [name for name in required if name not in names]
+        if missing:
+            raise UsageError(f"recourse CSV {path} lacks the columns {missing}")
         for row in reader:
             if row["error"]:
                 continue

@@ -20,6 +20,7 @@ set and is solved as such.
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -73,6 +74,15 @@ class FeasibleSetSpec:
             lower=lower,
             upper=upper,
         )
+
+    @cached_property
+    def tts(self) -> np.ndarray:
+        """theta_k^T theta_k per component."""
+        return np.einsum("kd,kd->k", self.thetas, self.thetas)
+
+    def empty_margin_sets(self) -> list:
+        """Components whose margin set is empty: radius at least ||theta_k||."""
+        return np.nonzero((self.radii > 0.0) & (self.radii**2 >= self.tts))[0].tolist()
 
     def without_delta(self) -> "FeasibleSetSpec":
         return replace(self, delta=None)
@@ -207,18 +217,19 @@ def project_cost_ball(xp, x0, delta: float, cost: Cost) -> np.ndarray:
     return x0 + _project_l1_ball(diff, delta)
 
 
-def project_bounds(xp, spec: FeasibleSetSpec) -> np.ndarray:
-    return np.clip(xp, spec.lower, spec.upper)
-
-
 # --- intersection projection --------------------------------------------------
 
 
-def _polish_into_full_set(x, spec: FeasibleSetSpec, passes: int = 60):
-    """Cyclic projections over every set until the point is feasible to
-    near machine precision; None if the violations persist."""
-    thetas, radii = spec.thetas, spec.radii
-    tts = np.einsum("kd,kd->k", thetas, thetas)
+def _require_directions(spec: FeasibleSetSpec):
+    if np.any(spec.tts == 0.0):
+        raise DegenerateDirection("cone constraint with zero direction")
+
+
+def _polish(x, spec: FeasibleSetSpec, passes: int = 60):
+    """Cyclic projections over every set of spec (the cost ball only if spec
+    has one) until the point is feasible to near machine precision; None if
+    the violations persist."""
+    thetas, radii, tts = spec.thetas, spec.radii, spec.tts
     for _ in range(passes):
         if is_feasible(x, spec, 1e-12):
             return x
@@ -230,32 +241,75 @@ def _polish_into_full_set(x, spec: FeasibleSetSpec, passes: int = 60):
     return x if is_feasible(x, spec, 1e-10) else None
 
 
-def _projection_program(xp, spec: FeasibleSetSpec, start):
-    """Directly solve argmin ||y - xp||^2 over the full feasible set (smooth
-    reformulation, warm start); returns the polished solution or None.
+def _program(spec: FeasibleSetSpec, start, target=None):
+    """Solve a smooth reformulation over the feasible set of spec with SLSQP
+    from a warm start; returns the solution polished into the set, or None.
 
-    Backstop for the rare geometries where the alternating projections
-    stall: lens-shaped sets thinner than their correction terms can
-    resolve, and positive gaps whose cycle fixed point converges slowly.
+    With a target the objective is 0.5*||y - target||^2, the projection
+    program.  Without one it is the cost c(y, x0); the l2 cost minimum is
+    the projection of x0.  An l1 cost, as objective or as ball, is lifted
+    to variables (y, t) with t >= |y - x0| componentwise.
+
+    As projection it is the backstop for the rare geometries where the
+    alternating projections stall: lens-shaped sets thinner than their
+    correction terms can resolve, and positive gaps whose cycle fixed point
+    converges slowly.
     """
     from scipy import optimize
 
     x0 = spec.x0
     d = x0.size
     thetas, radii, margin = spec.thetas, spec.radii, spec.margin
+    l1 = Cost(spec.cost) is Cost.L1
+    if target is None and not l1:
+        target = x0
+    lifted = l1 and (target is None or spec.delta is not None)
 
-    def slack_fn(y):
+    def slack_fn(v):
+        y = v[:d]
         return thetas @ y - radii * math.sqrt(float(y @ y)) - margin
 
-    def slack_jac(y):
+    def slack_jac(v):
+        y = v[:d]
         ny = math.sqrt(float(y @ y))
-        if ny == 0.0:
-            return thetas.copy()
-        return thetas - np.outer(radii, y / ny)
+        jac = thetas.copy() if ny == 0.0 else thetas - np.outer(radii, y / ny)
+        return np.hstack([jac, np.zeros_like(thetas)]) if lifted else jac
 
-    constraints = []
-    if spec.delta is None or Cost(spec.cost) is Cost.L2:
-        constraints.append({"type": "ineq", "fun": slack_fn, "jac": slack_jac})
+    def obj(v):
+        if target is None:
+            return float(v[d:].sum())
+        return 0.5 * float(np.sum((v[:d] - target) ** 2))
+
+    def obj_jac(v):
+        g = np.zeros(v.size)
+        if target is None:
+            g[d:] = 1.0
+        else:
+            g[:d] = v[:d] - target
+        return g
+
+    margin_con = {"type": "ineq", "fun": slack_fn, "jac": slack_jac}
+    if lifted:
+        # rows encode t >= y - x0 and t >= x0 - y as A_abs @ (y, t) >= b_abs
+        A_abs = np.block([[-np.eye(d), np.eye(d)], [np.eye(d), np.eye(d)]])
+        b_abs = np.concatenate([-x0, x0])
+        constraints = [
+            {"type": "ineq", "fun": lambda v: A_abs @ v - b_abs, "jac": lambda v: A_abs}
+        ]
+        if spec.delta is not None:
+            delta = float(spec.delta)
+            a_sum = np.concatenate([np.zeros(d), -np.ones(d)])
+            constraints.append(
+                {"type": "ineq", "fun": lambda v: delta + float(a_sum @ v), "jac": lambda v: a_sum}
+            )
+        constraints.append(margin_con)
+        v0 = np.concatenate([start, np.abs(start - x0) + 1e-12])
+        bounds = optimize.Bounds(
+            np.concatenate([spec.lower, np.zeros(d)]),
+            np.concatenate([spec.upper, np.full(d, np.inf)]),
+        )
+    else:
+        constraints = [margin_con]
         if spec.delta is not None:
             delta = float(spec.delta)
             constraints.append(
@@ -265,60 +319,18 @@ def _projection_program(xp, spec: FeasibleSetSpec, start):
                     "jac": lambda y: -2.0 * (y - x0),
                 }
             )
-        res = optimize.minimize(
-            lambda y: 0.5 * float(np.sum((y - xp) ** 2)),
-            start,
-            jac=lambda y: y - xp,
-            bounds=optimize.Bounds(spec.lower, spec.upper),
-            constraints=constraints,
-            method="SLSQP",
-            options={"maxiter": 500, "ftol": 1e-14},
-        )
-        y = res.x
-    else:
-        # l1 ball linearized with slack variables: vars (y, t)
-        delta = float(spec.delta)
-        A_abs = np.block([[-np.eye(d), np.eye(d)], [np.eye(d), np.eye(d)]])
-        b_abs = np.concatenate([-x0, x0])
-        a_sum = np.concatenate([np.zeros(d), -np.ones(d)])
-
-        def obj(v):
-            return 0.5 * float(np.sum((v[:d] - xp) ** 2))
-
-        def obj_jac(v):
-            g = np.zeros(2 * d)
-            g[:d] = v[:d] - xp
-            return g
-
-        cons = [
-            {"type": "ineq", "fun": lambda v: A_abs @ v - b_abs, "jac": lambda v: A_abs},
-            {
-                "type": "ineq",
-                "fun": lambda v: delta + float(a_sum @ v),
-                "jac": lambda v: a_sum,
-            },
-            {
-                "type": "ineq",
-                "fun": lambda v: slack_fn(v[:d]),
-                "jac": lambda v: np.hstack([slack_jac(v[:d]), np.zeros_like(thetas)]),
-            },
-        ]
-        v0 = np.concatenate([start, np.abs(start - x0) + 1e-12])
-        res = optimize.minimize(
-            obj,
-            v0,
-            jac=obj_jac,
-            bounds=optimize.Bounds(
-                np.concatenate([spec.lower, np.zeros(d)]),
-                np.concatenate([spec.upper, np.full(d, np.inf)]),
-            ),
-            constraints=cons,
-            method="SLSQP",
-            options={"maxiter": 500, "ftol": 1e-14},
-        )
-        y = res.x[:d]
-    y = np.clip(y, spec.lower, spec.upper)
-    return _polish_into_full_set(y, spec)
+        v0 = start
+        bounds = optimize.Bounds(spec.lower, spec.upper)
+    res = optimize.minimize(
+        obj,
+        v0,
+        jac=obj_jac,
+        bounds=bounds,
+        constraints=constraints,
+        method="SLSQP",
+        options={"maxiter": 500, "ftol": 1e-14},
+    )
+    return _polish(np.clip(res.x[:d], spec.lower, spec.upper), spec)
 
 
 def project_feasible(
@@ -332,17 +344,16 @@ def project_feasible(
     at 10*tol.  An empty intersection is reported heuristically: with a
     positive gap between the sets the cycle settles into a fixed point that
     stays infeasible no matter how far the motion threshold is tightened.
+    Cycles that stall or run out fall back on the projection program.
     """
     x = np.asarray(xp, dtype=float).copy()
-    thetas, radii, margin = spec.thetas, spec.radii, spec.margin
+    thetas, radii, tts, margin = spec.thetas, spec.radii, spec.tts, spec.margin
     K = thetas.shape[0]
-    tts = np.einsum("kd,kd->k", thetas, thetas)
-    if np.any(tts == 0.0):
-        raise DegenerateDirection("cone constraint with zero direction")
-    empty = (radii > 0.0) & (radii**2 >= tts)
-    if np.any(empty):
+    _require_directions(spec)
+    empty = spec.empty_margin_sets()
+    if empty:
         raise EmptyFeasibleSet(
-            f"margin set empty for components {np.nonzero(empty)[0].tolist()}: "
+            f"margin set empty for components {empty}: "
             "ambiguity radius at least as large as the direction norm"
         )
     has_ball = spec.delta is not None
@@ -374,19 +385,18 @@ def project_feasible(
             # cycling until the iterate either turns feasible or pins the
             # infeasibility at a genuinely stalled point
             if check_tol <= 1e-13:
-                direct = _projection_program(xp, spec, start=x)
-                if direct is not None:
-                    return direct
-                _raise_empty_if_budget_short(spec, tol)
-                raise EmptyFeasibleSet(
+                failure = EmptyFeasibleSet(
                     f"projection stalled at an infeasible point (residual motion {disp:.2e})"
                 )
+                break
             check_tol = max(check_tol / 10.0, 1e-13)
-    direct = _projection_program(xp, spec, start=x)
+    else:
+        failure = MaxIterExceeded(f"Dykstra did not converge in {max_iter} cycles")
+    direct = _program(spec, x, target=xp)
     if direct is not None:
         return direct
     _raise_empty_if_budget_short(spec, tol)
-    raise MaxIterExceeded(f"Dykstra did not converge in {max_iter} cycles")
+    raise failure
 
 
 def _raise_empty_if_budget_short(spec: FeasibleSetSpec, tol: float):
@@ -407,103 +417,17 @@ def _raise_empty_if_budget_short(spec: FeasibleSetSpec, tol: float):
 
 def _pocs_near_feasible(spec: FeasibleSetSpec, max_passes: int = 300, tol: float = 1e-9):
     """Cyclic projections (no corrections) from x0 onto the margin sets and
-    bounds; returns a point of the margin-and-bounds set, or None."""
+    bounds of a spec without cost ball; returns a point of that set, or None."""
     x = spec.x0.copy()
-    thetas, radii = spec.thetas, spec.radii
-    tts = np.einsum("kd,kd->k", thetas, thetas)
-    if np.any(tts == 0.0):
-        raise DegenerateDirection("cone constraint with zero direction")
+    thetas, radii, tts = spec.thetas, spec.radii, spec.tts
+    _require_directions(spec)
     for _ in range(max_passes):
         for k in range(thetas.shape[0]):
             x = _project_cone_known(x, thetas[k], float(radii[k]), float(tts[k]), spec.margin)
         x = np.clip(x, spec.lower, spec.upper)
-        if is_feasible(x, spec.without_delta(), tol):
+        if is_feasible(x, spec, tol):
             return x
     return None
-
-
-def _min_cost_program(spec: FeasibleSetSpec, start: np.ndarray):
-    """Minimize c(x, x0) over the margin-and-bounds set with a smooth
-    reformulation (the l1 cost is linearized with one slack per feature)."""
-    from scipy import optimize
-
-    x0 = spec.x0
-    d = x0.size
-    thetas, radii, margin = spec.thetas, spec.radii, spec.margin
-
-    def slack_fn(x):
-        return thetas @ x - radii * math.sqrt(float(x @ x)) - margin
-
-    def slack_jac(x):
-        nx = math.sqrt(float(x @ x))
-        if nx == 0.0:
-            return thetas.copy()
-        return thetas - np.outer(radii, x / nx)
-
-    if Cost(spec.cost) is Cost.L2:
-        res = optimize.minimize(
-            lambda x: 0.5 * float(np.sum((x - x0) ** 2)),
-            start,
-            jac=lambda x: x - x0,
-            bounds=optimize.Bounds(spec.lower, spec.upper),
-            constraints=[
-                {"type": "ineq", "fun": slack_fn, "jac": slack_jac},
-            ],
-            method="SLSQP",
-            options={"maxiter": 500, "ftol": 1e-14},
-        )
-        return res.x, float(np.linalg.norm(res.x - x0))
-
-    # variables y = (x, t); minimize sum(t) with t >= |x - x0| componentwise
-    def obj(y):
-        return float(y[d:].sum())
-
-    def obj_jac(y):
-        g = np.zeros(2 * d)
-        g[d:] = 1.0
-        return g
-
-    # rows encode t >= x - x0 and t >= x0 - x as A_abs @ (x, t) >= b_abs
-    A_abs = np.block([[-np.eye(d), np.eye(d)], [np.eye(d), np.eye(d)]])
-    b_abs = np.concatenate([-x0, x0])
-
-    def margins_y(y):
-        return slack_fn(y[:d])
-
-    def margins_jac_y(y):
-        return np.hstack([slack_jac(y[:d]), np.zeros_like(thetas)])
-
-    y0 = np.concatenate([start, np.abs(start - x0) + 1e-12])
-    lb = np.concatenate([spec.lower, np.zeros(d)])
-    ub = np.concatenate([spec.upper, np.full(d, np.inf)])
-    res = optimize.minimize(
-        obj,
-        y0,
-        jac=obj_jac,
-        bounds=optimize.Bounds(lb, ub),
-        constraints=[
-            {"type": "ineq", "fun": lambda y: A_abs @ y - b_abs, "jac": lambda y: A_abs},
-            {"type": "ineq", "fun": margins_y, "jac": margins_jac_y},
-        ],
-        method="SLSQP",
-        options={"maxiter": 500, "ftol": 1e-14},
-    )
-    x = res.x[:d]
-    return x, cost_of(x, x0, spec.cost)
-
-
-def _polish_into_margin_set(x, spec: FeasibleSetSpec, passes: int = 60):
-    """Push a nearly feasible point exactly into the margin-and-bounds set
-    by cyclic projections; returns None if the violations persist."""
-    thetas, radii = spec.thetas, spec.radii
-    tts = np.einsum("kd,kd->k", thetas, thetas)
-    for _ in range(passes):
-        if is_feasible(x, spec.without_delta(), 1e-12):
-            return x
-        for k in range(thetas.shape[0]):
-            x = _project_cone_known(x, thetas[k], float(radii[k]), float(tts[k]), spec.margin)
-        x = np.clip(x, spec.lower, spec.upper)
-    return x if is_feasible(x, spec.without_delta(), 1e-10) else None
 
 
 def min_cost_point(spec: FeasibleSetSpec, proj_tol: float = 1e-8):
@@ -514,11 +438,10 @@ def min_cost_point(spec: FeasibleSetSpec, proj_tol: float = 1e-8):
     exactly, so its cost is a genuine upper bound on the minimum; a
     first-order point that is slightly outside could otherwise understate
     the budget badly when the margin boundary is sharp."""
-    radii = np.asarray(spec.radii, dtype=float)
-    tts = np.einsum("kd,kd->k", spec.thetas, spec.thetas)
-    if np.any((radii > 0.0) & (radii**2 >= tts)):
+    spec = spec.without_delta()
+    if spec.empty_margin_sets():
         raise Unattainable("some ambiguity radius is at least the direction norm")
-    if is_feasible(spec.x0, spec.without_delta(), proj_tol):
+    if is_feasible(spec.x0, spec, proj_tol):
         return spec.x0.copy(), 0.0
     starts = []
     z = _pocs_near_feasible(spec, tol=proj_tol)
@@ -527,9 +450,7 @@ def min_cost_point(spec: FeasibleSetSpec, proj_tol: float = 1e-8):
     starts.append(spec.x0)
     best = None
     for start in starts:
-        x, _ = _min_cost_program(spec, start)
-        x = np.clip(x, spec.lower, spec.upper)  # snap pinned coordinates exactly
-        x = _polish_into_margin_set(x, spec)
+        x = _program(spec, start)
         if x is None:
             continue
         value = cost_of(x, spec.x0, spec.cost)
@@ -540,47 +461,21 @@ def min_cost_point(spec: FeasibleSetSpec, proj_tol: float = 1e-8):
     return best
 
 
-def delta_min(
-    spec: FeasibleSetSpec,
-    tol: float = 1e-6,
-    proj_max_iter: int = 500,
-    proj_tol: float = 1e-8,
-) -> float:
+def delta_min(spec: FeasibleSetSpec, proj_tol: float = 1e-8) -> float:
     """Smallest cost budget for which the feasible set is nonempty.
 
     The margin constraints and bounds form a closed convex set M;
     delta_min is the c-distance from x0 to M.  A near-feasible warm start
     is found by cyclic projections, then the distance program is solved
     directly (smooth reformulation; the feasible set is convex so the
-    first-order point is the global minimum).  If the direct solve does
-    not certify feasibility, a bisection on delta with the projector as
-    nonemptiness probe serves as fallback.  Margin constraints
-    inconsistent with the bounds at every budget raise Unattainable.
+    first-order point is the global minimum).  Raises Unattainable when
+    the margin constraints are inconsistent with the bounds, when the
+    distance program certifies no point of M, or when the distance
+    exceeds the cap 2**10.
     """
     best = min_cost_point(spec, proj_tol=proj_tol)
-    if best is not None:
-        if best[1] > 2.0**10:
-            raise Unattainable(f"cheapest budget {best[1]:.3g} exceeds the cap 2**10")
-        return float(max(best[1], 0.0))
-
-    # fallback: bisection on delta with projection probes
-    def nonempty(delta: float) -> bool:
-        try:
-            project_feasible(spec.x0, spec.with_delta(delta), proj_max_iter, proj_tol)
-            return True
-        except (EmptyFeasibleSet, MaxIterExceeded):
-            return False
-
-    hi = 1.0
-    while not nonempty(hi):
-        hi *= 2.0
-        if hi > 2.0**10:
-            raise Unattainable("feasible set empty even at the budget cap 2**10")
-    lo = hi / 2.0 if hi > 1.0 else 0.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if nonempty(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    if best is None:
+        raise Unattainable("the distance program found no point of the margin-and-bounds set")
+    if best[1] > 2.0**10:
+        raise Unattainable(f"cheapest budget {best[1]:.3g} exceeds the cap 2**10")
+    return float(max(best[1], 0.0))

@@ -25,7 +25,7 @@ from .errors import (
     ParseError,
     RecourseError,
 )
-from .estimation import LabeledDataset, train_logistic
+from .estimation import LabeledDataset, _subsample_indices, train_logistic
 from .model import (
     ActionabilitySpec,
     Cost,
@@ -247,6 +247,7 @@ def build_shift_ensemble(
 
     mode="concat" additionally concatenates the original training data to
     every subsample; mode="shifted-only" trains on the subsample alone.
+    Raises TooFewSamples when 50 draws yield no subsample with both classes.
     """
     shifted = list(shifted)
     if not shifted:
@@ -261,10 +262,7 @@ def build_shift_ensemble(
         data = shifted[t % len(shifted)]
         rng = np.random.default_rng(seeds[t])
         size = max(int(round(subsample * data.n)), 2)
-        for _ in range(50):
-            idx = rng.choice(data.n, size=size, replace=False)
-            if len(np.unique(data.labels[idx])) == 2:
-                break
+        idx = _subsample_indices(rng, data.n, size, data.labels)
         X, y = data.features[idx], data.labels[idx]
         if mode == "concat":
             X = np.vstack([original.features, X])
@@ -420,7 +418,6 @@ def sweep_frontier(
     ensemble: ShiftEnsemble,
     deltas_add,
     rhos,
-    workers: int = 1,
 ):
     """One row per (delta_add, rho) grid point: mean l1 cost and m2 validity
     of the recourses generated at that setting.  Per-cell failures are

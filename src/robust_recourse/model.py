@@ -297,32 +297,19 @@ class RecourseResult:
 
 
 def validate_problem(problem: RecourseProblem) -> RecourseProblem:
-    """Check every cross-type invariant of `problem`; return it unchanged.
+    """Check the cross-type invariants of `problem`; return it unchanged.
 
-    Construction already enforces per-type invariants (bias coordinate,
-    positive definiteness, weights summing to one), so this re-checks those
-    cheaply and adds the checks that need the whole problem: consistent
-    dimensions, budget signs and actionability index ranges. Idempotent.
+    Construction already enforces the per-type invariants (bias coordinate,
+    positive definiteness, weights summing to one, budget signs) and the
+    types are immutable, so only the checks that need the whole problem
+    remain: consistent dimensions, actionability index ranges and the
+    pinned bias coordinate. Idempotent.
     """
     d = problem.x0.dim
     if problem.belief.dim != d:
         raise DimensionMismatch(
             f"x0 has dimension {d} but belief components have {problem.belief.dim}"
         )
-    w = problem.belief.weights
-    if np.any(w < 0.0) or abs(float(w.sum()) - 1.0) > WEIGHT_SUM_TOL:
-        raise InvalidWeights("belief weights are not a probability vector")
-    for k, comp in enumerate(problem.belief.components):
-        if np.linalg.eigvalsh(comp.cov)[0] <= 0.0:
-            raise NotPositiveDefinite(f"component {k} covariance not positive definite")
-        if comp.radius < 0.0:
-            raise BadBudget(f"component {k} has negative radius")
-    if problem.delta < 0.0:
-        raise BadBudget(f"delta must be >= 0, got {problem.delta}")
-    if not problem.margin > 0.0:
-        raise BadBudget(f"margin must be > 0, got {problem.margin}")
-    if problem.weight_budget < 0.0:
-        raise BadBudget(f"weight budget must be >= 0, got {problem.weight_budget}")
     problem.actionability.validate_indices(d)
     if d - 1 not in problem.actionability.immutable:
         raise DimensionMismatch("bias coordinate must be immutable")

@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import DualSolveFailed, InfeasibleMargin, ZeroAction
 from .model import Divergence, MixtureBelief
+from .worst_case import closed_form
 
-_SQRT2PI = math.sqrt(2.0 * math.pi)
 _LAMBDA_FLOOR = 1e-12  # analytic lambda -> 0 boundary of the dual
 _LOG_LAMBDA_LO = -8.0
 _LOG_LAMBDA_HI = 4.0
@@ -45,6 +45,8 @@ class ObjectiveEval:
 def _component_stats(x, belief: MixtureBelief, gaussian: bool):
     """Per-component worst-case probabilities and their gradients.
 
+    The closed forms come from worst_case.closed_form; only the chain rule
+    through a = -m^T x, b = sqrt(x^T S x) and c = rho*||x|| lives here.
     Returns (values, grads) with shapes (K,) and (K, d).  Raises
     InfeasibleMargin listing every component whose robust margin
     theta^T x - rho*||x|| is not strictly positive.
@@ -66,32 +68,11 @@ def _component_stats(x, belief: MixtureBelief, gaussian: bool):
         if a + c >= 0.0:
             bad.append(k)
             continue
-        s = math.sqrt(max(a * a + b * b - c * c, 0.0))
+        values[k], outer, d_a, d_b, d_c = closed_form(a, b, c, gaussian)
         ga = -comp.mean
         gb = Sx / b
         gc = (comp.radius / nx) * x  # zero vector when radius == 0
-        if gaussian:
-            Ng = a * a - c * c
-            Dg = -a * b + c * s
-            g = Ng / Dg
-            dg_da = (2.0 * a * Dg - Ng * (-b + a * c / s)) / (Dg * Dg)
-            dg_db = -Ng * (-a + b * c / s) / (Dg * Dg)
-            dg_dc = (-2.0 * c * Dg - Ng * (s - c * c / s)) / (Dg * Dg)
-            values[k] = 0.5 * math.erfc(g / math.sqrt(2.0))
-            pdf = math.exp(-0.5 * g * g) / _SQRT2PI
-            grads[k] = -pdf * (dg_da * ga + dg_db * gb + dg_dc * gc)
-        else:
-            D = a * a + b * b
-            N = -a * c + b * s
-            t = N / D
-            dN_da = -c + a * b / s
-            dN_db = s + b * b / s
-            dN_dc = -a - b * c / s
-            dt_da = (dN_da * D - 2.0 * a * N) / (D * D)
-            dt_db = (dN_db * D - 2.0 * b * N) / (D * D)
-            dt_dc = dN_dc / D
-            values[k] = min(t * t, 1.0)
-            grads[k] = (2.0 * t) * (dt_da * ga + dt_db * gb + dt_dc * gc)
+        grads[k] = outer * (d_a * ga + d_b * gb + d_c * gc)
     if bad:
         raise InfeasibleMargin(bad)
     return values, grads
@@ -135,14 +116,6 @@ def phi_conjugate(divergence: Divergence, s: float) -> float:
     return s + 0.25 * s * s
 
 
-def phi_conjugate_prime(divergence: Divergence, s: float) -> float:
-    """Derivative of phi*; equals the worst-case weight ratio w_k / p_k."""
-    divergence = Divergence(divergence)
-    if divergence is Divergence.KL:
-        return math.exp(s) if s < 709.0 else math.inf
-    return max(1.0 + 0.5 * s, 0.0)
-
-
 def _kl_dual_value(lam: float, f: np.ndarray, p: np.ndarray, eps: float):
     """min over eta of the KL dual at fixed lam, in closed form:
     eta* = lam * log sum_k p_k exp(f_k/lam) and the eta-terms telescope."""
@@ -173,20 +146,9 @@ def _chi2_eta(lam: float, f: np.ndarray, p: np.ndarray) -> float:
         eta = (S - 2.0 * lam * (1.0 - P)) / P
         if seg_lo - 1e-15 <= eta <= seg_hi + 1e-15:
             return float(eta)
-    # fallback: bisection on the monotone residual (should not be reached)
-    def resid(eta):
-        return 1.0 - float(p @ np.maximum(1.0 + (f - eta) / (2.0 * lam), 0.0))
-
-    a, b = lo, float(f.max())
-    if resid(a) > 0.0:
-        return a
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        if resid(mid) <= 0.0:
-            a = mid
-        else:
-            b = mid
-    return 0.5 * (a + b)
+    # rounding in 2*lam*(1 - P) can push the lowest segment's root just
+    # outside it; the exact root lies in that segment
+    return float(min(max(eta, lo), bounds[1]))
 
 
 def _chi2_dual_value(lam: float, f: np.ndarray, p: np.ndarray, eps: float):

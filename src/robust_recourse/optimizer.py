@@ -102,6 +102,13 @@ def _with_finite_diff(fn, step: float = 1e-6):
     return wrapped
 
 
+def _prox_step(x, grad, proj, zeta: float):
+    """The projected step Proj(x - zeta*grad) and the prox-stationarity
+    measure ||x - Proj(x - zeta*grad)||_2 / zeta it yields."""
+    cand = proj(x - zeta * grad)
+    return cand, float(np.linalg.norm(x - cand)) / zeta
+
+
 def pgd_minimize(fn, proj, config: SolverConfig, x_start, near_margin=None, callback=None):
     """Run the descent from x_start; fn(x) -> object with .value/.gradient.
 
@@ -118,10 +125,8 @@ def pgd_minimize(fn, proj, config: SolverConfig, x_start, near_margin=None, call
         callback(0, x, ev.value)
     iterations = 0
     converged = False
-    station = np.inf
     for t in range(config.max_iter):
-        base_cand = proj(x - config.zeta * ev.gradient)
-        station = float(np.linalg.norm(x - base_cand)) / config.zeta
+        base_cand, station = _prox_step(x, ev.gradient, proj, config.zeta)
         if station <= config.station_tol:
             converged = True
             break
@@ -155,10 +160,10 @@ def pgd_minimize(fn, proj, config: SolverConfig, x_start, near_margin=None, call
         iterations = t + 1
         if callback is not None:
             callback(iterations, x, ev.value)
-    final_cand = proj(x - config.zeta * ev.gradient)
-    station = float(np.linalg.norm(x - final_cand)) / config.zeta
-    if station <= config.station_tol:
-        converged = True
+    else:
+        # the iteration cap (or max_iter == 0) left the last point unmeasured
+        station = _prox_step(x, ev.gradient, proj, config.zeta)[1]
+        converged = station <= config.station_tol
     return x, ev.value, ev, iterations, converged, station
 
 
@@ -180,7 +185,7 @@ def solve(
     config = config or SolverConfig()
     validate_problem(problem)
     spec = fz.FeasibleSetSpec.from_problem(problem)
-    dmin = fz.delta_min(spec, proj_max_iter=config.proj_max_iter, proj_tol=config.proj_tol) \
+    dmin = fz.delta_min(spec, proj_tol=config.proj_tol) \
         if known_delta_min is None else float(known_delta_min)
     if problem.delta < dmin - 1e-9:
         raise BudgetTooSmall(f"delta={problem.delta} is below delta_min={dmin}")
@@ -245,8 +250,8 @@ def stationarity(x, problem: RecourseProblem, config: SolverConfig | None = None
     spec = fz.FeasibleSetSpec.from_problem(problem)
     fn = make_objective(problem)
     x = np.asarray(x, dtype=float)
-    grad = fn(x).gradient
-    cand = fz.project_feasible(
-        x - config.zeta * grad, spec, config.proj_max_iter, config.proj_tol
-    )
-    return float(np.linalg.norm(x - cand)) / config.zeta
+
+    def proj(y):
+        return fz.project_feasible(y, spec, config.proj_max_iter, config.proj_tol)
+
+    return _prox_step(x, fn(x).gradient, proj, config.zeta)[1]

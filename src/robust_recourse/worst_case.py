@@ -15,22 +15,26 @@ Two ambiguity regimes are supported:
 
 Both worst-case probabilities follow from inverting the corresponding
 worst-case value-at-risk curve in the risk level beta; the VaR curves are
-exposed too since they double as test oracles.
+exposed too since they double as test oracles.  closed_form is the one copy
+of the formulas from (a, b, c) to value and partials; the objectives apply
+the chain rule to it.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri  # Phi^{-1}, erf-based
 
 from .errors import BetaOutOfRange, ZeroAction
 from .model import ComponentMoments
+
+_SQRT2PI = math.sqrt(2.0 * math.pi)
 
 __all__ = [
     "ABCTriple",
     "AT_OR_ABOVE_HALF",
     "abc",
+    "closed_form",
     "prob_nonparametric",
     "prob_gaussian",
     "var_nonparametric",
@@ -80,10 +84,41 @@ def abc(x, comp: ComponentMoments) -> ABCTriple:
     return ABCTriple(a, b, c)
 
 
-def _radicand(t: ABCTriple) -> float:
+def closed_form(a: float, b: float, c: float, gaussian: bool):
+    """Worst-case probability at a + c < 0 and its partials in (a, b, c).
+
+    Returns (value, outer, d_a, d_b, d_c); the derivative of the value along
+    any direction is outer * (d_a*a' + d_b*b' + d_c*c').  With
+    s = sqrt(a^2 + b^2 - c^2):
+
+    * nonparametric: value t^2, clamped to at most 1 against roundoff, and
+      outer 2t, where t = (-a*c + b*s) / (a^2 + b^2) and d_* are t's partials;
+    * gaussian: value 1 - Phi(g), evaluated through erfc so deep tails keep
+      their magnitude, and outer -pdf(g), where g = (a^2 - c^2) / (-a*b + c*s)
+      and d_* are g's partials.
+    """
     # a + c < 0 implies a^2 >= c^2, so analytically a^2 + b^2 - c^2 >= b^2 > 0;
     # clamp against roundoff only
-    return max(t.a * t.a + t.b * t.b - t.c * t.c, 0.0)
+    s = math.sqrt(max(a * a + b * b - c * c, 0.0))
+    if gaussian:
+        Ng = a * a - c * c
+        Dg = -a * b + c * s
+        g = Ng / Dg
+        dg_da = (2.0 * a * Dg - Ng * (-b + a * c / s)) / (Dg * Dg)
+        dg_db = -Ng * (-a + b * c / s) / (Dg * Dg)
+        dg_dc = (-2.0 * c * Dg - Ng * (s - c * c / s)) / (Dg * Dg)
+        pdf = math.exp(-0.5 * g * g) / _SQRT2PI
+        return 0.5 * math.erfc(g / math.sqrt(2.0)), -pdf, dg_da, dg_db, dg_dc
+    D = a * a + b * b
+    N = -a * c + b * s
+    t = N / D
+    dN_da = -c + a * b / s
+    dN_db = s + b * b / s
+    dN_dc = -a - b * c / s
+    dt_da = (dN_da * D - 2.0 * a * N) / (D * D)
+    dt_db = (dN_db * D - 2.0 * b * N) / (D * D)
+    dt_dc = dN_dc / D
+    return min(t * t, 1.0), 2.0 * t, dt_da, dt_db, dt_dc
 
 
 def prob_nonparametric(t: ABCTriple) -> float:
@@ -91,15 +126,11 @@ def prob_nonparametric(t: ABCTriple) -> float:
 
     Returns 1 when a + c >= 0.  Otherwise
 
-        ((-a*c + b*sqrt(a^2 + b^2 - c^2)) / (a^2 + b^2))^2  in (0, 1),
-
-    clamped to [0, 1] against roundoff.
+        ((-a*c + b*sqrt(a^2 + b^2 - c^2)) / (a^2 + b^2))^2  in (0, 1].
     """
     if t.a + t.c >= 0.0:
         return 1.0
-    root = math.sqrt(_radicand(t))
-    val = (-t.a * t.c + t.b * root) / (t.a * t.a + t.b * t.b)
-    return min(max(val * val, 0.0), 1.0)
+    return closed_form(t.a, t.b, t.c, gaussian=False)[0]
 
 
 def prob_gaussian(t: ABCTriple):
@@ -107,16 +138,11 @@ def prob_gaussian(t: ABCTriple):
 
     Returns the sentinel AT_OR_ABOVE_HALF when a + c >= 0; otherwise
 
-        1 - Phi((a^2 - c^2) / (-a*b + c*sqrt(a^2 + b^2 - c^2)))  in (0, 1/2),
-
-    evaluated through erfc so deep tails keep their magnitude instead of
-    rounding to zero.
+        1 - Phi((a^2 - c^2) / (-a*b + c*sqrt(a^2 + b^2 - c^2)))  in (0, 1/2).
     """
     if t.a + t.c >= 0.0:
         return AT_OR_ABOVE_HALF
-    root = math.sqrt(_radicand(t))
-    g = (t.a * t.a - t.c * t.c) / (-t.a * t.b + t.c * root)
-    return 0.5 * math.erfc(g / math.sqrt(2.0))
+    return closed_form(t.a, t.b, t.c, gaussian=True)[0]
 
 
 def var_nonparametric(t: ABCTriple, beta: float) -> float:
@@ -139,6 +165,10 @@ def var_gaussian(t: ABCTriple, beta: float) -> float:
     """
     if not 0.0 < beta <= 0.5:
         raise BetaOutOfRange(f"beta must lie in (0, 0.5], got {beta}")
+    # deferred: the objectives import this module, and scipy.special would
+    # otherwise load with them on every CLI command
+    from scipy.special import ndtri  # Phi^{-1}, erf-based
+
     z = float(ndtri(1.0 - beta))
     return t.a + z * t.b + t.c * math.sqrt(1.0 + z * z)
 

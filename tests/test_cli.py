@@ -127,3 +127,57 @@ class TestUsageErrors:
         bad = base / "bad.json"
         bad.write_text(json.dumps({"mode": "fancy"}))
         assert run(["synth", "--config", bad, "--out", base / "d"]) == 1
+
+
+def _write_belief(path, drop=None):
+    payload = {
+        "dimension": 3, "weights": [1.0], "theta0": [1.0, 0.0, 0.0],
+        "components": [{"mean": [1.0, 0.0, 0.0],
+                        "covariance": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+                        "radius": 0.1}],
+    }
+    payload.pop(drop, None)
+    path.write_text(json.dumps(payload))
+    return path
+
+
+def _assert_one_usage_line(code, capsys):
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("usage error:")
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize("command", ["generate", "evaluate", "sweep"])
+    @pytest.mark.parametrize("missing", ["components", "theta0"])
+    def test_belief_without_key_exits_1(self, workdir, capsys, command, missing):
+        base, cfg = workdir
+        belief = _write_belief(base / "belief.json", drop=missing)
+        args = [command, "--config", cfg, "--belief", belief, "--out", base / "out"]
+        if command in ("generate", "sweep"):
+            args += ["--data", base / "missing.csv"]
+        if command in ("evaluate", "sweep"):
+            args += ["--shifted", base / "missing_shift.csv"]
+        if command == "evaluate":
+            args += ["--recourses", base / "missing_recourses.csv"]
+        _assert_one_usage_line(run(args), capsys)
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            "instance_id,x0_0,x0_1,x0_2,x_0,x_1,x_2,objective",  # no error column
+            "instance_id,x0_0,x0_1,x0_2,objective,error",  # no action columns
+        ],
+    )
+    def test_recourse_csv_without_columns_exits_1(self, workdir, capsys, header):
+        base, cfg = workdir
+        belief = _write_belief(base / "belief.json")
+        recourses = base / "recourses.csv"
+        n_cells = len(header.split(","))
+        recourses.write_text(header + "\n" + ",".join(["1.0"] * n_cells) + "\n")
+        code = run(["evaluate", "--config", cfg, "--belief", belief,
+                    "--recourses", recourses, "--out", base / "report",
+                    "--shifted", base / "missing_shift.csv"])
+        _assert_one_usage_line(code, capsys)

@@ -6,8 +6,14 @@ from robust_recourse.errors import (
     MissingLabel,
     NonNumeric,
     ParseError,
+    TooFewSamples,
 )
-from robust_recourse.estimation import bootstrap_parameters, fit_mixture_moments, train_logistic
+from robust_recourse.estimation import (
+    LabeledDataset,
+    bootstrap_parameters,
+    fit_mixture_moments,
+    train_logistic,
+)
 from robust_recourse.harness import (
     ProblemTemplate,
     ShiftEnsemble,
@@ -191,6 +197,14 @@ class TestShiftEnsemble:
         a = build_shift_ensemble(shifted, trials=4, seed=3)
         b = build_shift_ensemble(shifted, trials=4, seed=3)
         assert all(np.array_equal(x.theta, y.theta) for x, y in zip(a.classifiers, b.classifiers))
+
+    def test_no_two_class_subsample_raises(self):
+        # one positive among 1,000 rows: at seed 0 all 50 draws of 10 rows miss it
+        labels = np.zeros(1000, int)
+        labels[0] = 1
+        data = LabeledDataset(np.arange(2000.0).reshape(1000, 2), labels)
+        with pytest.raises(TooFewSamples):
+            build_shift_ensemble([data], subsample=0.01, trials=1, seed=0)
 
 
 class TestGenerateRecourses:

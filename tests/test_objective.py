@@ -8,6 +8,7 @@ from oracles import fd_gradient, weight_robust_grid
 from robust_recourse.errors import InfeasibleMargin, ZeroAction
 from robust_recourse.model import ComponentMoments, Divergence, MixtureBelief
 from robust_recourse.objective import (
+    _chi2_eta,
     _weight_dual,
     eval_gaussian,
     eval_nonparametric,
@@ -246,3 +247,16 @@ class TestMonotoneInRadius:
         for evaluate in evaluators:
             vals = [evaluate(belief.with_radius(r)) for r in radii]
             assert all(v2 >= v1 - 1e-12 for v1, v2 in zip(vals, vals[1:]))
+
+
+class TestChi2Eta:
+    @pytest.mark.parametrize("lam", [54.6, 8.9e6])
+    def test_rounding_below_lowest_segment_is_clamped(self, lam):
+        # sum(p) rounds to 1 - 1ulp, so 2*lam*(1 - P) pushes the lowest
+        # segment's root below f.min(); the exact root is f.min() itself
+        f = np.array([0.3, 0.3, 0.3])
+        p = np.array([0.1, 0.2, 0.7])
+        eta = _chi2_eta(lam, f, p)
+        assert eta == 0.3
+        resid = 1.0 - float(p @ np.maximum(1.0 + (f - eta) / (2.0 * lam), 0.0))
+        assert resid == 0.0
