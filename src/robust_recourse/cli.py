@@ -104,16 +104,17 @@ def load_config(path) -> dict:
                     cfg[key][sub] = subval
             else:
                 cfg[key] = value
-    if cfg["delta_add"] < 0:
-        raise UsageError(f"delta_add must be >= 0, got {cfg['delta_add']}")
-    if cfg["margin"] <= 0:
-        raise UsageError(f"margin must be > 0, got {cfg['margin']}")
-    if cfg["weight_budget"] < 0:
-        raise UsageError(f"weight_budget must be >= 0, got {cfg['weight_budget']}")
     try:
+        if cfg["delta_add"] < 0:
+            raise UsageError(f"delta_add must be >= 0, got {cfg['delta_add']}")
+        if cfg["margin"] <= 0:
+            raise UsageError(f"margin must be > 0, got {cfg['margin']}")
+        if cfg["weight_budget"] < 0:
+            raise UsageError(f"weight_budget must be >= 0, got {cfg['weight_budget']}")
         Mode(cfg["mode"]), Cost(cfg["cost"]), Divergence(cfg["divergence"])
-    except ValueError as exc:
-        raise UsageError(str(exc))
+        solver_config(cfg, cfg["seed"])
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"bad config value: {exc}")
     return cfg
 
 
@@ -242,10 +243,36 @@ def load_recourses_csv(path):
         for row in reader:
             if row["error"]:
                 continue
+            try:
+                x0 = [float(row[f"x0_{j}"]) for j in range(d)]
+                x = [float(row[f"x_{j}"]) for j in range(d)]
+            except (TypeError, ValueError) as exc:
+                raise UsageError(f"recourse CSV {path}, line {reader.line_num}: {exc}")
             ids.append(row["instance_id"])
-            instances.append(FeatureVector([float(row[f"x0_{j}"]) for j in range(d)]))
-            recourses.append(FeatureVector([float(row[f"x_{j}"]) for j in range(d)]))
+            instances.append(FeatureVector(x0))
+            recourses.append(FeatureVector(x))
     return ids, instances, recourses
+
+
+def _shift_ensemble(args, cfg, seed, data=None):
+    """The m2 ensemble retrained on the --shifted CSVs.  Concat mode also
+    trains on the original dataset: data when the caller has it loaded,
+    else the --data file."""
+    shifted = [load_csv(path, args.label_column, normalize=args.normalize)[0]
+               for path in args.shifted]
+    m2 = cfg["m2"]
+    if m2["mode"] == "concat" and data is None:
+        if args.data is None:
+            raise UsageError("concat m2 mode needs --data with the original dataset")
+        data, _, _ = load_csv(args.data, args.label_column, normalize=args.normalize)
+    return build_shift_ensemble(
+        shifted,
+        subsample=m2["subsample"],
+        trials=m2["trials"],
+        seed=seed,
+        mode=m2["mode"],
+        original=data,
+    )
 
 
 def _template(cfg, belief, seed) -> ProblemTemplate:
@@ -357,23 +384,7 @@ def _cmd_evaluate(args):
     ids, instances, recourses = load_recourses_csv(args.recourses)
     if not recourses:
         raise RecourseError(f"no solved recourses in {args.recourses}")
-    shifted = []
-    for path in args.shifted:
-        ds, _, _ = load_csv(path, args.label_column, normalize=args.normalize)
-        shifted.append(ds)
-    original = None
-    if cfg["m2"]["mode"] == "concat" or args.data is not None:
-        if args.data is None:
-            raise UsageError("concat m2 mode needs --data with the original dataset")
-        original, _, _ = load_csv(args.data, args.label_column, normalize=args.normalize)
-    ensemble = build_shift_ensemble(
-        shifted,
-        subsample=cfg["m2"]["subsample"],
-        trials=cfg["m2"]["trials"],
-        seed=seed,
-        mode=cfg["m2"]["mode"],
-        original=original,
-    )
+    ensemble = _shift_ensemble(args, cfg, seed)
     report = evaluate(recourses, instances, theta0, ensemble)
     base = Path(args.out)
     _dump_json(
@@ -410,23 +421,7 @@ def _cmd_sweep(args):
     instances, _ = _negative_instances(data, theta0, args.max_instances)
     if not instances:
         raise RecourseError("no negatively classified instances for the sweep")
-    shifted = []
-    for path in args.shifted:
-        ds, _, _ = load_csv(path, args.label_column, normalize=args.normalize)
-        shifted.append(ds)
-    original = None
-    if cfg["m2"]["mode"] == "concat":
-        if args.data is None:
-            raise UsageError("concat m2 mode needs --data")
-        original = data
-    ensemble = build_shift_ensemble(
-        shifted,
-        subsample=cfg["m2"]["subsample"],
-        trials=cfg["m2"]["trials"],
-        seed=seed,
-        mode=cfg["m2"]["mode"],
-        original=original,
-    )
+    ensemble = _shift_ensemble(args, cfg, seed, data)
     template = _template(cfg, belief, seed)
     deltas = [float(v) for v in args.deltas.split(",")]
     rhos = [float(v) for v in args.rhos.split(",")]
@@ -436,6 +431,13 @@ def _cmd_sweep(args):
     write_frontier_csv(args.out, rows)
     print(f"wrote {len(rows)} frontier rows to {args.out}")
     return 0
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> _Parser:
@@ -475,8 +477,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("generate", help="belief + instances -> recourse CSV")
     common(p, data="required", belief=True)
     p.add_argument("--out", required=True, help="recourse CSV path")
-    p.add_argument("--max-instances", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--max-instances", type=positive_int, default=None)
+    p.add_argument("--workers", type=positive_int, default=1)
     p.set_defaults(fn=_cmd_generate)
 
     p = sub.add_parser("evaluate", help="recourses + shifted data -> report")
@@ -491,7 +493,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="frontier CSV path")
     p.add_argument("--deltas", default="0,0.5,1.0,2.0", help="comma-separated delta_add grid")
     p.add_argument("--rhos", default="0.1", help="comma-separated rho grid")
-    p.add_argument("--max-instances", type=int, default=None)
+    p.add_argument("--max-instances", type=positive_int, default=None)
     p.set_defaults(fn=_cmd_sweep)
     return parser
 

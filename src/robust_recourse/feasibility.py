@@ -15,7 +15,8 @@ the backstop for geometries the cycles cannot resolve numerically.  Each
 margin set is projected onto by bisecting the KKT multiplier of its single
 constraint.  delta_min, the smallest cost budget that keeps the
 intersection nonempty, is the c-distance from x0 to the margin-and-bounds
-set and is solved as such.
+set: one run of the same program, with the cost as objective, started at
+x0.
 """
 
 import math
@@ -415,63 +416,36 @@ def _raise_empty_if_budget_short(spec: FeasibleSetSpec, tol: float):
         )
 
 
-def _pocs_near_feasible(spec: FeasibleSetSpec, max_passes: int = 300, tol: float = 1e-9):
-    """Cyclic projections (no corrections) from x0 onto the margin sets and
-    bounds of a spec without cost ball; returns a point of that set, or None."""
-    x = spec.x0.copy()
-    thetas, radii, tts = spec.thetas, spec.radii, spec.tts
-    _require_directions(spec)
-    for _ in range(max_passes):
-        for k in range(thetas.shape[0]):
-            x = _project_cone_known(x, thetas[k], float(radii[k]), float(tts[k]), spec.margin)
-        x = np.clip(x, spec.lower, spec.upper)
-        if is_feasible(x, spec, tol):
-            return x
-    return None
-
-
 def min_cost_point(spec: FeasibleSetSpec, proj_tol: float = 1e-8):
     """Cheapest point of the margin-and-bounds set: (x, cost), or None when
-    the direct program fails to certify a feasible minimizer.
+    the distance program fails to certify a feasible minimizer.
 
-    The returned point is polished to satisfy the margins essentially
-    exactly, so its cost is a genuine upper bound on the minimum; a
-    first-order point that is slightly outside could otherwise understate
-    the budget badly when the margin boundary is sharp."""
+    The program starts at x0.  The returned point is polished to satisfy
+    the margins essentially exactly, so its cost is a genuine upper bound
+    on the minimum; a first-order point that is slightly outside could
+    otherwise understate the budget badly when the margin boundary is
+    sharp."""
     spec = spec.without_delta()
     if spec.empty_margin_sets():
         raise Unattainable("some ambiguity radius is at least the direction norm")
     if is_feasible(spec.x0, spec, proj_tol):
         return spec.x0.copy(), 0.0
-    starts = []
-    z = _pocs_near_feasible(spec, tol=proj_tol)
-    if z is not None:
-        starts.append(z)
-    starts.append(spec.x0)
-    best = None
-    for start in starts:
-        x = _program(spec, start)
-        if x is None:
-            continue
-        value = cost_of(x, spec.x0, spec.cost)
-        if best is None or value < best[1]:
-            best = (x, value)
-    if best is None and z is not None:
-        best = (z, cost_of(z, spec.x0, spec.cost))  # feasible witness, maybe loose
-    return best
+    _require_directions(spec)
+    x = _program(spec, spec.x0)
+    if x is None:
+        return None
+    return x, cost_of(x, spec.x0, spec.cost)
 
 
 def delta_min(spec: FeasibleSetSpec, proj_tol: float = 1e-8) -> float:
     """Smallest cost budget for which the feasible set is nonempty.
 
     The margin constraints and bounds form a closed convex set M;
-    delta_min is the c-distance from x0 to M.  A near-feasible warm start
-    is found by cyclic projections, then the distance program is solved
-    directly (smooth reformulation; the feasible set is convex so the
-    first-order point is the global minimum).  Raises Unattainable when
-    the margin constraints are inconsistent with the bounds, when the
-    distance program certifies no point of M, or when the distance
-    exceeds the cap 2**10.
+    delta_min is the c-distance from x0 to M, solved by one SLSQP run of
+    the distance program started at x0 (smooth reformulation; M is convex,
+    so the first-order point is the global minimum).  Raises Unattainable
+    when some margin set is empty, when the distance program certifies no
+    point of M, or when the distance exceeds the cap 2**10.
     """
     best = min_cost_point(spec, proj_tol=proj_tol)
     if best is None:

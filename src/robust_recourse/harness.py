@@ -353,23 +353,47 @@ class ProblemTemplate:
         )
 
 
+def _describe(exc: RecourseError) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _delta_mins(template: ProblemTemplate, instances) -> list:
+    """Per instance, its delta_min or the stringified failure."""
+    out = []
+    for x0 in instances:
+        try:
+            spec = fz.FeasibleSetSpec.from_problem(template.problem_for(x0, 0.0))
+            out.append(fz.delta_min(spec, proj_tol=template.config.proj_tol))
+        except RecourseError as exc:
+            out.append(_describe(exc))
+    return out
+
+
 def _solve_one(args):
-    template, x0, dmin, delta_add = args
-    problem = template.problem_for(x0, dmin + delta_add)
-    return solve(problem, template.config, known_delta_min=dmin)
-
-
-def _solve_one_safe(args):
+    template, x0, dmin = args
     try:
-        return _solve_one(args), None
+        problem = template.problem_for(x0, dmin + template.delta_add)
+        return solve(problem, template.config, known_delta_min=dmin), None
     except RecourseError as exc:
-        return None, f"{type(exc).__name__}: {exc}"
+        return None, _describe(exc)
 
 
-def instance_delta_min(template: ProblemTemplate, x0: FeatureVector) -> float:
-    problem = template.problem_for(x0, 0.0)
-    spec = fz.FeasibleSetSpec.from_problem(problem)
-    return fz.delta_min(spec, proj_tol=template.config.proj_tol)
+def _solve_all(template: ProblemTemplate, instances, dmins, workers: int = 1):
+    """Solve every instance whose delta_min is known; (results, errors) as
+    in generate_recourses, a failed delta_min passing through as the error."""
+    results = [None] * len(instances)
+    errors = [d if isinstance(d, str) else None for d in dmins]
+    todo = [i for i, e in enumerate(errors) if e is None]
+    tasks = [(template, instances[i], dmins[i]) for i in todo]
+    if workers > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            outcomes = pool.map(_solve_one, tasks)
+    else:
+        outcomes = map(_solve_one, tasks)
+    for i, (res, err) in zip(todo, outcomes):
+        results[i] = res
+        errors[i] = err
+    return results, errors
 
 
 def generate_recourses(template: ProblemTemplate, instances, workers: int = 1):
@@ -380,25 +404,7 @@ def generate_recourses(template: ProblemTemplate, instances, workers: int = 1):
     input order regardless of worker scheduling.
     """
     instances = list(instances)
-    tasks = []
-    results = [None] * len(instances)
-    errors = [None] * len(instances)
-    for i, x0 in enumerate(instances):
-        try:
-            dmin = instance_delta_min(template, x0)
-        except RecourseError as exc:
-            errors[i] = f"{type(exc).__name__}: {exc}"
-            continue
-        tasks.append((i, (template, x0, dmin, template.delta_add)))
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = pool.map(_solve_one_safe, [t for _, t in tasks])
-    else:
-        outcomes = map(_solve_one_safe, [t for _, t in tasks])
-    for (i, _), (res, err) in zip(tasks, outcomes):
-        results[i] = res
-        errors[i] = err
-    return results, errors
+    return _solve_all(template, instances, _delta_mins(template, instances), workers)
 
 
 @dataclass(frozen=True)
@@ -433,36 +439,14 @@ def sweep_frontier(
     for rho in rhos:
         tmpl_r = replace(template, belief=template.belief.with_radius(rho))
         # delta_min depends on rho but not on delta_add: compute once per instance
-        dmins = []
-        dmin_errors = []
-        for x0 in instances:
-            try:
-                dmins.append(instance_delta_min(tmpl_r, x0))
-                dmin_errors.append(None)
-            except RecourseError as exc:
-                dmins.append(None)
-                dmin_errors.append(f"{type(exc).__name__}: {exc}")
+        dmins = _delta_mins(tmpl_r, instances)
         for delta_add in deltas_add:
-            solved_recourses = []
-            solved_instances = []
-            n_failed = 0
-            notes = []
-            for x0, dmin, err in zip(instances, dmins, dmin_errors):
-                if err is not None:
-                    n_failed += 1
-                    notes.append(err)
-                    continue
-                try:
-                    res = _solve_one((tmpl_r, x0, dmin, delta_add))
-                except RecourseError as exc:
-                    n_failed += 1
-                    notes.append(f"{type(exc).__name__}: {exc}")
-                    continue
-                solved_recourses.append(res.action)
-                solved_instances.append(x0)
-            if solved_recourses:
-                Xr = np.array([r.values for r in solved_recourses])
-                X0 = np.array([r.values for r in solved_instances])
+            results, errors = _solve_all(replace(tmpl_r, delta_add=delta_add), instances, dmins)
+            solved = [(r.action, x0) for r, x0 in zip(results, instances) if r is not None]
+            notes = [e for e in errors if e is not None]
+            if solved:
+                Xr = np.array([r.values for r, _ in solved])
+                X0 = np.array([x0.values for _, x0 in solved])
                 l1 = float(np.abs(Xr[:, :-1] - X0[:, :-1]).sum(axis=1).mean())
                 m2 = float((Xr @ ensemble.matrix().T >= 0.0).mean())
             else:
@@ -474,8 +458,8 @@ def sweep_frontier(
                     rho=float(rho),
                     mean_l1_cost=l1,
                     m2_validity=m2,
-                    n_solved=len(solved_recourses),
-                    n_failed=n_failed,
+                    n_solved=len(solved),
+                    n_failed=len(notes),
                     note="; ".join(sorted(set(notes)))[:200],
                 )
             )

@@ -40,10 +40,10 @@ from .objective import (
 class SolverConfig:
     """Line-search and stopping parameters.
 
+    restarts=1, the default, is the plain single-start procedure;
     restarts > 1 adds extra runs from randomly perturbed feasible starts
-    and keeps the best objective; restarts=1 is the plain single-start
-    procedure.  finite_diff switches the gradient to central differences
-    (debugging aid only).
+    and keeps the best objective.  finite_diff switches the gradient to
+    central differences (debugging aid only).
     """
 
     lambda_ls: float = 0.7
@@ -51,7 +51,7 @@ class SolverConfig:
     max_iter: int = 200
     station_tol: float = 1e-4
     max_backtracks: int = 50
-    restarts: int = 3
+    restarts: int = 1
     seed: int = 0
     finite_diff: bool = False
     proj_max_iter: int = 20000
@@ -64,6 +64,15 @@ class SolverConfig:
             raise ValueError(f"lambda_ls must lie in (0, 1), got {self.lambda_ls}")
         if not self.zeta > 0.0:
             raise ValueError(f"zeta must be positive, got {self.zeta}")
+        if not self.station_tol > 0.0:
+            raise ValueError(f"station_tol must be positive, got {self.station_tol}")
+        if self.max_iter < 0 or self.max_backtracks < 0:
+            raise ValueError(
+                f"max_iter and max_backtracks must be >= 0, got {self.max_iter}, "
+                f"{self.max_backtracks}"
+            )
+        if self.restarts < 1:
+            raise ValueError(f"restarts must be >= 1, got {self.restarts}")
 
 
 def make_objective(problem: RecourseProblem):
@@ -109,13 +118,8 @@ def _prox_step(x, grad, proj, zeta: float):
     return cand, float(np.linalg.norm(x - cand)) / zeta
 
 
-def pgd_minimize(fn, proj, config: SolverConfig, x_start, near_margin=None, callback=None):
+def pgd_minimize(fn, proj, config: SolverConfig, x_start, callback=None):
     """Run the descent from x_start; fn(x) -> object with .value/.gradient.
-
-    near_margin, when given, marks candidates sitting essentially on the
-    robust-margin boundary; the first such acceptable candidate per
-    iteration triggers one extra backtrack before being accepted (guard
-    against the growing gradients next to the boundary).
 
     Returns (x, value, eval, iterations, converged, stationarity).
     """
@@ -131,26 +135,15 @@ def pgd_minimize(fn, proj, config: SolverConfig, x_start, near_margin=None, call
             converged = True
             break
         accepted = None
-        extra_done = False
-        i = 0
-        while i <= config.max_backtracks:
+        for i in range(config.max_backtracks + 1):
             step = config.zeta * config.lambda_ls**i
             cand = base_cand if i == 0 else proj(x - step * ev.gradient)
-            i += 1
             try:
                 cand_ev = fn(cand)
             except InfeasibleMargin:
                 continue
             dist2 = float(np.sum((x - cand) ** 2))
             if cand_ev.value <= ev.value - dist2 / (2.0 * step):
-                if (
-                    near_margin is not None
-                    and not extra_done
-                    and i <= config.max_backtracks
-                    and near_margin(cand)
-                ):
-                    extra_done = True
-                    continue
                 accepted = (cand, cand_ev)
                 break
         if accepted is None:
@@ -213,22 +206,17 @@ def solve(
     def proj(y):
         return fz.project_feasible(y, spec, config.proj_max_iter, config.proj_tol)
 
-    guard_band = 1e-6
-
-    def near_margin(y):
-        return float(np.min(fz.margin_slacks(y, spec))) < guard_band
-
     x_start = spec.x0
-    seeds = np.random.SeedSequence(config.seed).spawn(max(config.restarts - 1, 0))
+    seeds = np.random.SeedSequence(config.seed).spawn(config.restarts - 1)
     best = None
-    for run in range(max(config.restarts, 1)):
+    for run in range(config.restarts):
         if run == 0:
             start = x_start
         else:
             rng = np.random.default_rng(seeds[run - 1])
             scale = 0.25 * max(problem.delta, problem.margin)
             start = x_start + rng.normal(scale=scale, size=x_start.size)
-        outcome = pgd_minimize(fn, proj, config, start, near_margin, callback)
+        outcome = pgd_minimize(fn, proj, config, start, callback)
         if best is None or outcome[1] < best[1]:
             best = outcome
     x, value, ev, iterations, converged, station = best

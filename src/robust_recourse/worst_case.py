@@ -41,8 +41,6 @@ __all__ = [
     "var_gaussian",
     "wc_prob_nonparametric",
     "wc_prob_gaussian",
-    "wc_var_nonparametric",
-    "wc_var_gaussian",
 ]
 
 
@@ -188,11 +186,3 @@ def wc_prob_nonparametric(x, comp: ComponentMoments) -> float:
 def wc_prob_gaussian(x, comp: ComponentMoments):
     """prob_gaussian evaluated at abc(x, comp); rejects x = 0."""
     return prob_gaussian(_triple_checked(x, comp))
-
-
-def wc_var_nonparametric(x, comp: ComponentMoments, beta: float) -> float:
-    return var_nonparametric(abc(x, comp), beta)
-
-
-def wc_var_gaussian(x, comp: ComponentMoments, beta: float) -> float:
-    return var_gaussian(abc(x, comp), beta)

@@ -181,3 +181,47 @@ class TestMalformedInputs:
                     "--recourses", recourses, "--out", base / "report",
                     "--shifted", base / "missing_shift.csv"])
         _assert_one_usage_line(code, capsys)
+
+
+class TestBadValues:
+    @pytest.mark.parametrize(
+        "user_cfg",
+        [{"zeta": -1}, {"delta_add": "x"}, {"max_iter": -5}],
+    )
+    def test_bad_config_value_exits_1(self, workdir, capsys, user_cfg):
+        base, _ = workdir
+        bad = base / "bad.json"
+        bad.write_text(json.dumps(user_cfg))
+        belief = _write_belief(base / "belief.json")
+        code = run(["generate", "--config", bad, "--belief", belief,
+                    "--data", base / "missing.csv", "--out", base / "x.csv"])
+        _assert_one_usage_line(code, capsys)
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--workers", 0), ("--max-instances", -1), ("--max-instances", 0)],
+    )
+    def test_count_flag_below_one_exits_1(self, workdir, capsys, flag, value):
+        base, cfg = workdir
+        belief = _write_belief(base / "belief.json")
+        code = run(["generate", "--config", cfg, "--belief", belief,
+                    "--data", base / "missing.csv", "--out", base / "x.csv", flag, value])
+        _assert_one_usage_line(code, capsys)
+
+    def test_non_numeric_recourse_cell_exits_1(self, workdir, capsys):
+        base, cfg = workdir
+        belief = _write_belief(base / "belief.json")
+        recourses = base / "recourses.csv"
+        recourses.write_text(
+            "instance_id,x0_0,x0_1,x0_2,x_0,x_1,x_2,error\n"
+            "0,-1.0,-1.0,1.0,1.0,1.0,1.0,\n"
+            "1,-1.0,-1.0,1.0,abc,1.0,1.0,\n"
+        )
+        code = run(["evaluate", "--config", cfg, "--belief", belief,
+                    "--recourses", recourses, "--out", base / "report",
+                    "--shifted", base / "missing_shift.csv"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("usage error:") and len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+        assert str(recourses) in err and "line 3" in err

@@ -285,6 +285,11 @@ class TestDeltaMin:
         with pytest.raises(Unattainable):
             delta_min(spec)
 
+    def test_zero_direction_raises_degenerate(self):
+        spec = raw_spec([1.0, 0.0], [[0.0, 0.0]], [0.0], margin=0.1)
+        with pytest.raises(DegenerateDirection):
+            delta_min(spec)
+
     def test_consistency_with_projection(self, rng):
         count = 0
         while count < 8:

@@ -195,6 +195,18 @@ class TestWeightRobust:
         finally:
             obj._LOG_LAMBDA_LO, obj._LOG_LAMBDA_HI = original
 
+    def test_bracket_extends_past_initial_edge(self):
+        # a tiny KL budget puts the dual minimizer at lam ~ 82.9, beyond the
+        # initial bracket edge e^4, so the search must extend to the right
+        f = np.array([0.2, 0.35, 0.5])
+        p = np.array([0.5, 0.3, 0.2])
+        eps = 1e-6
+        value, lam, eta, w = _weight_dual(f, p, eps, Divergence.KL)
+        assert lam > math.exp(4.0)
+        assert abs(float(w @ f) - value) <= 1e-9
+        kl = float(np.sum(w * np.log(w / p)))
+        assert abs(kl / eps - 1.0) <= 1e-3
+
     def test_gaussian_flavor_uses_gaussian_components(self, rng):
         belief, x = random_feasible_instance(rng, 3, 2)
         ev = eval_weight_robust(x, belief, 0.0, gaussian=True)

@@ -114,6 +114,19 @@ class TestSolve:
         assert multi.objective <= single.objective + 1e-12
 
 
+class TestSolverConfig:
+    def test_default_is_single_start(self):
+        assert SolverConfig().restarts == 1
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("max_iter", -1), ("max_backtracks", -1), ("restarts", 0), ("station_tol", 0.0)],
+    )
+    def test_out_of_range_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SolverConfig(**{field: value})
+
+
 class TestPgdCore:
     def test_quadratic_reaches_interior_minimizer(self):
         prob, dmin = toy_problem(delta_add=5.0)
