@@ -86,6 +86,30 @@ _CONFIG_DEFAULTS = {
 }
 
 
+def _check_type(name, value, default):
+    """UsageError unless value has the JSON type of its default: an int may
+    stand for a float, a bool for no number.  immutable and non_decreasing
+    are lists of integers, every other list holds numbers."""
+    if isinstance(default, list):
+        if not isinstance(value, list):
+            raise UsageError(f"config key {name} must be a list, got {value!r}")
+        for item in value:
+            _check_type(name, item, 0 if name in ("immutable", "non_decreasing") else 0.0)
+    elif not (type(value) is type(default) or (type(default), type(value)) == (float, int)):
+        raise UsageError(f"config key {name} must be {type(default).__name__}, got {value!r}")
+
+
+def _merge(cfg: dict, user: dict, prefix: str = ""):
+    for key, value in user.items():
+        if key not in cfg:
+            raise UsageError(f"unknown config key {prefix + key!r}")
+        _check_type(prefix + key, value, cfg[key])
+        if isinstance(value, dict):
+            _merge(cfg[key], value, f"{prefix}{key}.")
+        else:
+            cfg[key] = value
+
+
 def load_config(path) -> dict:
     cfg = json.loads(json.dumps(_CONFIG_DEFAULTS))  # deep copy
     if path is not None:
@@ -94,16 +118,9 @@ def load_config(path) -> dict:
                 user = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot read config {path}: {exc}")
-        for key, value in user.items():
-            if key not in cfg:
-                raise UsageError(f"unknown config key {key!r}")
-            if isinstance(cfg[key], dict):
-                for sub, subval in value.items():
-                    if sub not in cfg[key]:
-                        raise UsageError(f"unknown config key {key}.{sub}")
-                    cfg[key][sub] = subval
-            else:
-                cfg[key] = value
+        if not isinstance(user, dict):
+            raise UsageError(f"config {path} must hold a JSON object")
+        _merge(cfg, user)
     try:
         if cfg["delta_add"] < 0:
             raise UsageError(f"delta_add must be >= 0, got {cfg['delta_add']}")
@@ -184,12 +201,7 @@ def _negative_instances(dataset, theta0: LinearClassifier, cap: int | None):
 
 def save_recourses_csv(path, ids, instances, results, errors):
     d = instances[0].dim
-    K = None
-    for res in results:
-        if res is not None:
-            K = res.component_probs.size
-            break
-    K = K or 0
+    K = next((res.component_probs.size for res in results if res is not None), 0)
     header = (
         ["instance_id"]
         + [f"x0_{j}" for j in range(d)]
@@ -202,29 +214,17 @@ def save_recourses_csv(path, ids, instances, results, errors):
         writer = csv.writer(fh)
         writer.writerow(header)
         for ident, x0, res, err in zip(ids, instances, results, errors):
+            row = [ident] + [repr(float(v)) for v in x0.values]
             if res is None:
-                row = (
-                    [ident]
-                    + [repr(float(v)) for v in x0.values]
-                    + [""] * d
-                    + [""]
-                    + [""] * K
-                    + ["", "", "", "", err or "unsolved"]
-                )
+                # every column after x0 blank but the error
+                row += [""] * (d + 1 + K + 4) + [err or "unsolved"]
             else:
-                row = (
-                    [ident]
-                    + [repr(float(v)) for v in x0.values]
-                    + [repr(float(v)) for v in res.action.values]
+                row += (
+                    [repr(float(v)) for v in res.action.values]
                     + [repr(float(res.objective))]
                     + [repr(float(v)) for v in res.component_probs]
-                    + [
-                        repr(float(res.stationarity)),
-                        repr(float(res.delta_min)),
-                        res.iterations,
-                        int(res.converged),
-                        "",
-                    ]
+                    + [repr(float(res.stationarity)), repr(float(res.delta_min))]
+                    + [res.iterations, int(res.converged), ""]
                 )
             writer.writerow(row)
 

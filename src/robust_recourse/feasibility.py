@@ -13,7 +13,10 @@ Projection onto the intersection uses Dykstra's alternating projections
 just some feasible point), with a direct solve of the projection program as
 the backstop for geometries the cycles cannot resolve numerically.  Each
 margin set is projected onto by bisecting the KKT multiplier of its single
-constraint.  delta_min, the smallest cost budget that keeps the
+constraint.  Per-spec invariants (cost kind, cone floats, validity checks,
+the cycle of single-set projections) are cached on the spec; the checks
+still run on every call, and the cycle does the same float operations in
+the same order.  delta_min, the smallest cost budget that keeps the
 intersection nonempty, is the c-distance from x0 to the margin-and-bounds
 set: one run of the same program, with the cost as objective, started at
 x0.
@@ -21,7 +24,7 @@ x0.
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -81,6 +84,39 @@ class FeasibleSetSpec:
         """theta_k^T theta_k per component."""
         return np.einsum("kd,kd->k", self.thetas, self.thetas)
 
+    @cached_property
+    def l1(self) -> bool:
+        return Cost(self.cost) is Cost.L1
+
+    @cached_property
+    def cones(self) -> tuple:
+        """(theta_k, rho_k, theta_k^T theta_k) per component, radii as floats."""
+        return tuple(zip(self.thetas, self.radii.tolist(), self.tts.tolist()))
+
+    @cached_property
+    def defect(self):
+        """Maker of the error every projection onto this spec raises, or
+        None: a zero direction, else an empty margin set."""
+        if np.any(self.tts == 0.0):
+            return partial(DegenerateDirection, "cone constraint with zero direction")
+        empty = self.empty_margin_sets()
+        if empty:
+            return partial(
+                EmptyFeasibleSet,
+                f"margin set empty for components {empty}: "
+                "ambiguity radius at least as large as the direction norm",
+            )
+        return None
+
+    @cached_property
+    def cycle(self) -> tuple:
+        """The single-set projections in Dykstra's order, as pairs (project,
+        args) for project(z, *args): the cost ball (if the spec has one),
+        each margin cone, the actionability box."""
+        ball = () if self.delta is None else ((_cost_ball, (self.x0, self.delta, self.l1)),)
+        cones = tuple((_project_cone_known, (*cone, self.margin)) for cone in self.cones)
+        return ball + cones + ((np.ndarray.clip, (self.lower, self.upper)),)
+
     def empty_margin_sets(self) -> list:
         """Components whose margin set is empty: radius at least ||theta_k||."""
         return np.nonzero((self.radii > 0.0) & (self.radii**2 >= self.tts))[0].tolist()
@@ -92,39 +128,27 @@ class FeasibleSetSpec:
         return replace(self, delta=float(delta))
 
 
+def _cost(diff: np.ndarray, l1: bool) -> float:
+    # sqrt(d.d) is exactly how np.linalg.norm computes a vector's 2-norm
+    return float(np.abs(diff).sum()) if l1 else math.sqrt(float(diff @ diff))
+
+
 def cost_of(x, x0, cost: Cost) -> float:
     diff = np.asarray(x, dtype=float) - np.asarray(x0, dtype=float)
-    if Cost(cost) is Cost.L1:
-        return float(np.abs(diff).sum())
-    return float(np.linalg.norm(diff))
-
-
-def margin_slacks(x, spec: FeasibleSetSpec) -> np.ndarray:
-    """theta_k^T x - rho_k ||x|| - margin per component; >= 0 means satisfied."""
-    x = np.asarray(x, dtype=float)
-    return spec.thetas @ x - spec.radii * np.linalg.norm(x) - spec.margin
+    return _cost(diff, Cost(cost) is Cost.L1)
 
 
 def is_feasible(x, spec: FeasibleSetSpec, tol: float = 1e-8) -> bool:
     """Membership test for the full intersection, all constraints within tol."""
     x = np.asarray(x, dtype=float)
-    if spec.delta is not None and cost_of(x, spec.x0, spec.cost) > spec.delta + tol:
+    if spec.delta is not None and _cost(x - spec.x0, spec.l1) > spec.delta + tol:
         return False
-    if np.any(margin_slacks(x, spec) < -tol):
+    if (spec.thetas @ x - spec.radii * math.sqrt(float(x @ x)) - spec.margin < -tol).any():
         return False
-    if np.any(x < spec.lower - tol) or np.any(x > spec.upper + tol):
-        return False
-    return True
+    return not ((x < spec.lower - tol).any() or (x > spec.upper + tol).any())
 
 
 # --- single-set projections ---------------------------------------------------
-
-
-def _shrink(v: np.ndarray, s: float) -> np.ndarray:
-    nv = float(np.linalg.norm(v))
-    if nv <= s:
-        return np.zeros_like(v)
-    return (1.0 - s / nv) * v
 
 
 def _project_cone_known(xp, theta, rho: float, tt: float, margin: float) -> np.ndarray:
@@ -162,7 +186,10 @@ def _project_cone_known(xp, theta, rho: float, tt: float, margin: float) -> np.n
             mu_lo = mu
         else:
             mu_hi = mu
-    return _shrink(xp + mu_hi * theta, mu_hi * rho)
+    # y(mu_hi): shrink v = xp + mu_hi*theta towards 0 by mu_hi*rho
+    v = xp + mu_hi * theta
+    nv, s = math.sqrt(float(v @ v)), mu_hi * rho
+    return np.zeros_like(v) if nv <= s else (1.0 - s / nv) * v
 
 
 def project_cone(xp, theta, rho: float, margin: float) -> np.ndarray:
@@ -192,53 +219,50 @@ def project_cone(xp, theta, rho: float, margin: float) -> np.ndarray:
 
 def _project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
     """Euclidean projection of v onto {w : ||w||_1 <= radius}, by the
-    sort-based soft-threshold construction (exact)."""
-    if np.abs(v).sum() <= radius:
-        return v.copy()
+    sort-based soft threshold (Duchi et al., ICML 2008), exact; v itself
+    when the ball holds it.  The threshold search runs on plain floats,
+    the running sum adding in the order np.cumsum does."""
+    a = np.abs(v)
+    if a.sum() <= radius:
+        return v
     if radius <= 0.0:
         return np.zeros_like(v)
-    u = np.sort(np.abs(v))[::-1]
-    css = np.cumsum(u)
-    j = np.arange(1, u.size + 1)
-    rho_idx = np.nonzero(u * j > (css - radius))[0][-1]
-    tau = (css[rho_idx] - radius) / (rho_idx + 1.0)
-    return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
+    css = tau = 0.0
+    for j, u in enumerate(sorted(a.tolist(), reverse=True), 1):
+        css += u
+        if u * j > css - radius:
+            tau = (css - radius) / j
+    return np.sign(v) * np.maximum(a - tau, 0.0)
+
+
+def _cost_ball(xp: np.ndarray, x0: np.ndarray, delta: float, l1: bool) -> np.ndarray:
+    """Euclidean projection onto {x : c(x, x0) <= delta}; xp itself when
+    an l2 ball holds it."""
+    diff = xp - x0
+    if l1:
+        return x0 + _project_l1_ball(diff, delta)
+    n = math.sqrt(float(diff @ diff))
+    return xp if n <= delta else x0 + (delta / n) * diff
 
 
 def project_cost_ball(xp, x0, delta: float, cost: Cost) -> np.ndarray:
     """Euclidean projection onto {x : c(x, x0) <= delta}."""
     xp = np.asarray(xp, dtype=float)
-    x0 = np.asarray(x0, dtype=float)
-    diff = xp - x0
-    if Cost(cost) is Cost.L2:
-        n = float(np.linalg.norm(diff))
-        if n <= delta:
-            return xp.copy()
-        return x0 + (delta / n) * diff
-    return x0 + _project_l1_ball(diff, delta)
+    return _cost_ball(xp, np.asarray(x0, dtype=float), delta, Cost(cost) is Cost.L1).copy()
 
 
 # --- intersection projection --------------------------------------------------
-
-
-def _require_directions(spec: FeasibleSetSpec):
-    if np.any(spec.tts == 0.0):
-        raise DegenerateDirection("cone constraint with zero direction")
 
 
 def _polish(x, spec: FeasibleSetSpec, passes: int = 60):
     """Cyclic projections over every set of spec (the cost ball only if spec
     has one) until the point is feasible to near machine precision; None if
     the violations persist."""
-    thetas, radii, tts = spec.thetas, spec.radii, spec.tts
     for _ in range(passes):
         if is_feasible(x, spec, 1e-12):
             return x
-        if spec.delta is not None:
-            x = project_cost_ball(x, spec.x0, spec.delta, spec.cost)
-        for k in range(thetas.shape[0]):
-            x = _project_cone_known(x, thetas[k], float(radii[k]), float(tts[k]), spec.margin)
-        x = np.clip(x, spec.lower, spec.upper)
+        for project, args in spec.cycle:
+            x = project(x, *args)
     return x if is_feasible(x, spec, 1e-10) else None
 
 
@@ -261,7 +285,7 @@ def _program(spec: FeasibleSetSpec, start, target=None):
     x0 = spec.x0
     d = x0.size
     thetas, radii, margin = spec.thetas, spec.radii, spec.margin
-    l1 = Cost(spec.cost) is Cost.L1
+    l1 = spec.l1
     if target is None and not l1:
         target = x0
     lifted = l1 and (target is None or spec.delta is not None)
@@ -347,36 +371,19 @@ def project_feasible(
     stays infeasible no matter how far the motion threshold is tightened.
     Cycles that stall or run out fall back on the projection program.
     """
-    x = np.asarray(xp, dtype=float).copy()
-    thetas, radii, tts, margin = spec.thetas, spec.radii, spec.tts, spec.margin
-    K = thetas.shape[0]
-    _require_directions(spec)
-    empty = spec.empty_margin_sets()
-    if empty:
-        raise EmptyFeasibleSet(
-            f"margin set empty for components {empty}: "
-            "ambiguity radius at least as large as the direction norm"
-        )
-    has_ball = spec.delta is not None
-    n_sets = int(has_ball) + K + 1
-    corrections = [np.zeros_like(x) for _ in range(n_sets)]
+    if spec.defect:
+        raise spec.defect()
+    x = np.array(xp, dtype=float)
+    cycle = spec.cycle
+    # one correction row per set, in cycle order
+    rows = list(np.zeros((len(cycle), x.size)))
     check_tol = tol
     for _ in range(max_iter):
         x_start = x
-        i = 0
-        if has_ball:
-            z = x + corrections[0]
-            x = project_cost_ball(z, spec.x0, spec.delta, spec.cost)
-            corrections[0] = z - x
-            i = 1
-        for k in range(K):
-            z = x + corrections[i]
-            x = _project_cone_known(z, thetas[k], float(radii[k]), float(tts[k]), margin)
-            corrections[i] = z - x
-            i += 1
-        z = x + corrections[i]
-        x = np.clip(z, spec.lower, spec.upper)
-        corrections[i] = z - x
+        for (project, args), correction in zip(cycle, rows):
+            z = x + correction
+            x = project(z, *args)
+            np.subtract(z, x, out=correction)
         dv = x - x_start
         disp = math.sqrt(float(dv @ dv))
         if disp < check_tol:
@@ -430,15 +437,17 @@ def min_cost_point(spec: FeasibleSetSpec, proj_tol: float = 1e-8):
         raise Unattainable("some ambiguity radius is at least the direction norm")
     if is_feasible(spec.x0, spec, proj_tol):
         return spec.x0.copy(), 0.0
-    _require_directions(spec)
+    if spec.defect:
+        raise spec.defect()
     x = _program(spec, spec.x0)
     if x is None:
         return None
     return x, cost_of(x, spec.x0, spec.cost)
 
 
-def delta_min(spec: FeasibleSetSpec, proj_tol: float = 1e-8) -> float:
-    """Smallest cost budget for which the feasible set is nonempty.
+def delta_min(spec: FeasibleSetSpec, proj_tol: float = 1e-8, with_point: bool = False):
+    """Smallest cost budget for which the feasible set is nonempty; with
+    with_point, the pair (delta_min, the cheapest point found).
 
     The margin constraints and bounds form a closed convex set M;
     delta_min is the c-distance from x0 to M, solved by one SLSQP run of
@@ -452,4 +461,5 @@ def delta_min(spec: FeasibleSetSpec, proj_tol: float = 1e-8) -> float:
         raise Unattainable("the distance program found no point of the margin-and-bounds set")
     if best[1] > 2.0**10:
         raise Unattainable(f"cheapest budget {best[1]:.3g} exceeds the cap 2**10")
-    return float(max(best[1], 0.0))
+    dmin = float(max(best[1], 0.0))
+    return (dmin, best[0]) if with_point else dmin

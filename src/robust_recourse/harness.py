@@ -358,22 +358,23 @@ def _describe(exc: RecourseError) -> str:
 
 
 def _delta_mins(template: ProblemTemplate, instances) -> list:
-    """Per instance, its delta_min or the stringified failure."""
+    """Per instance, (delta_min, the cheapest point) or the stringified
+    failure."""
     out = []
     for x0 in instances:
         try:
             spec = fz.FeasibleSetSpec.from_problem(template.problem_for(x0, 0.0))
-            out.append(fz.delta_min(spec, proj_tol=template.config.proj_tol))
+            out.append(fz.delta_min(spec, proj_tol=template.config.proj_tol, with_point=True))
         except RecourseError as exc:
             out.append(_describe(exc))
     return out
 
 
 def _solve_one(args):
-    template, x0, dmin = args
+    template, x0, (dmin, cheapest) = args
     try:
         problem = template.problem_for(x0, dmin + template.delta_add)
-        return solve(problem, template.config, known_delta_min=dmin), None
+        return solve(problem, template.config, known_delta_min=dmin, cheapest=cheapest), None
     except RecourseError as exc:
         return None, _describe(exc)
 

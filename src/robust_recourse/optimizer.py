@@ -165,21 +165,24 @@ def solve(
     config: SolverConfig | None = None,
     *,
     known_delta_min: float | None = None,
+    cheapest=None,
     callback=None,
 ) -> RecourseResult:
     """End-to-end solve: validate, check the budget against delta_min,
     project the input onto the feasible set and run the descent.
 
     known_delta_min skips the internal delta_min computation when the
-    caller already solved it (e.g. to set delta = delta_min + delta_add).
+    caller already solved it (e.g. to set delta = delta_min + delta_add);
+    cheapest, the point that computation found, spares a budget pinned at
+    delta_min a second run of the distance program.
     callback(iteration, x, value) fires on the start point and on every
     accepted step of every restart.
     """
     config = config or SolverConfig()
     validate_problem(problem)
     spec = fz.FeasibleSetSpec.from_problem(problem)
-    dmin = fz.delta_min(spec, proj_tol=config.proj_tol) \
-        if known_delta_min is None else float(known_delta_min)
+    dmin, cheapest = fz.delta_min(spec, proj_tol=config.proj_tol, with_point=True) \
+        if known_delta_min is None else (float(known_delta_min), cheapest)
     if problem.delta < dmin - 1e-9:
         raise BudgetTooSmall(f"delta={problem.delta} is below delta_min={dmin}")
 
@@ -190,11 +193,13 @@ def solve(
     if problem.delta - dmin <= max(1e-9, 1e-12 * dmin):
         # the budget pins the feasible set to the cost-argmin set; take its
         # cheapest point directly, descent has no room to move
-        best = fz.min_cost_point(spec, proj_tol=config.proj_tol)
-        if best is not None:
-            ev = fn(best[0])
+        if cheapest is None:
+            best = fz.min_cost_point(spec, proj_tol=config.proj_tol)
+            cheapest = None if best is None else best[0]
+        if cheapest is not None:
+            ev = fn(cheapest)
             return RecourseResult(
-                action=FeatureVector(best[0]),
+                action=FeatureVector(cheapest),
                 objective=float(min(max(ev.value, 0.0), 1.0)),
                 component_probs=ev.component_values,
                 iterations=0,

@@ -252,3 +252,34 @@ def grid_delta_min(spec, span=8.0):
         )
         best = min(best, value)
     return best
+
+
+def l1_ball_numpy(v, radius):
+    """Euclidean projection onto {w : ||w||_1 <= radius} by the sort-based
+    soft threshold (Duchi et al., ICML 2008), on NumPy arrays: sort, then
+    cumsum, then the last index that passes the threshold test."""
+    v = np.asarray(v, dtype=float)
+    if np.abs(v).sum() <= radius:
+        return v.copy()
+    if radius <= 0.0:
+        return np.zeros_like(v)
+    u = np.sort(np.abs(v))[::-1]
+    css = np.cumsum(u)
+    j = np.arange(1, u.size + 1)
+    rho_idx = np.nonzero(u * j > (css - radius))[0][-1]
+    tau = (css[rho_idx] - radius) / (rho_idx + 1.0)
+    return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
+
+
+def cost_ball_numpy(xp, x0, delta, cost):
+    """Euclidean projection onto {x : c(x, x0) <= delta}, the l2 radius by
+    np.linalg.norm and the l1 step by l1_ball_numpy."""
+    xp = np.asarray(xp, dtype=float)
+    x0 = np.asarray(x0, dtype=float)
+    diff = xp - x0
+    if Cost(cost) is Cost.L2:
+        n = float(np.linalg.norm(diff))
+        if n <= delta:
+            return xp.copy()
+        return x0 + (delta / n) * diff
+    return x0 + l1_ball_numpy(diff, delta)

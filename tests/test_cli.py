@@ -186,7 +186,14 @@ class TestMalformedInputs:
 class TestBadValues:
     @pytest.mark.parametrize(
         "user_cfg",
-        [{"zeta": -1}, {"delta_add": "x"}, {"max_iter": -5}],
+        [
+            {"zeta": -1}, {"delta_add": "x"}, {"max_iter": -5},
+            # each value's JSON type must match its default's
+            {"max_iter": 2.5}, {"seed": "x"}, {"immutable": 5}, {"K": "x"},
+            {"m2": {"trials": "x"}}, {"max_iter": True}, {"delta_add": False},
+            {"immutable": [0.5]}, {"rho": 0.1}, {"rho": ["x"]},
+            {"synthetic": {"mu0": [1.0, "x"]}}, {"bootstrap": 3}, {"mode": 1},
+        ],
     )
     def test_bad_config_value_exits_1(self, workdir, capsys, user_cfg):
         base, _ = workdir
@@ -196,6 +203,21 @@ class TestBadValues:
         code = run(["generate", "--config", bad, "--belief", belief,
                     "--data", base / "missing.csv", "--out", base / "x.csv"])
         _assert_one_usage_line(code, capsys)
+
+    def test_config_not_an_object_exits_1(self, workdir, capsys):
+        base, _ = workdir
+        bad = base / "bad.json"
+        bad.write_text(json.dumps([1, 2]))
+        _assert_one_usage_line(run(["synth", "--config", bad, "--out", base / "d"]), capsys)
+
+    def test_int_stands_for_float(self, tmp_path):
+        from robust_recourse.cli import load_config
+
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"delta_add": 1, "rho": [0, 1], "immutable": [0],
+                                    "synthetic": {"mu0": [-3, -3]}, "m2": {"subsample": 1}}))
+        cfg = load_config(path)
+        assert cfg["delta_add"] == 1 and cfg["rho"] == [0, 1] and cfg["m2"]["subsample"] == 1
 
     @pytest.mark.parametrize(
         "flag, value",

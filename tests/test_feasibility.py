@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from oracles import grid_delta_min, grid_project, projection_close
+from oracles import (
+    cost_ball_numpy,
+    grid_delta_min,
+    grid_project,
+    l1_ball_numpy,
+    projection_close,
+)
 from robust_recourse.errors import (
     DegenerateDirection,
     EmptyFeasibleSet,
@@ -10,6 +16,7 @@ from robust_recourse.errors import (
 )
 from robust_recourse.feasibility import (
     FeasibleSetSpec,
+    _project_l1_ball,
     cost_of,
     delta_min,
     is_feasible,
@@ -309,3 +316,76 @@ class TestCostOf:
     def test_l1_l2(self):
         assert cost_of([1.0, -2.0], [0.0, 0.0], Cost.L1) == pytest.approx(3.0)
         assert cost_of([3.0, 4.0], [0.0, 0.0], Cost.L2) == pytest.approx(5.0)
+
+
+class TestCachedInvariants:
+    """The checks that depend only on the spec are cached on it, yet every
+    projection still raises them."""
+
+    def _raises_twice(self, spec, error):
+        messages = []
+        for _ in range(2):
+            with pytest.raises(error) as info:
+                project_feasible(spec.x0, spec)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
+    def test_empty_margin_set_raises_on_every_call(self):
+        spec = raw_spec([1.0, 0.0], [[1.0, 0.0], [0.0, 1.0]], [0.1, 2.0], delta=1.0)
+        self._raises_twice(spec, EmptyFeasibleSet)
+        self._raises_twice(spec.with_delta(3.0), EmptyFeasibleSet)
+        self._raises_twice(spec.without_delta(), EmptyFeasibleSet)
+        with pytest.raises(EmptyFeasibleSet, match=r"components \[1\]"):
+            project_feasible(spec.x0, spec)
+
+    def test_zero_direction_raises_on_every_call(self):
+        spec = raw_spec([1.0, 0.0], [[0.0, 0.0]], [0.0], delta=1.0)
+        self._raises_twice(spec, DegenerateDirection)
+        self._raises_twice(spec.without_delta(), DegenerateDirection)
+
+    def test_spec_pickles_after_projection(self):
+        import pickle
+
+        spec = raw_spec([-1.0, 0.0], [[1.0, 0.2]], [0.1], delta=2.0, cost=Cost.L1)
+        xp = np.array([2.0, 3.0])
+        want = project_feasible(xp, spec)
+        again = pickle.loads(pickle.dumps(spec))
+        assert np.array_equal(project_feasible(xp, again), want)
+
+    def test_min_cost_point_unattainable_for_empty_margin_set(self):
+        spec = raw_spec([1.0, 0.0], [[1.0, 0.0]], [2.0])
+        for _ in range(2):
+            with pytest.raises(Unattainable):
+                delta_min(spec)
+
+
+def _l1_test_vectors(rng, d):
+    """Seeded vectors with ties, zeros and mixed signs, paired with radii
+    that include 0 and the vector's own l1 norm."""
+    for _ in range(40):
+        v = rng.normal(size=d) * 10.0 ** rng.uniform(-3, 3)
+        if d > 1:
+            v[rng.integers(d)] = 0.0
+            v[rng.integers(d)] = -v[rng.integers(d)]  # a tie in |v|
+        norm1 = float(np.abs(v).sum())
+        for radius in (0.0, 0.3 * norm1, norm1, 2.0 * norm1, float(rng.uniform(0.0, norm1))):
+            yield v, radius
+    yield np.zeros(d), 0.0
+    yield np.full(d, 1.5), 1.0
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 50])
+class TestL1BallMatchesNumpyOracle:
+    """The plain-float threshold search is bit-identical to the NumPy sort
+    and cumsum construction."""
+
+    def test_l1_ball_bit_identical(self, rng, d):
+        for v, radius in _l1_test_vectors(rng, d):
+            assert np.array_equal(_project_l1_ball(v, radius), l1_ball_numpy(v, radius))
+
+    def test_cost_ball_bit_identical(self, rng, d):
+        for v, radius in _l1_test_vectors(rng, d):
+            x0 = rng.normal(size=d)
+            for cost in Cost:
+                got = project_cost_ball(x0 + v, x0, radius, cost)
+                assert np.array_equal(got, cost_ball_numpy(x0 + v, x0, radius, cost))

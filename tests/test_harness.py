@@ -218,6 +218,31 @@ class TestGenerateRecourses:
         for res in results:
             assert res.action.values @ theta_hat > 0
 
+    def test_pinned_cells_reuse_the_delta_min_point(self, rng, monkeypatch):
+        from robust_recourse import feasibility as fz
+        from robust_recourse.optimizer import solve
+
+        original, shifted, theta0, belief, negatives = tiny_pipeline(rng)
+        template = ProblemTemplate(belief=belief, delta_add=0.0, config=SolverConfig(restarts=1))
+        instances = negatives[:4]
+        calls = []
+        min_cost_point = fz.min_cost_point
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return min_cost_point(*args, **kwargs)
+
+        monkeypatch.setattr(fz, "min_cost_point", counted)
+        results, errors = generate_recourses(template, instances)
+        assert all(e is None for e in errors)
+        assert len(calls) == len(instances)
+        for x0, res in zip(instances, results):
+            # the path without the carried point runs the distance program again
+            again = solve(template.problem_for(x0, res.delta_min), template.config,
+                          known_delta_min=res.delta_min)
+            assert res.iterations == 0
+            assert np.array_equal(res.action.values, again.action.values)
+
     def test_worker_pool_matches_sequential(self, rng):
         original, shifted, theta0, belief, negatives = tiny_pipeline(rng)
         template = ProblemTemplate(belief=belief, delta_add=0.5, config=SolverConfig(restarts=1))

@@ -102,6 +102,22 @@ class TestSolve:
         cost = float(np.abs(res.action.values - prob.x0.values).sum())
         assert cost == pytest.approx(dmin, abs=1e-6)
 
+    def test_pinned_budget_runs_the_distance_program_once(self, monkeypatch):
+        prob, dmin = toy_problem(delta_add=0.0)
+        want = solve(prob, SolverConfig(restarts=1), known_delta_min=dmin)
+        calls = []
+        original = fz.min_cost_point
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(fz, "min_cost_point", counted)
+        got = solve(prob, SolverConfig(restarts=1))
+        assert len(calls) == 1
+        assert np.array_equal(got.action.values, want.action.values)
+        assert got.objective == want.objective and got.iterations == 0
+
     def test_gaussian_probs_below_half(self):
         prob, dmin = toy_problem(mode=Mode.GAUSSIAN)
         res = solve(prob, SolverConfig(restarts=1), known_delta_min=dmin)
