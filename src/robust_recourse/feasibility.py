@@ -366,17 +366,20 @@ def project_feasible(
     Cycles over the cost ball, each margin cone and the actionability box,
     carrying one correction term per set.  Terminates when a full cycle
     moves the iterate by less than tol; the result then passes is_feasible
-    at 10*tol.  An empty intersection is reported heuristically: with a
-    positive gap between the sets the cycle settles into a fixed point that
-    stays infeasible no matter how far the motion threshold is tightened.
-    Cycles that stall or run out fall back on the projection program.
+    at 10*tol.  An empty intersection is reported heuristically: the
+    iterate and the corrections both stall while the iterate stays
+    infeasible.  With a positive gap the corrections grow without end and
+    the cycles run out instead.  Cycles that stall or run out fall back on
+    the projection program.
     """
     if spec.defect:
         raise spec.defect()
     x = np.array(xp, dtype=float)
     cycle = spec.cycle
     # one correction row per set, in cycle order
-    rows = list(np.zeros((len(cycle), x.size)))
+    corrections = np.zeros((len(cycle), x.size))
+    rows = list(corrections)
+    held = None
     check_tol = tol
     for _ in range(max_iter):
         x_start = x
@@ -391,12 +394,16 @@ def project_feasible(
                 return x
             # small motion alone does not certify a gap: tighten and keep
             # cycling until the iterate either turns feasible or pins the
-            # infeasibility at a genuinely stalled point
+            # infeasibility at a genuinely stalled point; a far-away input
+            # can hold the iterate still for thousands of cycles while the
+            # corrections rebalance
             if check_tol <= 1e-13:
-                failure = EmptyFeasibleSet(
-                    f"projection stalled at an infeasible point (residual motion {disp:.2e})"
-                )
-                break
+                if held is not None and float(np.abs(corrections - held).max()) < check_tol:
+                    failure = EmptyFeasibleSet(
+                        f"projection stalled at an infeasible point (residual motion {disp:.2e})"
+                    )
+                    break
+                held = corrections.copy()
             check_tol = max(check_tol / 10.0, 1e-13)
     else:
         failure = MaxIterExceeded(f"Dykstra did not converge in {max_iter} cycles")

@@ -1,19 +1,24 @@
-"""Projected gradient descent with backtracking line search.
+"""Projected gradient descent with a spectral step and backtracking.
 
 Each accepted step satisfies the sufficient-decrease condition
 
     f(Proj(x - s*grad)) <= f(x) - ||x - Proj(x - s*grad)||^2 / (2s),
 
-with the step s shrunk geometrically (s = zeta * lambda_ls^i for the
-smallest admissible integer i >= 0).  Iteration stops early once the
-prox-stationarity measure
+with the step s shrunk geometrically from a trial step (s = trial *
+lambda_ls^i for the smallest admissible integer i >= 0).  The first trial
+is zeta, each later one the Barzilai-Borwein step of the last accepted
+move: the monotone spectral projected gradient method (Barzilai & Borwein
+1988; Birgin, Martinez & Raydan 2000).  A trial never moves farther than
+the cost budget delta, whose ball holds the feasible set.  Iteration stops
+early once the prox-stationarity measure
 
     ||x - Proj(x - zeta*grad(x))||_2 / zeta
 
-drops below station_tol; the same measure is reported as a diagnostic of
-the returned point.
+drops below station_tol; the same measure, always at zeta, is reported as
+a diagnostic of the returned point.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,11 +40,17 @@ from .objective import (
     eval_worst_component,
 )
 
+# bounds on the spectral trial step
+STEP_MIN = 1e-10
+STEP_MAX = 1e6
+
 
 @dataclass(frozen=True)
 class SolverConfig:
     """Line-search and stopping parameters.
 
+    zeta is the first trial step of every descent and the fixed step at
+    which stationarity is measured; later trial steps are spectral.
     restarts=1, the default, is the plain single-start procedure;
     restarts > 1 adds extra runs from randomly perturbed feasible starts
     and keeps the best objective.  finite_diff switches the gradient to
@@ -118,8 +129,19 @@ def _prox_step(x, grad, proj, zeta: float):
     return cand, float(np.linalg.norm(x - cand)) / zeta
 
 
-def pgd_minimize(fn, proj, config: SolverConfig, x_start, callback=None):
+def _spectral_step(s, y, grad, budget) -> float:
+    """Barzilai-Borwein trial step (s.s)/(s.y), clamped to [STEP_MIN, cap]
+    and the cap when s.y <= 0; the cap keeps trial*||grad|| within budget,
+    or is STEP_MAX without one."""
+    gnorm = math.sqrt(float(grad @ grad))
+    cap = STEP_MAX if budget is None or gnorm == 0.0 else min(STEP_MAX, budget / gnorm)
+    sy = float(s @ y)
+    return max(STEP_MIN, min(float(s @ s) / sy, cap) if sy > 0.0 else cap)
+
+
+def pgd_minimize(fn, proj, config: SolverConfig, x_start, callback=None, *, budget=None):
     """Run the descent from x_start; fn(x) -> object with .value/.gradient.
+    budget, the cost budget delta, caps the trial steps.
 
     Returns (x, value, eval, iterations, converged, stationarity).
     """
@@ -129,6 +151,7 @@ def pgd_minimize(fn, proj, config: SolverConfig, x_start, callback=None):
         callback(0, x, ev.value)
     iterations = 0
     converged = False
+    trial = config.zeta
     for t in range(config.max_iter):
         base_cand, station = _prox_step(x, ev.gradient, proj, config.zeta)
         if station <= config.station_tol:
@@ -136,8 +159,9 @@ def pgd_minimize(fn, proj, config: SolverConfig, x_start, callback=None):
             break
         accepted = None
         for i in range(config.max_backtracks + 1):
-            step = config.zeta * config.lambda_ls**i
-            cand = base_cand if i == 0 else proj(x - step * ev.gradient)
+            step = trial * config.lambda_ls**i
+            reuse = i == 0 and trial == config.zeta
+            cand = base_cand if reuse else proj(x - step * ev.gradient)
             try:
                 cand_ev = fn(cand)
             except InfeasibleMargin:
@@ -149,6 +173,9 @@ def pgd_minimize(fn, proj, config: SolverConfig, x_start, callback=None):
         if accepted is None:
             # line search stalled: keep the current iterate, flag non-convergence
             break
+        trial = _spectral_step(
+            accepted[0] - x, accepted[1].gradient - ev.gradient, accepted[1].gradient, budget
+        )
         x, ev = accepted
         iterations = t + 1
         if callback is not None:
@@ -221,7 +248,7 @@ def solve(
             rng = np.random.default_rng(seeds[run - 1])
             scale = 0.25 * max(problem.delta, problem.margin)
             start = x_start + rng.normal(scale=scale, size=x_start.size)
-        outcome = pgd_minimize(fn, proj, config, start, callback)
+        outcome = pgd_minimize(fn, proj, config, start, callback, budget=problem.delta)
         if best is None or outcome[1] < best[1]:
             best = outcome
     x, value, ev, iterations, converged, station = best

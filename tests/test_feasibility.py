@@ -8,6 +8,7 @@ from oracles import (
     l1_ball_numpy,
     projection_close,
 )
+from robust_recourse import feasibility
 from robust_recourse.errors import (
     DegenerateDirection,
     EmptyFeasibleSet,
@@ -203,6 +204,34 @@ class TestProjectFeasible:
         spec = raw_spec([-1.0, 0.0], [[1.0, 0.0]], [0.0], margin=0.1, delta=0.5, cost=Cost.L2)
         with pytest.raises((EmptyFeasibleSet, MaxIterExceeded)):
             project_feasible(spec.x0, spec)
+
+    def test_far_input_is_not_reported_empty(self):
+        # a far-away input holds the iterate still for thousands of cycles
+        # while the corrections rebalance; that is no stall
+        spec = raw_spec(
+            [-2.5849567668813442, -2.3157771751156933, 1.0],
+            [[2.4096902892845744, 1.9304971812614447, -0.4364082396442593]],
+            [0.1],
+            margin=1e-3,
+            delta=5.759957391612041,
+            cost=Cost.L1,
+            lower=[-np.inf, -np.inf, 1.0],
+            upper=[np.inf, np.inf, 1.0],
+        )
+        xp = np.array([355.3356419915161, 464.5165471484372, -83.40228815698494])
+        got = project_feasible(xp, spec, 20000, 1e-10)
+        assert is_feasible(got, spec, 1e-9)
+        # the grid oracle's projection
+        assert np.allclose(got, [-1.836684, 2.695908, 1.0], atol=1e-5)
+
+    def test_still_cycle_outside_tolerance_is_a_stall(self, monkeypatch):
+        # at this scale rounding keeps the still iterate just outside the
+        # absolute tolerance, and the corrections are still too: a stall,
+        # which ends in the backstop (here failing) long before max_iter
+        monkeypatch.setattr(feasibility, "_program", lambda *args, **kwargs: None)
+        spec = raw_spec([-1e8, 0.0], [[1.0, 0.5]], [0.0], margin=1e-3, delta=2e8)
+        with pytest.raises(EmptyFeasibleSet, match="stalled"):
+            project_feasible(np.array([-3e8, 2e8]), spec, 10**6, 1e-10)
 
     def test_two_halfspace_closed_form(self, rng):
         # with zero radii the margin sets are halfspaces; Dykstra must agree

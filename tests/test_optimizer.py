@@ -3,9 +3,17 @@ import pytest
 
 from robust_recourse import feasibility as fz
 from robust_recourse.errors import BudgetTooSmall
+from robust_recourse.estimation import bootstrap_parameters, fit_mixture_moments, train_logistic
+from robust_recourse.harness import (
+    ProblemTemplate,
+    SyntheticConfig,
+    generate_recourses,
+    generate_synthetic,
+)
 from robust_recourse.model import (
     ComponentMoments,
     Cost,
+    Divergence,
     FeatureVector,
     MixtureBelief,
     Mode,
@@ -13,7 +21,13 @@ from robust_recourse.model import (
     problem_with,
 )
 from robust_recourse.objective import ObjectiveEval
-from robust_recourse.optimizer import SolverConfig, pgd_minimize, solve, stationarity
+from robust_recourse.optimizer import (
+    SolverConfig,
+    make_objective,
+    pgd_minimize,
+    solve,
+    stationarity,
+)
 
 
 def toy_problem(rho=0.1, mode=Mode.NONPARAMETRIC, cost=Cost.L1, delta_add=1.0, **kw):
@@ -123,6 +137,32 @@ class TestSolve:
         res = solve(prob, SolverConfig(restarts=1), known_delta_min=dmin)
         assert np.all(res.component_probs < 0.5)
 
+    def test_trial_points_stay_within_the_budget(self, monkeypatch):
+        # every projected point lies within max(zeta*||g||, delta) of the
+        # iterate it steps from, and some trial steps are longer than zeta
+        prob, dmin = toy_problem(rho=0.2, delta_add=2.0)
+        cfg = SolverConfig()
+        fn = make_objective(prob)
+        here = {}
+        moves = []
+        original = fz.project_feasible
+
+        def recording(y, *args):
+            if "x" in here:
+                gnorm = float(np.linalg.norm(fn(here["x"]).gradient))
+                moves.append((float(np.linalg.norm(y - here["x"])), gnorm))
+            return original(y, *args)
+
+        monkeypatch.setattr(fz, "project_feasible", recording)
+        res = solve(
+            prob, cfg, known_delta_min=dmin,
+            callback=lambda t, x, v: here.update(x=x.copy()),
+        )
+        assert res.converged and moves
+        for move, gnorm in moves:
+            assert move <= max(cfg.zeta * gnorm, prob.delta) * (1.0 + 1e-12)
+        assert any(move > 2.0 * cfg.zeta * gnorm for move, gnorm in moves)
+
     def test_restarts_never_worse(self):
         prob, dmin = toy_problem(rho=0.2)
         single = solve(prob, SolverConfig(restarts=1, seed=3), known_delta_min=dmin)
@@ -157,6 +197,28 @@ class TestPgdCore:
         proj = lambda y: fz.project_feasible(y, spec, 10000, 1e-8)
         x, value, _, iters, converged, station = pgd_minimize(
             quad, proj, SolverConfig(station_tol=1e-8, max_iter=500), spec.x0
+        )
+        assert converged
+        assert np.linalg.norm(x - xbar) <= 1e-6
+
+    def test_ill_conditioned_quadratic_in_few_iterations(self):
+        # curvature 2 and 0.02 on the free coordinates: a fixed unit trial
+        # step contracts the flat direction by about 1% per iteration and
+        # needs hundreds of them; the spectral step adapts to both
+        prob, dmin = toy_problem(delta_add=5.0)
+        spec = fz.FeasibleSetSpec.from_problem(prob)
+        xbar = fz.project_feasible(np.array([1.0, 1.0, 1.0]), spec)
+        xbar = xbar + np.array([0.05, 0.05, 0.0])  # interior nudge
+        assert fz.is_feasible(xbar, spec, 1e-9)
+        h = np.array([1.0, 0.01, 1.0])
+
+        def quad(x):
+            r = x - xbar
+            return ObjectiveEval(float(r @ (h * r)), 2.0 * h * r, np.zeros(1))
+
+        proj = lambda y: fz.project_feasible(y, spec, 10000, 1e-8)
+        x, value, _, iters, converged, station = pgd_minimize(
+            quad, proj, SolverConfig(station_tol=1e-8, max_iter=50), spec.x0
         )
         assert converged
         assert np.linalg.norm(x - xbar) <= 1e-6
@@ -201,3 +263,46 @@ class TestStationarity:
             prob, SolverConfig(restarts=1, finite_diff=True), known_delta_min=dmin
         )
         assert res_f.objective == pytest.approx(res_a.objective, abs=1e-6)
+
+
+@pytest.fixture(scope="module")
+def synthetic_beliefs():
+    """K=1 and K=3 bootstrap beliefs on seeded synthetic data, with 20
+    rejected points of the training data."""
+    original, _ = generate_synthetic(SyntheticConfig(n_per_class=300, n_shifts=0, seed=707))
+    theta0 = train_logistic(original)
+    sample = bootstrap_parameters(original, B=40, seed=707)
+    X = original.augmented()
+    negatives = [FeatureVector(row) for row in X[X @ theta0.theta < 0.0][:20]]
+    beliefs = {K: fit_mixture_moments(sample, K=K, seed=707).with_radius(0.1) for K in (1, 3)}
+    return beliefs, negatives
+
+
+class TestConvergesAtDefaults:
+    @pytest.mark.parametrize(
+        "K, mode, cost, divergence",
+        [
+            (1, Mode.NONPARAMETRIC, Cost.L1, Divergence.KL),
+            (1, Mode.NONPARAMETRIC, Cost.L2, Divergence.KL),
+            (3, Mode.NONPARAMETRIC, Cost.L1, Divergence.KL),
+            (3, Mode.GAUSSIAN, Cost.L1, Divergence.KL),
+            (3, Mode.WEIGHT_ROBUST, Cost.L1, Divergence.KL),
+            (3, Mode.WEIGHT_ROBUST, Cost.L1, Divergence.CHI2),
+        ],
+    )
+    def test_reaches_stationarity_within_200_iterations(
+        self, synthetic_beliefs, K, mode, cost, divergence
+    ):
+        beliefs, negatives = synthetic_beliefs
+        template = ProblemTemplate(
+            belief=beliefs[K],
+            delta_add=1.0,
+            cost=cost,
+            mode=mode,
+            weight_budget=0.1 if mode is Mode.WEIGHT_ROBUST else 0.0,
+            divergence=divergence,
+            config=SolverConfig(restarts=1, max_iter=200),
+        )
+        results, errors = generate_recourses(template, negatives)
+        assert not any(errors)
+        assert sum(r.converged for r in results) >= 0.95 * len(results)
