@@ -14,14 +14,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import RecourseError
+from .errors import DimensionMismatch, RecourseError
 from .estimation import (
+    LabeledDataset,
     bootstrap_parameters,
     fit_mixture_moments,
     prior_belief,
     train_logistic,
 )
 from .harness import (
+    Normalization,
     ProblemTemplate,
     ShiftKind,
     SyntheticConfig,
@@ -153,26 +155,37 @@ def _dump_json(path, payload):
         fh.write("\n")
 
 
-def save_belief(path, belief: MixtureBelief, theta0: LinearClassifier):
-    _dump_json(
-        path,
-        {
-            "dimension": belief.dim,
-            "weights": belief.weights.tolist(),
-            "components": [
-                {
-                    "mean": c.mean.tolist(),
-                    "covariance": c.cov.tolist(),
-                    "radius": c.radius,
-                }
-                for c in belief.components
-            ],
-            "theta0": theta0.theta.tolist(),
-        },
-    )
+def save_belief(path, belief: MixtureBelief, theta0: LinearClassifier, scaling=None):
+    """Write the belief file; scaling, the Normalization of the features the
+    belief was estimated in, is stored only when given."""
+    payload = {
+        "dimension": belief.dim,
+        "weights": belief.weights.tolist(),
+        "components": [
+            {
+                "mean": c.mean.tolist(),
+                "covariance": c.cov.tolist(),
+                "radius": c.radius,
+            }
+            for c in belief.components
+        ],
+        "theta0": theta0.theta.tolist(),
+    }
+    if scaling is not None:
+        payload["normalization"] = {
+            "col_min": scaling.col_min.tolist(),
+            "col_range": scaling.col_range.tolist(),
+        }
+    _dump_json(path, payload)
 
 
 def load_belief(path):
+    """(belief, theta0) from a belief file."""
+    return _read_belief(path)[:2]
+
+
+def _read_belief(path):
+    """(belief, theta0, the stored Normalization or None)."""
     try:
         with open(path) as fh:
             payload = json.load(fh)
@@ -185,9 +198,41 @@ def load_belief(path):
         )
         belief = MixtureBelief(comps, payload["weights"])
         theta0 = LinearClassifier(payload["theta0"])
+        scaling = payload.get("normalization")
+        if scaling is not None:
+            scaling = Normalization(
+                np.array(scaling["col_min"], dtype=float),
+                np.array(scaling["col_range"], dtype=float),
+            )
+            shape = (belief.dim - 1,)
+            if scaling.col_min.shape != shape or scaling.col_range.shape != shape:
+                raise ValueError(f"normalization needs {shape[0]} columns")
+            if not (np.isfinite(scaling.col_min).all() and (scaling.col_range > 0).all()):
+                raise ValueError("normalization needs finite minima and positive ranges")
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"malformed belief {path}: {type(exc).__name__}: {exc}")
-    return belief, theta0
+    return belief, theta0, scaling
+
+
+def _belief(args):
+    """_read_belief of --belief.  --normalize must say whether the belief
+    stores a scaling: every later stage works in the estimate's features."""
+    belief, theta0, scaling = _read_belief(args.belief)
+    if args.normalize != (scaling is not None):
+        state = "stores a feature scaling" if scaling else "was estimated without --normalize"
+        raise UsageError(f"--normalize must match the belief, which {state}")
+    return belief, theta0, scaling
+
+
+def _load_data(args, path, scaling):
+    """A dataset CSV in the belief's features: scaled by the estimate's
+    Normalization when there is one, never by the file's own columns."""
+    data, _, _ = load_csv(path, args.label_column)
+    if scaling is None:
+        return data
+    if data.features.shape[1] != scaling.col_min.size:
+        raise DimensionMismatch(f"{path}: the belief's scaling has {scaling.col_min.size} columns")
+    return LabeledDataset(scaling.apply(data.features), data.labels)
 
 
 def _negative_instances(dataset, theta0: LinearClassifier, cap: int | None):
@@ -254,17 +299,16 @@ def load_recourses_csv(path):
     return ids, instances, recourses
 
 
-def _shift_ensemble(args, cfg, seed, data=None):
+def _shift_ensemble(args, cfg, seed, scaling, data=None):
     """The m2 ensemble retrained on the --shifted CSVs.  Concat mode also
     trains on the original dataset: data when the caller has it loaded,
     else the --data file."""
-    shifted = [load_csv(path, args.label_column, normalize=args.normalize)[0]
-               for path in args.shifted]
+    shifted = [_load_data(args, path, scaling) for path in args.shifted]
     m2 = cfg["m2"]
     if m2["mode"] == "concat" and data is None:
         if args.data is None:
             raise UsageError("concat m2 mode needs --data with the original dataset")
-        data, _, _ = load_csv(args.data, args.label_column, normalize=args.normalize)
+        data = _load_data(args, args.data, scaling)
     return build_shift_ensemble(
         shifted,
         subsample=m2["subsample"],
@@ -340,7 +384,7 @@ def _split_counts(total, parts):
 def _cmd_estimate(args):
     cfg = load_config(args.config)
     seed = args.seed if args.seed is not None else cfg["seed"]
-    data, _, _ = load_csv(args.data, args.label_column, normalize=args.normalize)
+    data, _, scaling = load_csv(args.data, args.label_column, normalize=args.normalize)
     theta0 = train_logistic(data, l2_reg=cfg["bootstrap"]["l2_reg"])
     if args.prior_tau is not None:
         belief = prior_belief(theta0.theta, tau=args.prior_tau)
@@ -356,7 +400,7 @@ def _cmd_estimate(args):
     rho = cfg["rho"]
     radii = np.resize(np.asarray(rho, dtype=float), belief.n_components)
     belief = belief.with_radius(radii)
-    save_belief(args.out, belief, theta0)
+    save_belief(args.out, belief, theta0, scaling if args.normalize else None)
     print(f"wrote belief with K={belief.n_components} to {args.out}")
     return 0
 
@@ -364,8 +408,8 @@ def _cmd_estimate(args):
 def _cmd_generate(args):
     cfg = load_config(args.config)
     seed = args.seed if args.seed is not None else cfg["seed"]
-    belief, theta0 = load_belief(args.belief)
-    data, _, _ = load_csv(args.data, args.label_column, normalize=args.normalize)
+    belief, theta0, scaling = _belief(args)
+    data = _load_data(args, args.data, scaling)
     instances, ids = _negative_instances(data, theta0, args.max_instances)
     if not instances:
         raise RecourseError("no negatively classified instances to generate recourse for")
@@ -380,11 +424,11 @@ def _cmd_generate(args):
 def _cmd_evaluate(args):
     cfg = load_config(args.config)
     seed = args.seed if args.seed is not None else cfg["seed"]
-    belief, theta0 = load_belief(args.belief)
+    _, theta0, scaling = _belief(args)
     ids, instances, recourses = load_recourses_csv(args.recourses)
     if not recourses:
         raise RecourseError(f"no solved recourses in {args.recourses}")
-    ensemble = _shift_ensemble(args, cfg, seed)
+    ensemble = _shift_ensemble(args, cfg, seed, scaling)
     report = evaluate(recourses, instances, theta0, ensemble)
     base = Path(args.out)
     _dump_json(
@@ -416,12 +460,12 @@ def _cmd_evaluate(args):
 def _cmd_sweep(args):
     cfg = load_config(args.config)
     seed = args.seed if args.seed is not None else cfg["seed"]
-    belief, theta0 = load_belief(args.belief)
-    data, _, _ = load_csv(args.data, args.label_column, normalize=args.normalize)
+    belief, theta0, scaling = _belief(args)
+    data = _load_data(args, args.data, scaling)
     instances, _ = _negative_instances(data, theta0, args.max_instances)
     if not instances:
         raise RecourseError("no negatively classified instances for the sweep")
-    ensemble = _shift_ensemble(args, cfg, seed, data)
+    ensemble = _shift_ensemble(args, cfg, seed, scaling, data)
     template = _template(cfg, belief, seed)
     deltas = [float(v) for v in args.deltas.split(",")]
     rhos = [float(v) for v in args.rhos.split(",")]
@@ -448,7 +492,8 @@ def build_parser() -> _Parser:
         p.add_argument("--config", default=None, help="JSON config file")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument("--label-column", default="label")
-        p.add_argument("--normalize", action="store_true", help="min-max scale features")
+        p.add_argument("--normalize", action="store_true",
+                       help="min-max scale features by the scaling estimate stores in the belief")
         if data:
             p.add_argument("--data", required=data == "required", default=None)
         if belief:

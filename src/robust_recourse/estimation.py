@@ -243,24 +243,6 @@ def fit_mixture_moments(
     return MixtureBelief(comps, weights)
 
 
-def cluster_inertia(sample: ParameterSample, ks, seed: int = 0) -> dict:
-    """Within-cluster sum of squares for each candidate K (elbow diagnostic;
-    no automatic selection)."""
-    out = {}
-    T = sample.thetas
-    for K in ks:
-        if K == 1:
-            assign = np.zeros(sample.size, dtype=int)
-        else:
-            assign = _kmeans(T, int(K), np.random.default_rng(seed))
-        inertia = 0.0
-        for k in range(int(K)):
-            members = T[assign == k]
-            inertia += float(((members - members.mean(axis=0)) ** 2).sum())
-        out[int(K)] = inertia
-    return out
-
-
 def prior_belief(theta0, tau: float = 0.1) -> MixtureBelief:
     """Single-component belief centered on the current classifier with an
     isotropic covariance tau*I, for when no training data is available."""

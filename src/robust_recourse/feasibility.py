@@ -152,7 +152,17 @@ def is_feasible(x, spec: FeasibleSetSpec, tol: float = 1e-8) -> bool:
 
 
 def _project_cone_known(xp, theta, rho: float, tt: float, margin: float) -> np.ndarray:
-    """project_cone with theta^T theta pre-computed and emptiness pre-checked."""
+    """Euclidean projection onto {y : rho*||y||_2 - theta^T y <= -margin},
+    with tt = theta^T theta and the set known to be nonempty (spec.defect).
+
+    Already-feasible points are returned unchanged.  rho == 0 reduces to a
+    halfspace with a closed-form projection.  Otherwise the KKT multiplier
+    mu of the single constraint is bisected: the stationarity condition
+    gives y(mu) = shrink(xp + mu*theta, mu*rho) and mu is driven until the
+    constraint is active.  Along the bisection y(mu) depends on xp and
+    theta only through three scalars, so the inner loop is plain float
+    arithmetic.
+    """
     xx = float(xp @ xp)
     xt = float(theta @ xp)
     if rho * math.sqrt(xx) - xt <= -margin:
@@ -192,31 +202,6 @@ def _project_cone_known(xp, theta, rho: float, tt: float, margin: float) -> np.n
     return np.zeros_like(v) if nv <= s else (1.0 - s / nv) * v
 
 
-def project_cone(xp, theta, rho: float, margin: float) -> np.ndarray:
-    """Euclidean projection onto {y : rho*||y||_2 - theta^T y <= -margin}.
-
-    Already-feasible points are returned unchanged.  rho == 0 reduces to a
-    halfspace with a closed-form projection.  Otherwise the KKT multiplier
-    mu of the single constraint is bisected: the stationarity condition
-    gives y(mu) = shrink(xp + mu*theta, mu*rho) and mu is driven until the
-    constraint is active.  Along the bisection y(mu) depends on xp and
-    theta only through three scalars, so the inner loop is plain float
-    arithmetic.
-    """
-    xp = np.asarray(xp, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    tt = float(theta @ theta)
-    if tt == 0.0:
-        raise DegenerateDirection("cone constraint with zero direction")
-    if rho > 0.0 and rho >= math.sqrt(tt):
-        # rho*||y|| >= ||theta||*||y|| >= theta^T y for every y, so the
-        # constraint rho*||y|| - theta^T y <= -margin < 0 is unsatisfiable
-        raise EmptyFeasibleSet(
-            f"margin set empty: radius {rho} >= direction norm {math.sqrt(tt):.6g}"
-        )
-    return _project_cone_known(xp, theta, rho, tt, margin).copy()
-
-
 def _project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
     """Euclidean projection of v onto {w : ||w||_1 <= radius}, by the
     sort-based soft threshold (Duchi et al., ICML 2008), exact; v itself
@@ -243,12 +228,6 @@ def _cost_ball(xp: np.ndarray, x0: np.ndarray, delta: float, l1: bool) -> np.nda
         return x0 + _project_l1_ball(diff, delta)
     n = math.sqrt(float(diff @ diff))
     return xp if n <= delta else x0 + (delta / n) * diff
-
-
-def project_cost_ball(xp, x0, delta: float, cost: Cost) -> np.ndarray:
-    """Euclidean projection onto {x : c(x, x0) <= delta}."""
-    xp = np.asarray(xp, dtype=float)
-    return _cost_ball(xp, np.asarray(x0, dtype=float), delta, Cost(cost) is Cost.L1).copy()
 
 
 # --- intersection projection --------------------------------------------------
@@ -358,19 +337,18 @@ def _program(spec: FeasibleSetSpec, start, target=None):
     return _polish(np.clip(res.x[:d], spec.lower, spec.upper), spec)
 
 
-def project_feasible(
-    xp, spec: FeasibleSetSpec, max_iter: int = 500, tol: float = 1e-8
-) -> np.ndarray:
-    """Euclidean projection of xp onto the full intersection via Dykstra.
+def dykstra(xp, spec: FeasibleSetSpec, max_iter: int, tol: float):
+    """Dykstra's alternating projections of xp onto the full intersection:
+    (x, None) once a full cycle moves the iterate by less than tol and x
+    passes is_feasible at 10*tol, else (last iterate, the error that
+    stopped the cycles).
 
     Cycles over the cost ball, each margin cone and the actionability box,
-    carrying one correction term per set.  Terminates when a full cycle
-    moves the iterate by less than tol; the result then passes is_feasible
-    at 10*tol.  An empty intersection is reported heuristically: the
-    iterate and the corrections both stall while the iterate stays
-    infeasible.  With a positive gap the corrections grow without end and
-    the cycles run out instead.  Cycles that stall or run out fall back on
-    the projection program.
+    carrying one correction term per set.  An empty intersection is
+    reported heuristically, as EmptyFeasibleSet: the iterate and the
+    corrections both stall while the iterate stays infeasible.  With a
+    positive gap the corrections grow without end and the cycles run out
+    instead, as MaxIterExceeded.  The defects of spec raise at once.
     """
     if spec.defect:
         raise spec.defect()
@@ -391,7 +369,7 @@ def project_feasible(
         disp = math.sqrt(float(dv @ dv))
         if disp < check_tol:
             if is_feasible(x, spec, 10.0 * tol):
-                return x
+                return x, None
             # small motion alone does not certify a gap: tighten and keep
             # cycling until the iterate either turns feasible or pins the
             # infeasibility at a genuinely stalled point; a far-away input
@@ -399,14 +377,24 @@ def project_feasible(
             # corrections rebalance
             if check_tol <= 1e-13:
                 if held is not None and float(np.abs(corrections - held).max()) < check_tol:
-                    failure = EmptyFeasibleSet(
+                    return x, EmptyFeasibleSet(
                         f"projection stalled at an infeasible point (residual motion {disp:.2e})"
                     )
-                    break
                 held = corrections.copy()
             check_tol = max(check_tol / 10.0, 1e-13)
-    else:
-        failure = MaxIterExceeded(f"Dykstra did not converge in {max_iter} cycles")
+    return x, MaxIterExceeded(f"Dykstra did not converge in {max_iter} cycles")
+
+
+def project_feasible(
+    xp, spec: FeasibleSetSpec, max_iter: int = 500, tol: float = 1e-8
+) -> np.ndarray:
+    """Euclidean projection of xp onto the full intersection: the dykstra
+    cycles, with the projection program as backstop when they stall or
+    run out.  The descent's start runs the cycles alone, under a small
+    cycle budget (see optimizer.solve)."""
+    x, failure = dykstra(xp, spec, max_iter, tol)
+    if failure is None:
+        return x
     direct = _program(spec, x, target=xp)
     if direct is not None:
         return direct

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import feasibility as fz
-from .errors import BudgetTooSmall, InfeasibleMargin
+from .errors import BudgetTooSmall, InfeasibleMargin, Unattainable
 from .model import (
     FeatureVector,
     Mode,
@@ -43,6 +43,9 @@ from .objective import (
 # bounds on the spectral trial step
 STEP_MIN = 1e-10
 STEP_MAX = 1e6
+# Dykstra cycles spent projecting x0 for the first start; where they run
+# out, the start is pulled back toward the cheapest point instead
+START_CYCLES = 20
 
 
 @dataclass(frozen=True)
@@ -140,12 +143,13 @@ def _spectral_step(s, y, grad, budget) -> float:
 
 
 def pgd_minimize(fn, proj, config: SolverConfig, x_start, callback=None, *, budget=None):
-    """Run the descent from x_start; fn(x) -> object with .value/.gradient.
-    budget, the cost budget delta, caps the trial steps.
+    """Run the descent from x_start, a point of the feasible set, which is
+    not projected again; fn(x) -> object with .value/.gradient.  budget,
+    the cost budget delta, caps the trial steps.
 
     Returns (x, value, eval, iterations, converged, stationarity).
     """
-    x = proj(np.asarray(x_start, dtype=float))
+    x = np.asarray(x_start, dtype=float)
     ev = fn(x)
     if callback is not None:
         callback(0, x, ev.value)
@@ -187,6 +191,36 @@ def pgd_minimize(fn, proj, config: SolverConfig, x_start, callback=None, *, budg
     return x, ev.value, ev, iterations, converged, station
 
 
+def _cheapest(spec, cheapest, config: SolverConfig):
+    """cheapest, or else the point of the distance program."""
+    if cheapest is None:
+        best = fz.min_cost_point(spec, proj_tol=config.proj_tol)
+        if best is None:
+            raise Unattainable("the distance program found no point of the margin-and-bounds set")
+        cheapest = best[0]
+    return cheapest
+
+
+def _first_start(spec, cheapest, config: SolverConfig):
+    """The descent's first start: proj(x0) when START_CYCLES Dykstra cycles
+    reach it.  Otherwise, for z the last cycle's iterate and c the cheapest
+    point, the point of the segment [c, z] farthest from c that is still
+    feasible; c is feasible and the set convex, so bisection on membership
+    finds it."""
+    z, failure = fz.dykstra(spec.x0, spec, START_CYCLES, config.proj_tol)
+    if failure is None:
+        return z
+    c = _cheapest(spec, cheapest, config)
+    lo, hi = 0.0, 1.0
+    for _ in range(30):  # to 1e-9 of the segment
+        mid = 0.5 * (lo + hi)
+        if fz.is_feasible(c + mid * (z - c), spec, 10.0 * config.proj_tol):
+            lo = mid
+        else:
+            hi = mid
+    return c + lo * (z - c)
+
+
 def solve(
     problem: RecourseProblem,
     config: SolverConfig | None = None,
@@ -196,12 +230,19 @@ def solve(
     callback=None,
 ) -> RecourseResult:
     """End-to-end solve: validate, check the budget against delta_min,
-    project the input onto the feasible set and run the descent.
+    find a feasible start and run the descent from it.
+
+    The start is the projection of the input onto the feasible set when
+    START_CYCLES Dykstra cycles reach it.  When they run out, it is the
+    feasible point farthest from the cheapest point on the segment from
+    there to the last cycle's iterate.  A perturbed restart starts at the
+    full projection of its perturbed input.
 
     known_delta_min skips the internal delta_min computation when the
     caller already solved it (e.g. to set delta = delta_min + delta_add);
-    cheapest, the point that computation found, spares a budget pinned at
-    delta_min a second run of the distance program.
+    cheapest, the point that computation found, spares a second run of the
+    distance program when the budget is pinned at delta_min or the start's
+    cycles run out.
     callback(iteration, x, value) fires on the start point and on every
     accepted step of every restart.
     """
@@ -220,34 +261,30 @@ def solve(
     if problem.delta - dmin <= max(1e-9, 1e-12 * dmin):
         # the budget pins the feasible set to the cost-argmin set; take its
         # cheapest point directly, descent has no room to move
-        if cheapest is None:
-            best = fz.min_cost_point(spec, proj_tol=config.proj_tol)
-            cheapest = None if best is None else best[0]
-        if cheapest is not None:
-            ev = fn(cheapest)
-            return RecourseResult(
-                action=FeatureVector(cheapest),
-                objective=float(min(max(ev.value, 0.0), 1.0)),
-                component_probs=ev.component_values,
-                iterations=0,
-                stationarity=0.0,
-                delta_min=dmin,
-                converged=True,
-            )
+        cheapest = _cheapest(spec, cheapest, config)
+        ev = fn(cheapest)
+        return RecourseResult(
+            action=FeatureVector(cheapest),
+            objective=float(min(max(ev.value, 0.0), 1.0)),
+            component_probs=ev.component_values,
+            iterations=0,
+            stationarity=0.0,
+            delta_min=dmin,
+            converged=True,
+        )
 
     def proj(y):
         return fz.project_feasible(y, spec, config.proj_max_iter, config.proj_tol)
 
-    x_start = spec.x0
     seeds = np.random.SeedSequence(config.seed).spawn(config.restarts - 1)
     best = None
     for run in range(config.restarts):
         if run == 0:
-            start = x_start
+            start = _first_start(spec, cheapest, config)
         else:
             rng = np.random.default_rng(seeds[run - 1])
             scale = 0.25 * max(problem.delta, problem.margin)
-            start = x_start + rng.normal(scale=scale, size=x_start.size)
+            start = proj(spec.x0 + rng.normal(scale=scale, size=spec.x0.size))
         outcome = pgd_minimize(fn, proj, config, start, callback, budget=problem.delta)
         if best is None or outcome[1] < best[1]:
             best = outcome

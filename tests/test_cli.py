@@ -247,3 +247,79 @@ class TestBadValues:
         assert err.startswith("usage error:") and len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
         assert str(recourses) in err and "line 3" in err
+
+
+class TestNormalize:
+    """--normalize scales every file by the min/range of the data estimate
+    saw, stored in the belief; never by a file's own columns."""
+
+    def _pipeline(self, base, cfg, data, shifted, flags):
+        belief, recourses, report = base / "belief.json", base / "rec.csv", base / "report"
+        assert run(["estimate", "--config", cfg, "--data", data / "original.csv",
+                    "--out", belief, "--seed", 7, *flags]) == 0
+        assert run(["generate", "--config", cfg, "--belief", belief,
+                    "--data", data / "original.csv", "--out", recourses,
+                    "--max-instances", 6, "--seed", 7, *flags]) == 0
+        assert run(["evaluate", "--config", cfg, "--belief", belief, "--recourses",
+                    recourses, "--out", report, "--seed", 7, "--shifted", *shifted,
+                    *flags]) == 0
+        return json.loads(belief.read_text()), json.loads((base / "report.json").read_text())
+
+    def test_matches_data_prescaled_by_the_original(self, workdir):
+        from robust_recourse.estimation import LabeledDataset
+        from robust_recourse.harness import load_csv, save_dataset_csv
+
+        base, cfg = workdir
+        # a budget small in the scaled features, so that m2 stays below 1
+        payload = json.loads(cfg.read_text())
+        cfg.write_text(json.dumps({**payload, "delta_add": 0.05}))
+        raw = base / "raw"
+        assert run(["synth", "--config", cfg, "--out", raw, "--seed", 7,
+                    "--n-shifts", 3, "--kind", "all"]) == 0
+        raw_shifted = sorted(raw.glob("shift_*.csv"))
+        _, _, norm = load_csv(raw / "original.csv", "label", normalize=True)
+        scaled = base / "scaled"
+        scaled.mkdir()
+        for path in [raw / "original.csv", *raw_shifted]:
+            ds = load_csv(path, "label")[0]
+            scaled_ds = LabeledDataset(norm.apply(ds.features), ds.labels)
+            save_dataset_csv(scaled / path.name, scaled_ds)
+        # scaling a shifted file by its own columns would give other features
+        assert any(load_csv(p, "label")[0].features.min(axis=0).tolist() != [0.0, 0.0]
+                   for p in sorted(scaled.glob("shift_*.csv")))
+
+        (base / "a").mkdir()
+        (base / "b").mkdir()
+        belief_a, report_a = self._pipeline(base / "a", cfg, raw, raw_shifted, ["--normalize"])
+        belief_b, report_b = self._pipeline(
+            base / "b", cfg, scaled, sorted(scaled.glob("shift_*.csv")), [])
+        assert belief_a["normalization"] == {
+            "col_min": norm.col_min.tolist(), "col_range": norm.col_range.tolist()}
+        assert "normalization" not in belief_b
+        assert report_a["m1_validity"] == report_b["m1_validity"]
+        assert report_a["m2_validity"] == report_b["m2_validity"] < 1.0
+
+    @pytest.mark.parametrize("estimate_flags, later_flags", [([], ["--normalize"]),
+                                                             (["--normalize"], [])])
+    def test_flag_must_match_the_belief(self, workdir, capsys, estimate_flags, later_flags):
+        base, cfg = workdir
+        data = base / "data"
+        assert run(["synth", "--config", cfg, "--out", data, "--seed", 7,
+                    "--n-shifts", 1, "--kind", "mean"]) == 0
+        belief = base / "belief.json"
+        assert run(["estimate", "--config", cfg, "--data", data / "original.csv",
+                    "--out", belief, "--seed", 7, *estimate_flags]) == 0
+        capsys.readouterr()
+        code = run(["generate", "--config", cfg, "--belief", belief,
+                    "--data", data / "original.csv", "--out", base / "x.csv", *later_flags])
+        _assert_one_usage_line(code, capsys)
+
+    def test_malformed_scaling_exits_1(self, workdir, capsys):
+        base, cfg = workdir
+        belief = _write_belief(base / "belief.json")
+        payload = json.loads(belief.read_text())
+        payload["normalization"] = {"col_min": [0.0, 0.0], "col_range": [1.0, 0.0]}
+        belief.write_text(json.dumps(payload))
+        code = run(["generate", "--config", cfg, "--belief", belief, "--normalize",
+                    "--data", base / "missing.csv", "--out", base / "x.csv"])
+        _assert_one_usage_line(code, capsys)

@@ -9,8 +9,8 @@ from robust_recourse.errors import (
 from robust_recourse.estimation import (
     LabeledDataset,
     ParameterSample,
+    _kmeans,
     bootstrap_parameters,
-    cluster_inertia,
     fit_mixture_moments,
     local_linear_surrogate,
     prior_belief,
@@ -152,8 +152,11 @@ class TestMixtureMoments:
     def test_inertia_diagnostic_decreases(self, rng):
         A = rng.normal(scale=0.1, size=(40, 2)) + [2.0, 0.0]
         B = rng.normal(scale=0.1, size=(40, 2)) + [-2.0, 0.0]
-        inertia = cluster_inertia(ParameterSample(np.vstack([A, B])), ks=[1, 2], seed=0)
-        assert inertia[2] < inertia[1]
+        T = np.vstack([A, B])
+        assign = _kmeans(T, 2, np.random.default_rng(0))
+        split = sum(float(((T[assign == k] - T[assign == k].mean(axis=0)) ** 2).sum())
+                    for k in (0, 1))
+        assert split < float(((T - T.mean(axis=0)) ** 2).sum())
 
 
 class TestPriorBelief:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from robust_recourse import feasibility as fz
+from robust_recourse import optimizer
 from robust_recourse.errors import BudgetTooSmall
 from robust_recourse.estimation import bootstrap_parameters, fit_mixture_moments, train_logistic
 from robust_recourse.harness import (
@@ -183,6 +184,76 @@ class TestSolverConfig:
             SolverConfig(**{field: value})
 
 
+def slow_start_problem():
+    """A rho=0 halfspace at a narrow angle to the pinned bias coordinate:
+    Dykstra needs 184 cycles to project x0, more than optimizer.START_CYCLES."""
+    x0 = FeatureVector.from_features([-1.2, -0.8])
+    belief = MixtureBelief((ComponentMoments([0.3, 0.2, -1.0], 1e-3 * np.eye(3), 0.0),), [1.0])
+    prob = RecourseProblem(x0=x0, belief=belief, delta=0.0, margin=1e-3, cost=Cost.L1)
+    dmin, cheapest = fz.delta_min(fz.FeasibleSetSpec.from_problem(prob), 1e-10, with_point=True)
+    return problem_with(prob, delta=dmin + 1.0), dmin, cheapest
+
+
+class TestStartRule:
+    def _start_and_cone_calls(self, monkeypatch, prob, **kw):
+        """The descent's start point and the cone projections spent on it."""
+        calls, seen = [0], []
+        inner = fz._project_cone_known
+
+        def counted(*args):
+            calls[0] += 1
+            return inner(*args)
+
+        def first(t, x, v):
+            if not seen:
+                seen.append((x.copy(), calls[0]))
+
+        monkeypatch.setattr(fz, "_project_cone_known", counted)
+        solve(prob, SolverConfig(restarts=1), callback=first, **kw)
+        return seen[0]
+
+    def test_overrun_start_spends_only_the_budget(self, monkeypatch):
+        prob, dmin, cheapest = slow_start_problem()
+        spec = fz.FeasibleSetSpec.from_problem(prob)
+        assert fz.dykstra(spec.x0, spec, optimizer.START_CYCLES, 1e-10)[1] is not None
+        start, cycles = self._start_and_cone_calls(
+            monkeypatch, prob, known_delta_min=dmin, cheapest=cheapest
+        )
+        # one cone: one cone projection per cycle
+        assert cycles == optimizer.START_CYCLES
+        assert fz.is_feasible(start, spec, 1e-9)
+
+    def test_overrun_start_beats_the_projected_start(self):
+        prob, dmin, cheapest = slow_start_problem()
+        spec = fz.FeasibleSetSpec.from_problem(prob)
+        cfg = SolverConfig(restarts=1)
+        res = solve(prob, cfg, known_delta_min=dmin, cheapest=cheapest)
+        assert res.converged
+        assert fz.is_feasible(res.action.values, spec)
+        projected = fz.project_feasible(spec.x0, spec, cfg.proj_max_iter, cfg.proj_tol)
+        assert res.objective <= make_objective(prob)(projected).value + 1e-10
+
+    def test_converged_start_is_the_projection(self, monkeypatch):
+        prob, dmin = toy_problem()
+        spec = fz.FeasibleSetSpec.from_problem(prob)
+        cfg = SolverConfig(restarts=1)
+        start, cycles = self._start_and_cone_calls(monkeypatch, prob, known_delta_min=dmin)
+        assert cycles <= optimizer.START_CYCLES
+        projected = fz.project_feasible(spec.x0, spec, cfg.proj_max_iter, cfg.proj_tol)
+        assert np.array_equal(start, projected)
+
+    @pytest.mark.parametrize("make", [slow_start_problem, toy_problem])
+    def test_anchor_computed_when_not_given(self, make):
+        prob, dmin, *given = make()
+        cheapest = given[0] if given else fz.delta_min(
+            fz.FeasibleSetSpec.from_problem(prob), 1e-10, with_point=True)[1]
+        cfg = SolverConfig(restarts=1)
+        a = solve(prob, cfg, known_delta_min=dmin)
+        b = solve(prob, cfg, known_delta_min=dmin, cheapest=cheapest)
+        assert np.array_equal(a.action.values, b.action.values)
+        assert (a.objective, a.iterations, a.converged) == (b.objective, b.iterations, b.converged)
+
+
 class TestPgdCore:
     def test_quadratic_reaches_interior_minimizer(self):
         prob, dmin = toy_problem(delta_add=5.0)
@@ -196,7 +267,7 @@ class TestPgdCore:
 
         proj = lambda y: fz.project_feasible(y, spec, 10000, 1e-8)
         x, value, _, iters, converged, station = pgd_minimize(
-            quad, proj, SolverConfig(station_tol=1e-8, max_iter=500), spec.x0
+            quad, proj, SolverConfig(station_tol=1e-8, max_iter=500), proj(spec.x0)
         )
         assert converged
         assert np.linalg.norm(x - xbar) <= 1e-6
@@ -218,7 +289,7 @@ class TestPgdCore:
 
         proj = lambda y: fz.project_feasible(y, spec, 10000, 1e-8)
         x, value, _, iters, converged, station = pgd_minimize(
-            quad, proj, SolverConfig(station_tol=1e-8, max_iter=50), spec.x0
+            quad, proj, SolverConfig(station_tol=1e-8, max_iter=50), proj(spec.x0)
         )
         assert converged
         assert np.linalg.norm(x - xbar) <= 1e-6

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robust_recourse.feasibility import _project_l1_ball, project_cone
+from robust_recourse.feasibility import _project_cone_known, _project_l1_ball
 from robust_recourse.worst_case import (
     ABCTriple,
     AT_OR_ABOVE_HALF,
@@ -84,7 +84,7 @@ def test_cone_projection_feasible_and_idempotent(v, rho_frac, margin):
     theta = np.zeros_like(v)
     theta[0] = 1.0
     rho = rho_frac  # strictly below ||theta|| = 1
-    y = project_cone(v, theta, rho, margin)
+    y = _project_cone_known(v, theta, rho, 1.0, margin)
     assert rho * np.linalg.norm(y) - y[0] <= -margin + 1e-9
-    z = project_cone(y, theta, rho, margin)
+    z = _project_cone_known(y, theta, rho, 1.0, margin)
     assert np.linalg.norm(z - y) <= 1e-9
