@@ -491,9 +491,10 @@ def build_parser() -> _Parser:
     def common(p, data=False, belief=False, shifted=False):
         p.add_argument("--config", default=None, help="JSON config file")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
-        p.add_argument("--label-column", default="label")
-        p.add_argument("--normalize", action="store_true",
-                       help="min-max scale features by the scaling estimate stores in the belief")
+        if data or belief:  # every subcommand but synth reads CSVs
+            p.add_argument("--label-column", default="label")
+            p.add_argument("--normalize", action="store_true",
+                           help="min-max scale features by the scaling estimate stores in the belief")
         if data:
             p.add_argument("--data", required=data == "required", default=None)
         if belief:

@@ -89,15 +89,13 @@ def train_logistic(
     l2_reg: float = 1e-4,
     max_epochs: int = 2000,
     lr: float = 1.0,
-    seed: int = 0,
 ) -> LinearClassifier:
     """Fit theta by full-batch gradient descent on the regularized logistic
     loss, to gradient sup-norm <= 1e-6 or max_epochs.
 
     The bias coordinate is unregularized.  Training starts from zero and
-    uses backtracked steps, so the fit is deterministic; seed is accepted
-    for pipeline uniformity.  Hitting the epoch cap emits
-    NotConvergedWarning and returns the best iterate.
+    uses backtracked steps, so the fit is deterministic.  Hitting the epoch
+    cap emits NotConvergedWarning and returns the best iterate.
     """
     X = data.augmented()
     y_pm = 2.0 * data.labels - 1.0  # {-1, +1}

@@ -5,15 +5,16 @@ outcome under the belief about future model parameters:
 
 * mixture:          sum_k p_k * f_k(x)            (f_k = per-component worst case)
 * worst component:  max_k f_k(x)
-* weight robust:    sup over mixture weights within a phi-divergence ball
-                    of radius eps around p of  sum_k w_k f_k(x), computed
-                    through its convex dual   min_{lam>=0, eta}  eta + eps*lam
-                    + lam * sum_k p_k phi*((f_k(x) - eta)/lam)
+* weight robust:    max of sum_k w_k f_k(x) over mixture weights w within a
+                    phi-divergence ball of radius eps around p, solved
+                    exactly from its KKT conditions: for KL, w is the tilt
+                    p exp(f/lam) normalized, with lam the root of
+                    KL(w||p) = eps; for chi-square, w = p (1 + (f - eta)/(2 lam))
+                    on a sorted active set, in closed form (_weight_dual)
 
 each in a nonparametric and a gaussian flavor.  Gradients are assembled
 analytically by the chain rule over the scalars (a, b, c); the weight-robust
-gradient uses the envelope theorem at the inner dual optimum, with the
-worst-case weights recovered from the first-order conditions.
+gradient is w^T grad f at the worst-case weights (envelope theorem).
 """
 
 import math
@@ -24,12 +25,6 @@ import numpy as np
 from .errors import DualSolveFailed, InfeasibleMargin, ZeroAction
 from .model import Divergence, MixtureBelief
 from .worst_case import closed_form
-
-_LAMBDA_FLOOR = 1e-12  # analytic lambda -> 0 boundary of the dual
-_LOG_LAMBDA_LO = -8.0
-_LOG_LAMBDA_HI = 4.0
-_LOG_LAMBDA_CAP = 16.0
-_GOLDEN_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,118 +97,89 @@ def eval_worst_component(x, belief: MixtureBelief, gaussian: bool = False) -> Ob
     return ObjectiveEval(float(v[k]), g[k].copy(), v)
 
 
-def phi_conjugate(divergence: Divergence, s: float) -> float:
-    """Convex conjugate phi*(s) = sup_{t>=0} (t*s - phi(t)).
+def _kl_weights(h: np.ndarray, p: np.ndarray, eps: float):
+    """(lam, eta, unnormalized w) for KL at f = h, max h = 0; see _weight_dual."""
+    top = h == 0.0
+    total = p.sum()
+    if eps >= -math.log(p[top].sum() / total):
+        return 0.0, 0.0, np.where(top, p, 0.0)
+    beta = math.sqrt(2.0 * eps / float(p @ (h - p @ h) ** 2))  # KL ~ beta^2 Var_p(h) / 2
+    lo, hi = 0.0, math.inf
+    for _ in range(100):  # safeguard; converges in about ten steps
+        e = p * np.exp(beta * h)
+        z = float(e.sum())
+        w = e / z
+        mean = float(w @ h)
+        excess = beta * mean - math.log(z / total) - eps  # KL(w||p) - eps
+        lo, hi = (beta, hi) if excess < 0.0 else (lo, beta)
+        slope = beta * float(w @ (h - mean) ** 2)
+        step = beta - excess / slope if slope > 0.0 else math.nan
+        if abs(step - beta) <= 1e-15 * beta or hi - lo <= 1e-15 * lo:
+            break
+        if not lo < step < hi:  # the bracket shrinks at every step
+            step = 2.0 * beta if math.isinf(hi) else 0.5 * (lo + hi)
+        beta = step
+    return 1.0 / beta, math.log(z) / beta, w
 
-    KL   (phi(t) = t log t - t + 1):  phi*(s) = e^s - 1
-    Chi2 (phi(t) = (t - 1)^2):        phi*(s) = s + s^2/4 for s >= -2, else -1
-    """
-    divergence = Divergence(divergence)
-    if divergence is Divergence.KL:
-        return math.exp(s) - 1.0 if s < 709.0 else math.inf
-    if s < -2.0:
-        return -1.0
-    return s + 0.25 * s * s
 
-
-def _kl_dual_value(lam: float, f: np.ndarray, p: np.ndarray, eps: float):
-    """min over eta of the KL dual at fixed lam, in closed form:
-    eta* = lam * log sum_k p_k exp(f_k/lam) and the eta-terms telescope."""
-    m = float(f.max())
-    z = p @ np.exp((f - m) / lam)
-    eta = m + lam * math.log(z)
-    return eta + eps * lam, eta
-
-
-def _chi2_eta(lam: float, f: np.ndarray, p: np.ndarray) -> float:
-    """Root of 1 = sum_k p_k (phi*)'((f_k - eta)/lam) for the chi-square
-    conjugate.  (phi*)' is piecewise linear with kinks at eta = f_k + 2 lam,
-    so the root is found exactly segment by segment."""
-    kinks = f + 2.0 * lam
-    order = np.argsort(kinks)
-    lo = float(f.min())
-    # walk segments from the highest kink down; active set = {k : kinks_k >= eta}
-    bounds = np.concatenate([[lo], kinks[order]])
-    P = 0.0
-    S = 0.0
-    for j in range(len(order) - 1, -1, -1):
-        k = order[j]
-        P += p[k]
-        S += p[k] * f[k]
-        seg_lo, seg_hi = bounds[j], bounds[j + 1]
-        if P <= 0.0:
+def _chi2_weights(h: np.ndarray, p: np.ndarray, eps: float):
+    """(lam, eta, unnormalized w) for chi2 at f = h, max h = 0; see _weight_dual."""
+    order = np.argsort(-h, kind="stable")
+    hs, ps = h[order], p[order]
+    mass = np.cumsum(ps)
+    w = np.zeros_like(p)
+    for e in [*(np.flatnonzero(np.diff(hs)) + 1), hs.size]:  # tie groups end at e
+        # c_S; the total mass stands for 1, so c = 0 at S = all
+        c = (mass[-1] - mass[e - 1]) / mass[e - 1]
+        if c > eps:
             continue
-        eta = (S - 2.0 * lam * (1.0 - P)) / P
-        if seg_lo - 1e-15 <= eta <= seg_hi + 1e-15:
-            return float(eta)
-    # rounding in 2*lam*(1 - P) can push the lowest segment's root just
-    # outside it; the exact root lies in that segment
-    return float(min(max(eta, lo), bounds[1]))
-
-
-def _chi2_dual_value(lam: float, f: np.ndarray, p: np.ndarray, eps: float):
-    eta = _chi2_eta(lam, f, p)
-    s = (f - eta) / lam
-    terms = np.where(s >= -2.0, s + 0.25 * s * s, -1.0)
-    return eta + eps * lam + lam * float(p @ terms), eta
+        if hs[e - 1] == 0.0:  # the top tie group alone
+            w[order[:e]] = ps[:e]
+            return 0.0, 0.0, w
+        h_s, p_s = hs[:e], ps[:e]
+        # h_k - m_S from pairwise gaps, which keeps it exact at the ends of S
+        dev = (h_s[:, None] - h_s) @ p_s / mass[e - 1]
+        m_s = h_s[0] - dev[0]
+        u = math.sqrt((eps - c) / float(p_s @ dev**2))
+        # w_k / p_k = 1 + u (h_k - eta) = 1 + c + u (h_k - m_s)
+        if e == hs.size or 1.0 + c + u * (hs[e] - m_s) <= 0.0:
+            break
+    w[order[:e]] = np.maximum(p_s * (1.0 + c + u * dev), 0.0)
+    return 0.5 / u, m_s - c / u, w
 
 
 def _weight_dual(f: np.ndarray, p: np.ndarray, eps: float, divergence: Divergence):
-    """Solve min_{lam>=0, eta} of the dual; returns (value, lam, eta, weights).
+    """max { w.f : w in the simplex, D(w||p) <= eps } from its KKT conditions;
+    returns (value, lam, eta, w), lam and eta the multipliers of the budget
+    and of sum(w) = 1.  P_top is the nominal mass on argmax f, ties included.
 
-    The inner eta-minimization is exact per lambda; the outer lambda search
-    is golden-section on log lambda (the profile is unimodal there), with
-    the bracket extended to the right when the minimizer hits the edge, and
-    the analytic lam -> 0 boundary (value -> max_k f_k) entered as an extra
-    candidate at lam = 1e-12.
+    KL:   w ~ p exp(beta (f - max f)), beta = 1/lam.  lam = 0 and w = p on
+          argmax f if eps >= -log P_top.  Otherwise KL(w_beta||p) = eps,
+          whose left side rises in beta with slope beta Var_w(f), is solved
+          by safeguarded Newton with a bisection fallback inside a kept
+          bracket; eta = max f + lam log sum_k p_k exp((f_k - max f)/lam).
+    Chi2: w_k = p_k (1 + u (f_k - eta)) on the active set S, u = 1/(2 lam).
+          For the top-j set S of f sorted descending, ties together, with
+          mass P_S, mean m_S, spread V_S = sum_S p (f - m_S)^2 and
+          c_S = (1 - P_S)/P_S:  u = sqrt((eps - c_S)/V_S), eta = m_S - c_S/u.
+          S is the first set that leaves the next component a nonpositive
+          weight; the top tie group alone (V_S = 0) with c_S <= eps gives
+          lam = 0.
+    Both run on (f - max f)/range(f), so near-tie gaps neither round nor
+    underflow.  The value is w.f; it is max f exactly when lam = 0.
     """
-    value_at = _kl_dual_value if divergence is Divergence.KL else _chi2_dual_value
-
-    u_lo, u_hi = _LOG_LAMBDA_LO, _LOG_LAMBDA_HI
-    best = None
-    while True:
-        # golden-section search on u = log(lam)
-        inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-        a, b = u_lo, u_hi
-        c = b - inv_phi * (b - a)
-        d = a + inv_phi * (b - a)
-        fc = value_at(math.exp(c), f, p, eps)[0]
-        fd = value_at(math.exp(d), f, p, eps)[0]
-        while b - a > _GOLDEN_TOL:
-            if fc < fd:
-                b, d, fd = d, c, fc
-                c = b - inv_phi * (b - a)
-                fc = value_at(math.exp(c), f, p, eps)[0]
-            else:
-                a, c, fc = c, d, fd
-                d = a + inv_phi * (b - a)
-                fd = value_at(math.exp(d), f, p, eps)[0]
-        u_star = c if fc < fd else d
-        best = (min(fc, fd), math.exp(u_star))
-        if u_star < u_hi - 0.5 or u_hi >= _LOG_LAMBDA_CAP:
-            break
-        u_lo, u_hi = u_hi - 1.0, min(u_hi + 6.0, _LOG_LAMBDA_CAP)
-
-    candidates = [best, (value_at(_LAMBDA_FLOOR, f, p, eps)[0], _LAMBDA_FLOOR)]
-    value, lam = min(candidates, key=lambda t: t[0])
-    _, eta = value_at(lam, f, p, eps)
-
-    if divergence is Divergence.KL:
-        logw = np.log(p, where=p > 0, out=np.full_like(f, -np.inf)) + f / lam
-        logw -= logw.max()
-        w = np.exp(logw)
-    else:
-        w = p * np.maximum(1.0 + (f - eta) / (2.0 * lam), 0.0)
-    total = w.sum()
-    if not np.isfinite(value) or total <= 0.0:
-        raise DualSolveFailed("inner weight-robust minimization returned no usable optimum")
-    w = w / total
-    nominal = float(p @ f)
-    if value < nominal - 1e-8:
-        raise DualSolveFailed(
-            f"dual value {value} fell below the nominal mixture value {nominal}"
-        )
-    return float(value), float(lam), float(eta), w
+    m = float(f.max())
+    h = f - m
+    scale = -float(h.min()) or 1.0
+    solve = _kl_weights if divergence is Divergence.KL else _chi2_weights
+    lam, eta, w = solve(h / scale, p, eps)
+    w = w / w.sum()
+    value = m + float(w @ h)
+    if not np.isfinite(value):
+        raise DualSolveFailed("inner weight-robust maximization returned no usable optimum")
+    if value < float(p @ f) - 1e-8:
+        raise DualSolveFailed(f"dual value {value} fell below the nominal mixture value {p @ f}")
+    return value, scale * lam, m + scale * eta, w
 
 
 def eval_weight_robust(

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import robust_recourse
 from robust_recourse.cli import cli_main
 
 
@@ -230,6 +235,14 @@ class TestBadValues:
                     "--data", base / "missing.csv", "--out", base / "x.csv", flag, value])
         _assert_one_usage_line(code, capsys)
 
+    @pytest.mark.parametrize("flags", [["--normalize"], ["--label-column", "y"]])
+    def test_synth_rejects_csv_flags(self, workdir, capsys, flags):
+        # synth reads no CSV, so it takes neither flag
+        base, cfg = workdir
+        code = run(["synth", "--config", cfg, "--out", base / "d", *flags])
+        _assert_one_usage_line(code, capsys)
+        assert not (base / "d").exists()
+
     def test_non_numeric_recourse_cell_exits_1(self, workdir, capsys):
         base, cfg = workdir
         belief = _write_belief(base / "belief.json")
@@ -323,3 +336,15 @@ class TestNormalize:
         code = run(["generate", "--config", cfg, "--belief", belief, "--normalize",
                     "--data", base / "missing.csv", "--out", base / "x.csv"])
         _assert_one_usage_line(code, capsys)
+
+
+def test_import_loads_no_scipy():
+    # scipy loads only on the paths that need it, so it stays out of set-up
+    src = str(Path(robust_recourse.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = ("import sys, robust_recourse, robust_recourse.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out.strip() == "[]"

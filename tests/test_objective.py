@@ -2,19 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_feasible_instance
 from oracles import fd_gradient, weight_robust_grid
 from robust_recourse.errors import InfeasibleMargin, ZeroAction
 from robust_recourse.model import ComponentMoments, Divergence, MixtureBelief
 from robust_recourse.objective import (
-    _chi2_eta,
     _weight_dual,
     eval_gaussian,
     eval_nonparametric,
     eval_weight_robust,
     eval_worst_component,
-    phi_conjugate,
 )
 from robust_recourse.worst_case import wc_prob_gaussian, wc_prob_nonparametric
 
@@ -110,25 +110,6 @@ class TestGradients:
             checked += 1
 
 
-class TestPhiConjugate:
-    def test_kl_values(self):
-        assert phi_conjugate(Divergence.KL, 0.0) == pytest.approx(0.0)
-        assert phi_conjugate(Divergence.KL, 1.0) == pytest.approx(math.e - 1.0)
-
-    def test_chi2_values(self):
-        assert phi_conjugate(Divergence.CHI2, 2.0) == pytest.approx(3.0)
-        assert phi_conjugate(Divergence.CHI2, -3.0) == -1.0
-        assert phi_conjugate(Divergence.CHI2, -2.0) == pytest.approx(-1.0)
-
-    def test_conjugate_inequality(self, rng):
-        # phi*(s) >= t*s - phi(t) for all t >= 0 (KL case)
-        for _ in range(50):
-            s = rng.uniform(-3, 3)
-            t = rng.uniform(0, 5)
-            phi_t = t * math.log(t) - t + 1.0 if t > 0 else 1.0
-            assert phi_conjugate(Divergence.KL, s) >= t * s - phi_t - 1e-12
-
-
 class TestWeightRobust:
     def test_zero_budget_is_nominal_exactly(self, rng):
         belief, x = random_feasible_instance(rng, 3, 3)
@@ -177,23 +158,6 @@ class TestWeightRobust:
         assert ev.inner_dual is not None
         lam, eta = ev.inner_dual
         assert lam >= 0.0
-
-    def test_bracket_perturbation_agrees(self, rng):
-        # convexity of the inner problem: perturbed outer brackets land on
-        # the same value
-        import robust_recourse.objective as obj
-
-        belief, x = random_feasible_instance(rng, 3, 3)
-        base = eval_weight_robust(x, belief, 0.25, Divergence.KL).value
-        original = (obj._LOG_LAMBDA_LO, obj._LOG_LAMBDA_HI)
-        try:
-            for shift in (-1.5, -0.7, 0.4, 0.9, 2.0):
-                obj._LOG_LAMBDA_LO = original[0] + shift
-                obj._LOG_LAMBDA_HI = original[1] + abs(shift)
-                val = eval_weight_robust(x, belief, 0.25, Divergence.KL).value
-                assert val == pytest.approx(base, abs=1e-8)
-        finally:
-            obj._LOG_LAMBDA_LO, obj._LOG_LAMBDA_HI = original
 
     def test_bracket_extends_past_initial_edge(self):
         # a tiny KL budget puts the dual minimizer at lam ~ 82.9, beyond the
@@ -261,14 +225,79 @@ class TestMonotoneInRadius:
             assert all(v2 >= v1 - 1e-12 for v1, v2 in zip(vals, vals[1:]))
 
 
-class TestChi2Eta:
-    @pytest.mark.parametrize("lam", [54.6, 8.9e6])
-    def test_rounding_below_lowest_segment_is_clamped(self, lam):
-        # sum(p) rounds to 1 - 1ulp, so 2*lam*(1 - P) pushes the lowest
-        # segment's root below f.min(); the exact root is f.min() itself
+def divergence_of(w, p, divergence):
+    if divergence is Divergence.KL:
+        nz = w > 0.0
+        return float(np.sum(w[nz] * np.log(w[nz] / p[nz])))
+    return float(np.sum((w - p) ** 2 / p))
+
+
+def dual_bound(f, p, eps, lam, eta, divergence):
+    """eta + eps*lam + lam * sum_k p_k phi*((f_k - eta)/lam): an upper bound
+    on the worst-case value for every lam > 0 and eta (weak duality), and
+    max f in the limit lam -> 0 at eta = max f."""
+    if lam == 0.0:
+        return float(f.max())
+    s = (f - eta) / lam
+    if divergence is Divergence.KL:
+        conjugate = np.expm1(s)
+    else:
+        conjugate = np.where(s >= -2.0, s + 0.25 * s * s, -1.0)
+    return eta + eps * lam + lam * float(p @ conjugate)
+
+
+@st.composite
+def dual_inputs(draw):
+    """K in 2..5, f in [0, 1], p ~ Dirichlet(1, ..., 1) as normalized
+    Exp(1) draws, eps log-uniform in [1e-6, 30]."""
+    K = draw(st.integers(2, 5))
+    f = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=K, max_size=K)))
+    u = np.array(draw(st.lists(st.floats(1e-12, 1.0, exclude_max=True),
+                               min_size=K, max_size=K)))
+    g = -np.log(u)
+    eps = 10.0 ** draw(st.floats(-6.0, math.log10(30.0)))
+    return f, g / g.sum(), eps
+
+
+class TestWeightDualCertificate:
+    @pytest.mark.parametrize("divergence", [Divergence.KL, Divergence.CHI2])
+    @given(inputs=dual_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_kkt_certificate(self, divergence, inputs):
+        f, p, eps = inputs
+        value, lam, eta, w = _weight_dual(f, p, eps, divergence)
+        assert np.all(w >= 0.0) and abs(w.sum() - 1.0) <= 1e-12
+        assert abs(value - float(w @ f)) <= 1e-12
+        D = divergence_of(w, p, divergence)
+        assert D <= eps * (1.0 + 1e-9)
+        if lam > 0.0:
+            assert abs(D / eps - 1.0) <= 1e-9
+        # the multipliers certify optimality: zero duality gap
+        assert dual_bound(f, p, eps, lam, eta, divergence) - value <= 1e-9
+
+    @pytest.mark.parametrize("divergence, eps, expected", [
+        (Divergence.CHI2, 2.0, 0.49994782196186954),
+        (Divergence.KL, 1.0, 0.4999557093914851),
+    ], ids=["chi2", "kl"])
+    def test_near_tie_with_small_lambda(self, divergence, eps, expected):
+        # the top two components nearly tie and the budget is generous, so
+        # lam* ~ 2e-4 < e^-8; expected is an SLSQP primal solve
+        f = np.array([0.5, 0.499, 0.1])
+        p = np.array([0.3, 0.5, 0.2])
+        value, lam, eta, w = _weight_dual(f, p, eps, divergence)
+        assert 0.0 < lam < math.exp(-8.0)
+        assert value == pytest.approx(expected, abs=1e-12)
+        assert abs(divergence_of(w, p, divergence) / eps - 1.0) <= 1e-9
+        assert dual_bound(f, p, eps, lam, eta, divergence) - value <= 1e-12
+
+    @pytest.mark.parametrize("eps", [1e-6, 0.1, 54.6, 8.9e6])
+    def test_all_tied_with_mass_off_by_rounding(self, eps):
+        # sum(p) rounds to 1 - 1ulp in the second order; every component
+        # ties, so the value is exactly the common f and the weights sum to
+        # 1 up to the rounding of their normalization
         f = np.array([0.3, 0.3, 0.3])
-        p = np.array([0.1, 0.2, 0.7])
-        eta = _chi2_eta(lam, f, p)
-        assert eta == 0.3
-        resid = 1.0 - float(p @ np.maximum(1.0 + (f - eta) / (2.0 * lam), 0.0))
-        assert resid == 0.0
+        for p in (np.array([0.1, 0.2, 0.7]), np.array([0.7, 0.2, 0.1])):
+            value, lam, eta, w = _weight_dual(f, p, eps, Divergence.CHI2)
+            assert value == 0.3
+            assert lam == 0.0
+            assert abs(w.sum() - 1.0) <= 2.0 * np.finfo(float).eps
