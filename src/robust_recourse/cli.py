@@ -9,6 +9,7 @@ byte-reproducible for a fixed seed.  Exit codes: 0 success, 1 usage error,
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -99,6 +100,8 @@ def _check_type(name, value, default):
             _check_type(name, item, 0 if name in ("immutable", "non_decreasing") else 0.0)
     elif not (type(value) is type(default) or (type(default), type(value)) == (float, int)):
         raise UsageError(f"config key {name} must be {type(default).__name__}, got {value!r}")
+    elif isinstance(value, float) and not math.isfinite(value):
+        raise UsageError(f"config key {name} must be finite, got {value!r}")
 
 
 def _merge(cfg: dict, user: dict, prefix: str = ""):
@@ -341,6 +344,8 @@ def _template(cfg, belief, seed) -> ProblemTemplate:
 def _cmd_synth(args):
     cfg = load_config(args.config)
     seed = args.seed if args.seed is not None else cfg["seed"]
+    if args.n_shifts < 0:
+        raise UsageError(f"--n-shifts must be >= 0, got {args.n_shifts}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     syn = cfg["synthetic"]
@@ -457,9 +462,21 @@ def _cmd_evaluate(args):
     return 0
 
 
+def _grid(flag, text):
+    """The comma-separated values of a sweep grid: finite numbers >= 0."""
+    try:
+        values = [float(v) for v in text.split(",")]
+    except ValueError as exc:
+        raise UsageError(f"{flag}: {exc}")
+    if not all(math.isfinite(v) and v >= 0 for v in values):
+        raise UsageError(f"{flag} must hold finite numbers >= 0, got {text!r}")
+    return values
+
+
 def _cmd_sweep(args):
     cfg = load_config(args.config)
     seed = args.seed if args.seed is not None else cfg["seed"]
+    deltas, rhos = _grid("--deltas", args.deltas), _grid("--rhos", args.rhos)
     belief, theta0, scaling = _belief(args)
     data = _load_data(args, args.data, scaling)
     instances, _ = _negative_instances(data, theta0, args.max_instances)
@@ -467,10 +484,6 @@ def _cmd_sweep(args):
         raise RecourseError("no negatively classified instances for the sweep")
     ensemble = _shift_ensemble(args, cfg, seed, scaling, data)
     template = _template(cfg, belief, seed)
-    deltas = [float(v) for v in args.deltas.split(",")]
-    rhos = [float(v) for v in args.rhos.split(",")]
-    if any(v < 0 for v in deltas) or any(v < 0 for v in rhos):
-        raise UsageError("sweep grids must be nonnegative")
     rows = sweep_frontier(template, instances, ensemble, deltas, rhos)
     write_frontier_csv(args.out, rows)
     print(f"wrote {len(rows)} frontier rows to {args.out}")

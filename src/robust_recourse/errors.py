@@ -53,7 +53,8 @@ class DegenerateDirection(RecourseError):
 
 
 class EmptyFeasibleSet(RecourseError):
-    """The constraint sets have empty intersection (heuristic certificate)."""
+    """The constraint sets have empty intersection (a conflicting spec, or
+    a Farkas certificate from the conic kernel)."""
 
 
 class MaxIterExceeded(RecourseError):

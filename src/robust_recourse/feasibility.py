@@ -1,4 +1,4 @@
-"""Feasible action set and Euclidean projection onto it.
+"""Feasible action set, Euclidean projection onto it, and delta_min.
 
 The feasible set intersects three kinds of convex sets around the input x0:
 
@@ -9,17 +9,14 @@ The feasible set intersects three kinds of convex sets around the input x0:
   coordinates bounded below, optional global bounds).
 
 Projection onto the intersection uses Dykstra's alternating projections
-(with correction terms, so the limit is the exact Euclidean projection, not
-just some feasible point), with a direct solve of the projection program as
-the backstop for geometries the cycles cannot resolve numerically.  Each
-margin set is projected onto by bisecting the KKT multiplier of its single
-constraint.  Per-spec invariants (cost kind, cone floats, validity checks,
-the cycle of single-set projections) are cached on the spec; the checks
-still run on every call, and the cycle does the same float operations in
-the same order.  delta_min, the smallest cost budget that keeps the
-intersection nonempty, is the c-distance from x0 to the margin-and-bounds
-set: one run of the same program, with the cost as objective, started at
-x0.
+(with correction terms, so the limit is the exact Euclidean projection),
+each margin set projected onto by bisecting the KKT multiplier of its
+single constraint; per-spec invariants are cached on the spec.  Both
+auxiliary problems are small second-order cone programs, solved by one
+batched NumPy interior-point kernel (_cone_lp): the distance program behind
+delta_min, the smallest budget that keeps the set nonempty, and the
+projection program, the backstop where the cycles run out.  An empty set
+comes back from the kernel as a Farkas certificate.
 """
 
 import math
@@ -32,6 +29,7 @@ from .errors import (
     DegenerateDirection,
     EmptyFeasibleSet,
     MaxIterExceeded,
+    RecourseError,
     Unattainable,
 )
 from .model import Cost, RecourseProblem
@@ -233,228 +231,372 @@ def _cost_ball(xp: np.ndarray, x0: np.ndarray, delta: float, l1: bool) -> np.nda
 # --- intersection projection --------------------------------------------------
 
 
-def _polish(x, spec: FeasibleSetSpec, passes: int = 60):
-    """Cyclic projections over every set of spec (the cost ball only if spec
-    has one) until the point is feasible to near machine precision; None if
-    the violations persist."""
-    for _ in range(passes):
-        if is_feasible(x, spec, 1e-12):
-            return x
-        for project, args in spec.cycle:
-            x = project(x, *args)
-    return x if is_feasible(x, spec, 1e-10) else None
-
-
-def _program(spec: FeasibleSetSpec, start, target=None):
-    """Solve a smooth reformulation over the feasible set of spec with SLSQP
-    from a warm start; returns the solution polished into the set, or None.
-
-    With a target the objective is 0.5*||y - target||^2, the projection
-    program.  Without one it is the cost c(y, x0); the l2 cost minimum is
-    the projection of x0.  An l1 cost, as objective or as ball, is lifted
-    to variables (y, t) with t >= |y - x0| componentwise.
-
-    As projection it is the backstop for the rare geometries where the
-    alternating projections stall: lens-shaped sets thinner than their
-    correction terms can resolve, and positive gaps whose cycle fixed point
-    converges slowly.
-    """
-    from scipy import optimize
-
-    x0 = spec.x0
-    d = x0.size
-    thetas, radii, margin = spec.thetas, spec.radii, spec.margin
-    l1 = spec.l1
-    if target is None and not l1:
-        target = x0
-    lifted = l1 and (target is None or spec.delta is not None)
-
-    def slack_fn(v):
-        y = v[:d]
-        return thetas @ y - radii * math.sqrt(float(y @ y)) - margin
-
-    def slack_jac(v):
-        y = v[:d]
-        ny = math.sqrt(float(y @ y))
-        jac = thetas.copy() if ny == 0.0 else thetas - np.outer(radii, y / ny)
-        return np.hstack([jac, np.zeros_like(thetas)]) if lifted else jac
-
-    def obj(v):
-        if target is None:
-            return float(v[d:].sum())
-        return 0.5 * float(np.sum((v[:d] - target) ** 2))
-
-    def obj_jac(v):
-        g = np.zeros(v.size)
-        if target is None:
-            g[d:] = 1.0
-        else:
-            g[:d] = v[:d] - target
-        return g
-
-    margin_con = {"type": "ineq", "fun": slack_fn, "jac": slack_jac}
-    if lifted:
-        # rows encode t >= y - x0 and t >= x0 - y as A_abs @ (y, t) >= b_abs
-        A_abs = np.block([[-np.eye(d), np.eye(d)], [np.eye(d), np.eye(d)]])
-        b_abs = np.concatenate([-x0, x0])
-        constraints = [
-            {"type": "ineq", "fun": lambda v: A_abs @ v - b_abs, "jac": lambda v: A_abs}
-        ]
-        if spec.delta is not None:
-            delta = float(spec.delta)
-            a_sum = np.concatenate([np.zeros(d), -np.ones(d)])
-            constraints.append(
-                {"type": "ineq", "fun": lambda v: delta + float(a_sum @ v), "jac": lambda v: a_sum}
-            )
-        constraints.append(margin_con)
-        v0 = np.concatenate([start, np.abs(start - x0) + 1e-12])
-        bounds = optimize.Bounds(
-            np.concatenate([spec.lower, np.zeros(d)]),
-            np.concatenate([spec.upper, np.full(d, np.inf)]),
-        )
-    else:
-        constraints = [margin_con]
-        if spec.delta is not None:
-            delta = float(spec.delta)
-            constraints.append(
-                {
-                    "type": "ineq",
-                    "fun": lambda y: delta**2 - float(np.sum((y - x0) ** 2)),
-                    "jac": lambda y: -2.0 * (y - x0),
-                }
-            )
-        v0 = start
-        bounds = optimize.Bounds(spec.lower, spec.upper)
-    res = optimize.minimize(
-        obj,
-        v0,
-        jac=obj_jac,
-        bounds=bounds,
-        constraints=constraints,
-        method="SLSQP",
-        options={"maxiter": 500, "ftol": 1e-14},
-    )
-    return _polish(np.clip(res.x[:d], spec.lower, spec.upper), spec)
-
-
 def dykstra(xp, spec: FeasibleSetSpec, max_iter: int, tol: float):
     """Dykstra's alternating projections of xp onto the full intersection:
     (x, None) once a full cycle moves the iterate by less than tol and x
-    passes is_feasible at 10*tol, else (last iterate, the error that
-    stopped the cycles).
+    passes is_feasible at 10*tol, else (last iterate, MaxIterExceeded).
 
     Cycles over the cost ball, each margin cone and the actionability box,
-    carrying one correction term per set.  An empty intersection is
-    reported heuristically, as EmptyFeasibleSet: the iterate and the
-    corrections both stall while the iterate stays infeasible.  With a
-    positive gap the corrections grow without end and the cycles run out
-    instead, as MaxIterExceeded.  The defects of spec raise at once.
+    carrying one correction term per set.  An empty intersection, or one
+    too thin for the cycles to resolve, runs out of cycles; the conic
+    kernel behind project_feasible tells the two apart.  The defects of
+    spec raise at once.
     """
     if spec.defect:
         raise spec.defect()
     x = np.array(xp, dtype=float)
     cycle = spec.cycle
-    # one correction row per set, in cycle order
-    corrections = np.zeros((len(cycle), x.size))
-    rows = list(corrections)
-    held = None
+    corrections = [np.zeros(x.size) for _ in cycle]  # one per set, in cycle order
     check_tol = tol
     for _ in range(max_iter):
         x_start = x
-        for (project, args), correction in zip(cycle, rows):
+        for (project, args), correction in zip(cycle, corrections):
             z = x + correction
             x = project(z, *args)
             np.subtract(z, x, out=correction)
         dv = x - x_start
-        disp = math.sqrt(float(dv @ dv))
-        if disp < check_tol:
+        if math.sqrt(float(dv @ dv)) < check_tol:
             if is_feasible(x, spec, 10.0 * tol):
                 return x, None
-            # small motion alone does not certify a gap: tighten and keep
-            # cycling until the iterate either turns feasible or pins the
-            # infeasibility at a genuinely stalled point; a far-away input
-            # can hold the iterate still for thousands of cycles while the
-            # corrections rebalance
-            if check_tol <= 1e-13:
-                if held is not None and float(np.abs(corrections - held).max()) < check_tol:
-                    return x, EmptyFeasibleSet(
-                        f"projection stalled at an infeasible point (residual motion {disp:.2e})"
-                    )
-                held = corrections.copy()
+            # small motion alone does not mean convergence: a far-away
+            # input can hold the iterate still for thousands of cycles
+            # while the corrections rebalance; ask for less motion
             check_tol = max(check_tol / 10.0, 1e-13)
     return x, MaxIterExceeded(f"Dykstra did not converge in {max_iter} cycles")
+
+
+# --- conic kernel --------------------------------------------------------------
+
+# per-row outcomes of _cone_lp; its tolerances, relative to the problem's
+# scale: the target, and the merit a row that stops improving must have
+# reached to count as solved; its iteration cap
+SOLVED, INFEASIBLE, FAILED = 0, 1, 2
+CONE_TOL, CONE_ACCEPT, CONE_MAX_ITER = 1e-12, 1e-9, 100
+
+
+def _mv(A, v):
+    """A @ v_i for each row v_i of v, one product per row (A shared or per
+    row), so that no row's result depends on the other rows."""
+    return np.matmul(A, v[..., None])[..., 0]
+
+
+def _solve(A, b):
+    """A_i^-1 b_i per row.  Near the optimum W^-2 spans many orders of
+    magnitude and LU can meet an exact zero pivot: that row gets NaN and
+    stops, not an error for the whole block."""
+    try:
+        return np.linalg.solve(A, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        if len(A) == 1:
+            return np.full(b.shape, np.nan)
+        return np.concatenate([_solve(A[i : i + 1], b[i : i + 1]) for i in range(len(A))])
+
+
+class _Cones:
+    """A product of second-order cones {u : u0 >= |u1|} along axis 1 of
+    (N, m) arrays, one cone per run of rows; a 1-row cone is the orthant.
+    J = diag(1, -I) and e = (1, 0), the Jordan identity, per cone;
+    per-cone values are (N, cones) arrays."""
+
+    def __init__(self, sizes):
+        self.heads = np.cumsum(sizes) - sizes
+        self.of_row = np.repeat(np.arange(len(sizes)), sizes)
+        self.e = np.zeros(self.of_row.size)
+        self.e[self.heads] = 1.0
+        self.J = 2.0 * self.e - 1.0
+        self.same = self.of_row[:, None] == self.of_row  # pairs of rows of one cone
+        self.Jm = np.diag(self.J)
+
+    def sum(self, u):
+        return np.add.reduceat(u, self.heads, axis=1)
+
+    def at(self, a):
+        """Per-cone values onto the cone's rows."""
+        return a[:, self.of_row]
+
+    def norm(self, u):
+        """sqrt(u0^2 - |u1|^2), factored to stay accurate near the boundary."""
+        r, u0 = np.sqrt(self.sum((1.0 - self.e) * u * u)), u[:, self.heads]
+        return np.sqrt((u0 - r) * (u0 + r))
+
+    def prod(self, u, v):
+        """Jordan product u o v = (u.v, u0*v1 + v0*u1)."""
+        out = self.at(u[:, self.heads]) * v + self.at(v[:, self.heads]) * u
+        out[:, self.heads] = self.sum(u * v)
+        return out
+
+    def solve(self, lam, ln, d):
+        """w with lam o w = d, for lam inside the cone and ln = norm(lam)."""
+        w0 = self.sum(self.J * lam * d) / (ln * ln)
+        out = (d - self.at(w0) * lam) / self.at(lam[:, self.heads])
+        out[:, self.heads] = w0
+        return out
+
+    def max_step(self, lb, ln, d):
+        """Largest a with lam + a*d in every cone (inf if none binds), for
+        ln = norm(lam) and lb = lam/ln, through the automorphism that takes
+        lam to e (as in ECOS)."""
+        t = self.sum(self.J * lb * d)
+        r = (1.0 - self.e) * (d - self.at((t + d[:, self.heads]) / (lb[:, self.heads] + 1.0)) * lb)
+        sigma = (np.sqrt(self.sum(r * r)) - t) / ln
+        return np.where(sigma > 0.0, 1.0 / sigma, np.inf).min(1)
+
+    def nt_inverse(self, s, z):
+        """W^-1, (N, m, m), for the Nesterov-Todd scaling W: symmetric,
+        cone-wise and W z = W^-1 s (Nesterov & Todd, Math. Oper. Res. 1997),
+        and norm(W z) = sqrt(norm(s) norm(z)).  Per cone W = beta*(2 v v^T -
+        J), W^-1 = (2 Jv (Jv)^T - J)/beta, beta and v as in CVXOPT's coneqp."""
+        sn, zn = self.norm(s), self.norm(z)
+        sb, zb = s / self.at(sn), z / self.at(zn)
+        w = (sb + self.J * zb) / self.at(np.sqrt(2.0 * (1.0 + self.sum(sb * zb))))
+        u = self.J * (w + self.e) / self.at(np.sqrt(2.0 * (w[:, self.heads] + 1.0)))
+        Wi = (2.0 * u[:, :, None] * u[:, None, :] * self.same - self.Jm) / self.at(
+            np.sqrt(sn / zn))[..., None]
+        return Wi, np.sqrt(sn * zn)
+
+
+def _cone_lp(c, G, H, sizes):
+    """min c.v  s.t.  G v + s = h,  s in K, for every row h of H in lock
+    step, K the product of second-order cones of the given sizes.
+
+    The homogeneous self-dual embedding of ECOS (Domahidi, Chu & Boyd, ECC
+    2013), with Nesterov-Todd scaling and a Mehrotra predictor-corrector;
+    each Newton system reduces to the normal equations G^T W^-2 G.  Every
+    operation is row-wise and each row stops on its own criteria, so its
+    answer is the same alone and in a block.
+
+    A row's merit is the largest of its residuals, relative to |h| and
+    |c|, and of its gap, relative to the objective.  Per row: SOLVED with V
+    the iterate of least merit, once the merit reaches tol, or reaches
+    accept and then stops falling (rounding floors it near the optimum);
+    INFEASIBLE with Z a Farkas certificate, Z in K, h.Z = -1 and
+    |G^T Z| |h| <= tol |c|, or accept once the merit stops falling; else
+    FAILED.  tol, accept and the iteration cap are CONE_TOL, CONE_ACCEPT
+    and CONE_MAX_ITER.  Returns (status, V, Z).
+    """
+    K = _Cones(sizes)
+    N, m = H.shape
+    cn, hn = math.sqrt(float(c @ c)) or 1.0, np.sqrt((H * H).sum(-1))
+    # the embedding's center: x = 0, s = z = e, tau = kappa = 1
+    x, s, z = np.zeros((N, c.size)), np.tile(K.e, (N, 1)), np.tile(K.e, (N, 1))
+    tau, kappa = np.ones(N), np.ones(N)
+    status, best = np.full(N, FAILED), np.full(N, np.inf)
+    V, Z = np.zeros((N, c.size)), np.zeros((N, m))
+    rows, stale = np.arange(N), np.zeros(N, int)
+    with np.errstate(all="ignore"):
+        for _ in range(CONE_MAX_ITER):
+            GTz = _mv(G.T, z)
+            rx, rz = GTz + c * tau[:, None], _mv(G, x) + s - H * tau[:, None]
+            cx, hz, gap = (x * c).sum(-1), (H * z).sum(-1), (s * z).sum(-1)
+            rt = kappa + cx + hz
+            merit = np.maximum.reduce([
+                np.sqrt((rz * rz).sum(-1)) / (hn * tau), np.sqrt((rx * rx).sum(-1)) / (cn * tau),
+                gap / (tau * np.maximum.reduce([abs(cx), abs(hz), 1e-3 * hn * tau]))])
+            improved = merit < best[rows]
+            best[rows[improved]] = merit[improved]
+            V[rows[improved]] = x[improved] / tau[improved, None]
+            stale = np.where(improved, 0, stale + 1)
+            # the certificate's residual |G^T z| / -h.z, relative to |c| / |h|: a
+            # feasible program keeps it near |h| / p*, p* its optimal value
+            farkas = np.where(hz < 0.0, np.sqrt((GTz * GTz).sum(-1)) * hn / (cn * -hz), np.inf)
+            infeasible = (farkas <= CONE_TOL) | ((farkas <= CONE_ACCEPT) & (stale >= 3))
+            Z[rows[infeasible]] = z[infeasible] / -hz[infeasible, None]
+            status[rows[infeasible]] = INFEASIBLE
+            done = ((merit <= CONE_TOL) | infeasible | ~np.isfinite(merit + tau)
+                    | ((best[rows] <= CONE_ACCEPT) & (stale >= 3)))
+            if done.all():
+                break
+            if done.any():
+                rows, stale, x, s, z, tau, kappa, H, hn, rx, rz, rt, gap = (
+                    a[~done] for a in (rows, stale, x, s, z, tau, kappa, H, hn, rx, rz, rt, gap))
+            mu = (gap + tau * kappa) / (K.heads.size + 1)
+
+            Wi, ln = K.nt_inverse(s, z)
+            lam = _mv(Wi, s)  # = W z
+            lb = lam / K.at(ln)
+            lb2, ln2 = np.concatenate([lb, lb]), np.concatenate([ln, ln])
+            WiG = np.matmul(Wi, G)
+            WiGT = WiG.transpose(0, 2, 1)
+            normal = np.matmul(WiGT, WiG)
+            hw, rzw = _mv(Wi, H), _mv(Wi, rz)
+            x2 = _solve(normal, _mv(WiGT, hw) - c)
+            z2 = _mv(WiG, x2) - hw
+            den = (x2 * c).sum(-1) + (hw * z2).sum(-1) - kappa / tau
+
+            def direction(eta, q, dk):
+                """The Newton step for residuals scaled by eta and the targets
+                W dz + W^-1 ds = q, kappa*dtau + tau*dkappa = dk: (dx, W^-1 ds,
+                W dz, dtau, dkappa, the step to the boundary)."""
+                r = -eta[:, None] * rzw - q
+                x1 = _solve(normal, _mv(WiGT, r) - eta[:, None] * rx)
+                z1 = _mv(WiG, x1) - r
+                dtau = (-eta * rt - dk / tau - (x1 * c).sum(-1) - (hw * z1).sum(-1)) / den
+                dz = z1 + z2 * dtau[:, None]
+                dkappa = (dk - kappa * dtau) / tau
+                to_cone = K.max_step(lb2, ln2, np.concatenate([q - dz, dz])).reshape(2, -1)
+                step = np.minimum.reduce([*to_cone, np.where(dtau < 0.0, -tau / dtau, np.inf),
+                                          np.where(dkappa < 0.0, -kappa / dkappa, np.inf)])
+                return x1 + x2 * dtau[:, None], q - dz, dz, dtau, dkappa, step
+
+            # predictor: the affine step, lam o (W dz + W^-1 ds) = -lam o lam,
+            # whose length sets the centering; corrector: centered, plus the
+            # predictor's second-order term
+            _, ds, dz, dtau, dkappa, step = direction(np.ones(len(rows)), -lam, -tau * kappa)
+            sigma = (1.0 - np.minimum(1.0, step)) ** 3
+            eta = 1.0 - sigma
+            dx, _, dz, dtau, dkappa, step = direction(
+                eta, K.solve(lam, ln, (sigma * mu)[:, None] * K.e - K.prod(ds, dz)) - lam,
+                -tau * kappa + sigma * mu - dtau * dkappa)
+            alpha = np.minimum(1.0, 0.99 * step)
+            a = alpha[:, None]
+            # the slack moves by the linearized residual: G dx + ds - h dtau = -eta rz
+            s = s + a * (H * dtau[:, None] - _mv(G, dx) - eta[:, None] * rz)
+            x, z = x + a * dx, z + a * _mv(Wi, dz)
+            tau, kappa = tau + alpha * dtau, kappa + alpha * dkappa
+    status[(status != INFEASIBLE) & (best <= CONE_ACCEPT)] = SOLVED
+    return status, V, Z
+
+
+# --- the package's conic programs ----------------------------------------------
+
+
+def _structure(spec: FeasibleSetSpec) -> tuple:
+    """What the G of spec's conic programs depends on."""
+    return (spec.l1, spec.delta is None, spec.thetas.shape, spec.thetas.tobytes(),
+            spec.radii.tobytes(), (spec.lower == spec.upper).tobytes(),
+            np.isfinite(spec.lower).tobytes(), np.isfinite(spec.upper).tobytes())
+
+
+def _conic_program(specs, targets=None):
+    """(c, G, H, cone sizes, points) of each spec's distance program
+    (targets None) or of its projection program for targets[i]; the specs
+    share _structure, hence c and G.  The variables are the free
+    coordinates y; pinned ones (the bias, immutables, lower == upper) enter
+    h as constants.
+
+    Rows: each margin as the cone (theta_k.x - margin, rho_k*x), one row
+    when rho_k = 0; each finite bound.  The distance program minimizes the
+    cost from x0, l1 as sum(t) with t >= +-(y - x0), l2 as t over the cone
+    (t, x - x0).  The projection program minimizes t over (t, x - target)
+    within the cost ball: the cone (delta, x - x0), or for l1 t' >= +-(y -
+    x0) with sum(t') <= delta less the pinned coordinates' cost.  points
+    maps solutions to points x, clipped to the bounds.
+    """
+    s0, N = specs[0], len(specs)
+    d, pinned = s0.x0.size, s0.lower == s0.upper
+    free = np.flatnonzero(~pinned)
+    nf = free.size
+    X0, lower, upper = (np.array([getattr(s, a) for s in specs]) for a in ("x0", "lower", "upper"))
+    base = np.where(pinned, lower, 0.0)  # x = base + Y v
+    ball = targets is not None and s0.delta is not None
+    l1_cost, l1_ball = targets is None and s0.l1, ball and s0.l1
+    n = nf + (nf if l1_cost else 1) + (nf if l1_ball else 0)
+    c = np.zeros(n)
+    c[nf : 2 * nf if l1_cost else nf + 1] = 1.0
+    Y = np.zeros((d, n))
+    Y[free, np.arange(nf)] = 1.0
+    rows, cones = [], []  # (G, H) of 1-row cones and of (1 + d)-row cones
+
+    def lift(col, a):  # t_j >= |y_j - a_j| for the t_j in columns col, col + 1, ...
+        T = np.eye(n)[col : col + nf]
+        rows.extend([(Y[free] - T, a[:, free]), (-Y[free] - T, -a[:, free])])
+
+    def cone(head_g, head_h, scale, a):  # (head, scale*(x - a))
+        cones.append((np.vstack([head_g, -scale * Y]),
+                      np.hstack([head_h[:, None], scale * (base - a)])))
+
+    if l1_cost:
+        lift(nf, X0)
+    else:
+        cone(-np.eye(n)[nf], np.zeros(N), 1.0, X0 if targets is None else targets)
+    delta = np.array([s.delta for s in specs]) if ball else None
+    margin = np.array([s.margin for s in specs])
+    if l1_ball:
+        lift(nf + 1, X0)
+        pinned_cost = np.abs(base - X0)[:, pinned].sum(-1)
+        rows.append(((np.arange(n) > nf)[None] * 1.0, (delta - pinned_cost)[:, None]))
+    elif ball:
+        cone(np.zeros(n), delta, 1.0, X0)
+    for theta, rho in zip(s0.thetas, s0.radii.tolist()):
+        g, h = -(theta @ Y), (base * theta).sum(-1) - margin
+        if rho == 0.0:
+            rows.append((g[None], h[:, None]))
+        else:
+            cone(g, h, rho, np.zeros(d))
+    lo, hi = free[np.isfinite(s0.lower[free])], free[np.isfinite(s0.upper[free])]
+    rows.extend([(-Y[lo], -lower[:, lo]), (Y[hi], upper[:, hi])])
+    G, H = (np.concatenate([b[i] for b in rows + cones], i) for i in (0, 1))
+
+    def points(V):
+        X = base.copy()
+        X[:, free] = V[:, :nf]
+        return np.clip(X, lower, upper)
+
+    return c, G, H, [1] * sum(len(g) for g, _ in rows) + [d + 1] * len(cones), points
 
 
 def project_feasible(
     xp, spec: FeasibleSetSpec, max_iter: int = 500, tol: float = 1e-8
 ) -> np.ndarray:
     """Euclidean projection of xp onto the full intersection: the dykstra
-    cycles, with the projection program as backstop when they stall or
-    run out.  The descent's start runs the cycles alone, under a small
-    cycle budget (see optimizer.solve)."""
+    cycles, and where they run out the projection program in the conic
+    kernel, which answers or certifies the set empty (EmptyFeasibleSet).
+    The descent's start runs the cycles alone (see optimizer.solve)."""
     x, failure = dykstra(xp, spec, max_iter, tol)
     if failure is None:
         return x
-    direct = _program(spec, x, target=xp)
-    if direct is not None:
-        return direct
-    _raise_empty_if_budget_short(spec, tol)
-    raise failure
+    c, G, H, sizes, points = _conic_program([spec], np.asarray(xp, dtype=float)[None])
+    status, V, _ = _cone_lp(c, G, H, sizes)
+    if status[0] == INFEASIBLE:
+        raise EmptyFeasibleSet("the projection program has a Farkas certificate: no feasible point")
+    if status[0] == FAILED:
+        raise failure
+    return points(V)[0]
 
 
-def _raise_empty_if_budget_short(spec: FeasibleSetSpec, tol: float):
-    """After both the cycles and the direct program failed, certify
-    emptiness when the cheapest margin-feasible point costs more than the
-    budget allows."""
-    if spec.delta is None:
-        return
-    try:
-        cheapest = min_cost_point(spec)
-    except (Unattainable, DegenerateDirection):
-        raise EmptyFeasibleSet("margin constraints admit no point at all")
-    if cheapest is not None and cheapest[1] > spec.delta + 10.0 * tol:
-        raise EmptyFeasibleSet(
-            f"budget {spec.delta:.6g} is below the cheapest feasible cost {cheapest[1]:.6g}"
-        )
-
-
-def min_cost_point(spec: FeasibleSetSpec, proj_tol: float = 1e-8):
-    """Cheapest point of the margin-and-bounds set: (x, cost), or None when
-    the distance program fails to certify a feasible minimizer.
-
-    The program starts at x0.  The returned point is polished to satisfy
-    the margins essentially exactly, so its cost is a genuine upper bound
-    on the minimum; a first-order point that is slightly outside could
-    otherwise understate the budget badly when the margin boundary is
-    sharp."""
-    spec = spec.without_delta()
-    if spec.empty_margin_sets():
-        raise Unattainable("some ambiguity radius is at least the direction norm")
-    if is_feasible(spec.x0, spec, proj_tol):
-        return spec.x0.copy(), 0.0
-    if spec.defect:
-        raise spec.defect()
-    x = _program(spec, spec.x0)
-    if x is None:
-        return None
-    return x, cost_of(x, spec.x0, spec.cost)
+def min_cost_point(specs, proj_tol: float = 1e-8) -> list:
+    """delta_min of many specs at once: per spec, (delta_min, the cheapest
+    point) or the RecourseError delta_min raises for it.  The distance
+    programs of specs that share G (those of one ProblemTemplate do) run
+    in one _cone_lp call; a row's answer is the same alone and in a block."""
+    out, blocks = [None] * len(specs), {}
+    for i, spec in enumerate(specs):
+        spec = spec.without_delta()
+        if spec.empty_margin_sets():
+            out[i] = Unattainable("some ambiguity radius is at least the direction norm")
+        elif is_feasible(spec.x0, spec, proj_tol):
+            out[i] = (0.0, spec.x0.copy())
+        elif spec.defect:
+            out[i] = spec.defect()
+        else:
+            blocks.setdefault(_structure(spec), []).append(i)
+    for rows in blocks.values():
+        c, G, H, sizes, points = _conic_program([specs[i] for i in rows])
+        status, V, _ = _cone_lp(c, G, H, sizes)
+        for i, st, x in zip(rows, status, points(V)):
+            cost = cost_of(x, specs[i].x0, specs[i].cost)
+            if st == INFEASIBLE:
+                out[i] = Unattainable("the margin-and-bounds set is empty (Farkas certificate)")
+            elif st == FAILED:
+                out[i] = Unattainable("the distance program did not converge")
+            elif cost > 2.0**10:
+                out[i] = Unattainable(f"cheapest budget {cost:.3g} exceeds the cap 2**10")
+            else:
+                out[i] = (cost, x)
+    return out
 
 
 def delta_min(spec: FeasibleSetSpec, proj_tol: float = 1e-8, with_point: bool = False):
     """Smallest cost budget for which the feasible set is nonempty; with
-    with_point, the pair (delta_min, the cheapest point found).
+    with_point, the pair (delta_min, the cheapest point): the cost
+    distance from x0 to the margin-and-bounds set M, by the distance
+    program in the conic kernel (min_cost_point of this one spec).
 
-    The margin constraints and bounds form a closed convex set M;
-    delta_min is the c-distance from x0 to M, solved by one SLSQP run of
-    the distance program started at x0 (smooth reformulation; M is convex,
-    so the first-order point is the global minimum).  Raises Unattainable
-    when some margin set is empty, when the distance program certifies no
-    point of M, or when the distance exceeds the cap 2**10.
+    Raises Unattainable when some margin set is empty, when the kernel
+    certifies M empty or does not converge, or when the distance exceeds
+    the cap 2**10, and DegenerateDirection for a zero direction.
     """
-    best = min_cost_point(spec, proj_tol=proj_tol)
-    if best is None:
-        raise Unattainable("the distance program found no point of the margin-and-bounds set")
-    if best[1] > 2.0**10:
-        raise Unattainable(f"cheapest budget {best[1]:.3g} exceeds the cap 2**10")
-    dmin = float(max(best[1], 0.0))
-    return (dmin, best[0]) if with_point else dmin
+    best = min_cost_point([spec], proj_tol)[0]
+    if isinstance(best, RecourseError):
+        raise best
+    return best if with_point else best[0]

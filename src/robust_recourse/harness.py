@@ -205,6 +205,8 @@ def load_csv(path, label_column: str, normalize: bool = False):
                 lab = float(row[label_idx])
             except ValueError as exc:
                 raise NonNumeric(f"{path}:{line_no}: label: {exc}")
+            if not math.isfinite(lab):
+                raise NonNumeric(f"{path}:{line_no}: label {row[label_idx]!r} is not finite")
             rows.append(values)
             labels.append(1 if lab > 0.5 else 0)
     X = np.array(rows, dtype=float)
@@ -359,14 +361,17 @@ def _describe(exc: RecourseError) -> str:
 
 def _delta_mins(template: ProblemTemplate, instances) -> list:
     """Per instance, (delta_min, the cheapest point) or the stringified
-    failure."""
-    out = []
-    for x0 in instances:
+    failure; the distance programs run as one block (fz.min_cost_point)."""
+    out = [None] * len(instances)
+    specs, rows = [], []
+    for i, x0 in enumerate(instances):
         try:
-            spec = fz.FeasibleSetSpec.from_problem(template.problem_for(x0, 0.0))
-            out.append(fz.delta_min(spec, proj_tol=template.config.proj_tol, with_point=True))
+            specs.append(fz.FeasibleSetSpec.from_problem(template.problem_for(x0, 0.0)))
+            rows.append(i)
         except RecourseError as exc:
-            out.append(_describe(exc))
+            out[i] = _describe(exc)
+    for i, best in zip(rows, fz.min_cost_point(specs, template.config.proj_tol)):
+        out[i] = _describe(best) if isinstance(best, RecourseError) else best
     return out
 
 

@@ -257,11 +257,11 @@ class RecourseProblem:
         object.__setattr__(self, "cost", Cost(self.cost))
         object.__setattr__(self, "mode", Mode(self.mode))
         object.__setattr__(self, "divergence", Divergence(self.divergence))
-        if self.delta < 0.0:
+        if not self.delta >= 0.0:
             raise BadBudget(f"delta must be >= 0, got {self.delta}")
         if not self.margin > 0.0:
             raise BadBudget(f"margin must be > 0, got {self.margin}")
-        if self.weight_budget < 0.0:
+        if not self.weight_budget >= 0.0:
             raise BadBudget(f"weight budget must be >= 0, got {self.weight_budget}")
         # pin the bias coordinate so cost and projections never move it
         object.__setattr__(

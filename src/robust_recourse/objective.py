@@ -110,7 +110,10 @@ def _kl_weights(h: np.ndarray, p: np.ndarray, eps: float):
         z = float(e.sum())
         w = e / z
         mean = float(w @ h)
-        excess = beta * mean - math.log(z / total) - eps  # KL(w||p) - eps
+        # KL(w||p) - eps, term by term: the closed form beta*mean - log(z/total)
+        # cancels to below its own rounding when eps is tiny
+        nz = w > 0.0
+        excess = float(w[nz] @ np.log(w[nz] * total / p[nz])) - eps
         lo, hi = (beta, hi) if excess < 0.0 else (lo, beta)
         slope = beta * float(w @ (h - mean) ** 2)
         step = beta - excess / slope if slope > 0.0 else math.nan

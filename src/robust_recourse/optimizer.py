@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import feasibility as fz
-from .errors import BudgetTooSmall, InfeasibleMargin, Unattainable
+from .errors import BudgetTooSmall, InfeasibleMargin
 from .model import (
     FeatureVector,
     Mode,
@@ -194,10 +194,7 @@ def pgd_minimize(fn, proj, config: SolverConfig, x_start, callback=None, *, budg
 def _cheapest(spec, cheapest, config: SolverConfig):
     """cheapest, or else the point of the distance program."""
     if cheapest is None:
-        best = fz.min_cost_point(spec, proj_tol=config.proj_tol)
-        if best is None:
-            raise Unattainable("the distance program found no point of the margin-and-bounds set")
-        cheapest = best[0]
+        cheapest = fz.delta_min(spec, proj_tol=config.proj_tol, with_point=True)[1]
     return cheapest
 
 

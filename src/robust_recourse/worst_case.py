@@ -14,8 +14,8 @@ Two ambiguity regimes are supported:
 * gaussian: only Gaussian distributions with such moments.
 
 Both worst-case probabilities follow from inverting the corresponding
-worst-case value-at-risk curve in the risk level beta; the VaR curves are
-exposed too since they double as test oracles.  closed_form is the one copy
+worst-case value-at-risk curve in the risk level beta (the curves live with
+the test oracles).  closed_form is the one copy
 of the formulas from (a, b, c) to value and partials; the objectives apply
 the chain rule to it.
 """
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BetaOutOfRange, ZeroAction
+from .errors import ZeroAction
 from .model import ComponentMoments
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
@@ -37,8 +37,6 @@ __all__ = [
     "closed_form",
     "prob_nonparametric",
     "prob_gaussian",
-    "var_nonparametric",
-    "var_gaussian",
     "wc_prob_nonparametric",
     "wc_prob_gaussian",
 ]
@@ -141,34 +139,6 @@ def prob_gaussian(t: ABCTriple):
     if t.a + t.c >= 0.0:
         return AT_OR_ABOVE_HALF
     return closed_form(t.a, t.b, t.c, gaussian=True)[0]
-
-
-def var_nonparametric(t: ABCTriple, beta: float) -> float:
-    """Worst-case value-at-risk at level beta over the moment ball:
-
-        a + sqrt((1 - beta)/beta) * b + c / sqrt(beta).
-    """
-    if not 0.0 < beta < 1.0:
-        raise BetaOutOfRange(f"beta must lie in (0, 1), got {beta}")
-    return t.a + math.sqrt((1.0 - beta) / beta) * t.b + t.c / math.sqrt(beta)
-
-
-def var_gaussian(t: ABCTriple, beta: float) -> float:
-    """Worst-case value-at-risk at level beta over the Gaussian ball:
-
-        a + z*b + c*sqrt(1 + z^2),  z = Phi^{-1}(1 - beta).
-
-    Only valid for beta in (0, 1/2]; beyond 1/2 the underlying problem
-    becomes non-convex and is rejected.
-    """
-    if not 0.0 < beta <= 0.5:
-        raise BetaOutOfRange(f"beta must lie in (0, 0.5], got {beta}")
-    # deferred: the objectives import this module, and scipy.special would
-    # otherwise load with them on every CLI command
-    from scipy.special import ndtri  # Phi^{-1}, erf-based
-
-    z = float(ndtri(1.0 - beta))
-    return t.a + z * t.b + t.c * math.sqrt(1.0 + z * z)
 
 
 def _triple_checked(x, comp: ComponentMoments) -> ABCTriple:

@@ -1,17 +1,43 @@
 """Independent brute-force oracles used by the unit and acceptance tests.
 
 Everything here recomputes expected values by a route different from the
-library code: root bisection on the value-at-risk curves, dense grid
-search for projections and minimum budgets, and simplex enumeration for
-the weight-robust objective.
+library code: the worst-case value-at-risk curves and root bisection on
+them, dense grid search for projections and minimum budgets, and simplex
+enumeration for the weight-robust objective.
 """
 
 import math
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
+from robust_recourse.errors import BetaOutOfRange
 from robust_recourse.model import Cost
+
+
+def var_nonparametric(t, beta):
+    """Worst-case value-at-risk at level beta over the moment ball, for
+    the triple t = (a, b, c):
+
+        a + sqrt((1 - beta)/beta) * b + c / sqrt(beta).
+    """
+    if not 0.0 < beta < 1.0:
+        raise BetaOutOfRange(f"beta must lie in (0, 1), got {beta}")
+    return t.a + math.sqrt((1.0 - beta) / beta) * t.b + t.c / math.sqrt(beta)
+
+
+def var_gaussian(t, beta):
+    """Worst-case value-at-risk at level beta over the Gaussian ball:
+
+        a + z*b + c*sqrt(1 + z^2),  z = Phi^{-1}(1 - beta).
+
+    Only valid for beta in (0, 1/2]; beyond 1/2 the underlying problem
+    becomes non-convex and is rejected.
+    """
+    if not 0.0 < beta <= 0.5:
+        raise BetaOutOfRange(f"beta must lie in (0, 0.5], got {beta}")
+    z = float(ndtri(1.0 - beta))
+    return t.a + z * t.b + t.c * math.sqrt(1.0 + z * z)
 
 
 def wc_prob_nonparametric_bisect(a, b, c, iters=100):

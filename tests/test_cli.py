@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import robust_recourse
 from robust_recourse.cli import cli_main
@@ -198,6 +202,9 @@ class TestBadValues:
             {"m2": {"trials": "x"}}, {"max_iter": True}, {"delta_add": False},
             {"immutable": [0.5]}, {"rho": 0.1}, {"rho": ["x"]},
             {"synthetic": {"mu0": [1.0, "x"]}}, {"bootstrap": 3}, {"mode": 1},
+            # JSON NaN and Infinity, which Python's json reads as floats
+            {"delta_add": float("nan")}, {"margin": float("inf")},
+            {"rho": [0.1, -float("inf")]}, {"m2": {"subsample": float("nan")}},
         ],
     )
     def test_bad_config_value_exits_1(self, workdir, capsys, user_cfg):
@@ -260,6 +267,22 @@ class TestBadValues:
         assert err.startswith("usage error:") and len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
         assert str(recourses) in err and "line 3" in err
+
+    @pytest.mark.parametrize("flag", ["--deltas", "--rhos"])
+    @pytest.mark.parametrize("value", ["abc", "1,,2", "nan", "inf", "0,-inf", "-1"])
+    def test_bad_grid_exits_1(self, workdir, capsys, flag, value):
+        base, cfg = workdir
+        belief = _write_belief(base / "belief.json")
+        code = run(["sweep", "--config", cfg, "--belief", belief, "--data", base / "missing.csv",
+                    "--out", base / "f.csv", "--shifted", base / "missing.csv", flag, value])
+        _assert_one_usage_line(code, capsys)
+
+    @pytest.mark.parametrize("value", ["-2", "-1"])
+    def test_negative_shift_count_exits_1(self, workdir, capsys, value):
+        base, cfg = workdir
+        code = run(["synth", "--config", cfg, "--out", base / "d", "--n-shifts", value])
+        _assert_one_usage_line(code, capsys)
+        assert not (base / "d").exists()
 
 
 class TestNormalize:
@@ -338,13 +361,134 @@ class TestNormalize:
         _assert_one_usage_line(code, capsys)
 
 
-def test_import_loads_no_scipy():
-    # scipy loads only on the paths that need it, so it stays out of set-up
+TINY_CONFIG = {
+    "K": 1, "rho": [0.1], "bootstrap": {"B": 5}, "m2": {"trials": 3},
+    "synthetic": {"n_per_class": 30},
+}
+
+
+def _tiny_pipeline(base):
+    """argv of each stage of synth -> estimate -> generate -> evaluate ->
+    sweep on the tiny config, in order, writing under base."""
+    cfg, data, belief = base / "cfg.json", base / "data", base / "belief.json"
+    cfg.write_text(json.dumps(TINY_CONFIG))
+    common = ["--config", str(cfg), "--seed", "5"]
+    shifted = [str(data / f"shift_00{i}_mean.csv") for i in range(2)]
+    csv = str(data / "original.csv")
+    return [
+        ["synth", *common, "--out", str(data), "--n-shifts", "2", "--kind", "mean"],
+        ["estimate", *common, "--data", csv, "--out", str(belief)],
+        ["generate", *common, "--belief", str(belief), "--data", csv,
+         "--out", str(base / "recourses.csv"), "--max-instances", "3"],
+        ["evaluate", *common, "--belief", str(belief), "--recourses",
+         str(base / "recourses.csv"), "--out", str(base / "report"), "--shifted", *shifted],
+        ["sweep", *common, "--belief", str(belief), "--data", csv, "--out",
+         str(base / "frontier.csv"), "--deltas", "0,1", "--rhos", "0,0.1",
+         "--max-instances", "3", "--shifted", *shifted],
+    ]
+
+
+def test_pipeline_runs_without_scipy(tmp_path):
+    # scipy is a test dependency only: every stage runs with it unimportable
     src = str(Path(robust_recourse.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    code = ("import sys, robust_recourse, robust_recourse.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=60).stdout
-    assert out.strip() == "[]"
+    code = (
+        "import json, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from robust_recourse.cli import cli_main\n"
+        "print(json.dumps([cli_main(argv) for argv in json.loads(sys.argv[1])]))\n"
+    )
+    stages = json.dumps(_tiny_pipeline(tmp_path))
+    proc = subprocess.run([sys.executable, "-c", code, stages], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == [0] * 5, proc.stderr
+
+
+@pytest.fixture(scope="module")
+def fuzz_base(tmp_path_factory):
+    """A finished tiny pipeline whose files the fuzz test corrupts."""
+    base = tmp_path_factory.mktemp("fuzz")
+    stages = _tiny_pipeline(base)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert [cli_main(argv) for argv in stages] == [0] * 5
+    return base, stages
+
+
+# corruptions no input survives, as (kind, what, detail)
+_BAD_NUMBERS = ["abc", "", "1,,2", "nan", "inf", "-inf", "1e999", "-2", "0x1p3", "1;2"]
+_BAD_JSON_VALUES = ["NaN", "Infinity", "-Infinity", '"x"', "null", "[]", "{}", "true"]
+_NUMERIC_KEYS = ["delta_add", "margin", "lambda_ls", "zeta", "station_tol", "weight_budget"]
+_BELIEF_EDITS = [("components", "[]"), ("weights", "[0.5]"), ("theta0", '"x"'),
+                 ("theta0", "[NaN, 0, 0]"), ("components", '[{"mean": [1, 0, 0]}]'),
+                 ("weights", "NaN"), ("theta0", None), ("normalization", "[1]")]
+_CSV_EDITS = ["x", "", "nan", "1,2", "inf"]
+
+corruptions = st.one_of(
+    st.tuples(st.just("flag"), st.sampled_from(["--deltas", "--rhos"]),
+              st.sampled_from(_BAD_NUMBERS)),
+    st.tuples(st.just("shifts"), st.sampled_from(["-2", "-1", "abc", "1.5", ""]), st.none()),
+    st.tuples(st.just("config"), st.sampled_from(_NUMERIC_KEYS), st.sampled_from(_BAD_JSON_VALUES)),
+    st.tuples(st.just("belief"), st.sampled_from(_BELIEF_EDITS), st.integers(0, 3)),
+    st.tuples(st.just("csv"), st.sampled_from(_CSV_EDITS), st.integers(1, 40)),
+    st.tuples(st.just("bytes"), st.sampled_from(["belief", "csv"]), st.binary(max_size=60)),
+)
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(corruption=corruptions)
+@example(corruption=("flag", "--deltas", "nan"))
+@example(corruption=("flag", "--deltas", "abc"))
+@example(corruption=("config", "delta_add", "NaN"))
+@example(corruption=("shifts", "-2", None))
+@example(corruption=("csv", "nan", 14))  # a NaN label, which once read as class 0
+def test_cli_fuzz(fuzz_base, tmp_path_factory, corruption):
+    """Whatever is malformed, the CLI exits 1 or 2 with one stderr line."""
+    base, stages = fuzz_base
+    work = tmp_path_factory.mktemp("case")
+    kind, what, detail = corruption
+    argv = list(stages[4])  # sweep reads every kind of input file
+    cfg_text = (base / "cfg.json").read_text()
+    belief_text = (base / "belief.json").read_text()
+    csv_text = (base / "data" / "original.csv").read_text()
+    if kind == "flag":
+        argv[argv.index(what) + 1] = detail
+    elif kind == "shifts":
+        argv = list(stages[0])
+        argv[argv.index("--n-shifts") + 1] = what
+        argv[argv.index("--out") + 1] = str(work / "data")
+    elif kind == "config":
+        cfg_text = cfg_text.rstrip()[:-1] + f', "{what}": {detail}}}'
+    elif kind == "belief":
+        key, value = what
+        payload = json.loads(belief_text)
+        if value is None:
+            payload.pop(key)
+            belief_text = json.dumps(payload)
+        else:
+            belief_text = json.dumps({**payload, key: "@@"}).replace('"@@"', value)
+    elif kind == "csv":
+        lines = csv_text.splitlines()
+        row = lines[detail % len(lines)].split(",")
+        row[detail % len(row)] = what
+        lines[detail % len(lines)] = ",".join(row)
+        csv_text = "\n".join(lines) + "\n"
+    elif what == "belief":  # raw bytes in place of a file
+        belief_text = detail.decode("latin-1")
+    else:
+        csv_text = detail.decode("latin-1")
+    files = {"--config": ("cfg.json", cfg_text), "--belief": ("belief.json", belief_text),
+             "--data": ("original.csv", csv_text)}
+    for flag, (name, text) in files.items():
+        if flag in argv:
+            (work / name).write_text(text)
+            argv[argv.index(flag) + 1] = str(work / name)
+    if "--out" in argv and kind != "shifts":
+        argv[argv.index("--out") + 1] = str(work / "out.csv")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli_main(argv)
+    assert code in (1, 2), (corruption, code)
+    assert len(err.getvalue().strip().splitlines()) == 1, err.getvalue()
+    assert "Traceback" not in err.getvalue()

@@ -238,14 +238,34 @@ class TestProjectFeasible:
         # the grid oracle's projection
         assert np.allclose(got, [-1.836684, 2.695908, 1.0], atol=1e-5)
 
-    def test_still_cycle_outside_tolerance_is_a_stall(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "scale, cost, want",
+        [
+            # the corner of the halfspace and the l1 ball's upper-right edge
+            (1e5, Cost.L1, [-1e5 + 2e-3, 2e5 - 2e-3]),
+            # the upper meeting point of the halfspace's line and the circle
+            (1e7, Cost.L2, [-9999999.999, 2e7]),
+        ],
+        ids=["l1-1e5", "l2-1e7"],
+    )
+    def test_large_scale_set_is_answered(self, scale, cost, want):
+        # {[1, 0.5].x >= 1e-3} within the cost ball of radius 2*scale around
+        # [-scale, 0] is not empty, but at this scale the absolute cycle
+        # tolerance is out of reach: the conic kernel answers
+        spec = raw_spec([-scale, 0.0], [[1.0, 0.5]], [0.0], margin=1e-3, delta=2 * scale,
+                        cost=cost)
+        xp = np.array([-3 * scale, 2 * scale])
+        assert feasibility.dykstra(xp, spec, 3000, 1e-10)[1] is not None
+        got = project_feasible(xp, spec, 3000, 1e-10)
+        assert np.allclose(got, want, rtol=1e-10, atol=0.0)
+        assert is_feasible(got, spec, 1e-10 * scale)
+
+    def test_still_cycles_end_in_the_kernel(self):
         # at this scale rounding keeps the still iterate just outside the
-        # absolute tolerance, and the corrections are still too: a stall,
-        # which ends in the backstop (here failing) long before max_iter
-        monkeypatch.setattr(feasibility, "_program", lambda *args, **kwargs: None)
+        # absolute tolerance; the kernel projects instead
         spec = raw_spec([-1e8, 0.0], [[1.0, 0.5]], [0.0], margin=1e-3, delta=2e8)
-        with pytest.raises(EmptyFeasibleSet, match="stalled"):
-            project_feasible(np.array([-3e8, 2e8]), spec, 10**6, 1e-10)
+        got = project_feasible(np.array([-3e8, 2e8]), spec, 10**4, 1e-10)
+        assert np.allclose(got, [-99999999.999, 2e8], rtol=1e-10, atol=0.0)
 
     def test_two_halfspace_closed_form(self, rng):
         # with zero radii the margin sets are halfspaces; Dykstra must agree
@@ -353,6 +373,56 @@ class TestDeltaMin:
             with pytest.raises((EmptyFeasibleSet, MaxIterExceeded)):
                 project_feasible(spec.x0, spec.with_delta(dm - 1e-2), max_iter=2000)
             count += 1
+
+
+class TestConicKernel:
+    """The conic kernel behind delta_min and the projection backstop."""
+
+    def test_emptiness_comes_with_a_farkas_certificate(self):
+        # the halfspace x >= 0.1 misses the l2 ball of radius 0.5 around -1
+        spec = raw_spec([-1.0, 0.0], [[1.0, 0.0]], [0.0], margin=0.1, delta=0.5, cost=Cost.L2)
+        c, G, H, sizes, _ = feasibility._conic_program([spec], spec.x0[None])
+        status, _, Z = feasibility._cone_lp(c, G, H, sizes)
+        assert status[0] == feasibility.INFEASIBLE
+        z = Z[0]
+        # z in K (every cone, 1-row ones included), h.z < 0 and G^T z ~ 0:
+        # G v + s = h with s in K would give h.z = (G^T z).v + s.z >= -|G^T z||v|,
+        # so every feasible v would have |v| >= |h|/accept here (the tighter
+        # CONE_TOL can lie below what rounding lets G^T z reach)
+        heads = np.cumsum(sizes) - sizes
+        for head, size in zip(heads, sizes):
+            assert z[head] >= np.linalg.norm(z[head + 1 : head + size])
+        assert H[0] @ z < 0.0
+        tol = feasibility.CONE_ACCEPT * np.linalg.norm(c) / np.linalg.norm(H[0])
+        assert np.linalg.norm(G.T @ z) <= tol * abs(H[0] @ z)
+        with pytest.raises(EmptyFeasibleSet, match="Farkas"):
+            project_feasible(spec.x0, spec)
+
+    def test_empty_margin_and_bounds_set_is_unattainable(self):
+        # an immutable first coordinate keeps theta.x below the margin
+        spec = raw_spec([-1.0, 0.0, 1.0], [[1.0, 0.0, 0.0]], [0.1], margin=0.1, cost=Cost.L1,
+                        lower=[-1.0, -np.inf, 1.0], upper=[-1.0, np.inf, 1.0])
+        with pytest.raises(Unattainable, match="Farkas"):
+            delta_min(spec)
+
+    @pytest.mark.parametrize("cost", list(Cost))
+    def test_block_rows_match_single_runs_bitwise(self, rng, cost):
+        thetas = np.array([[1.0, 0.4, 0.2], [0.8, 0.7, -0.1]])
+        specs = []
+        for i in range(9):
+            x0 = np.array([*(rng.normal(size=2) - 2.0), 1.0])
+            upper = [np.inf, 0.5, 1.0]
+            if i == 4:  # a different pinned set: its own block
+                upper[1] = x0[1]
+            # margins differ within a block: they enter h, not G
+            specs.append(raw_spec(x0, thetas, [0.1, 0.2], margin=[1e-3, 0.5][i % 2], cost=cost,
+                                  lower=[-np.inf, x0[1], 1.0], upper=upper))
+        block = feasibility.min_cost_point(specs, 1e-10)
+        for spec, got in zip(specs, block):
+            alone = delta_min(spec, 1e-10, with_point=True)
+            assert got[0] == alone[0] and np.array_equal(got[1], alone[1])
+            assert is_feasible(got[1], spec.without_delta(), 1e-9)
+            assert got[0] == cost_of(got[1], spec.x0, cost)
 
 
 class TestCostOf:

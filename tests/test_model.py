@@ -137,6 +137,9 @@ class TestValidateProblem:
             make_problem(margin=0.0)
         with pytest.raises(BadBudget):
             make_problem(weight_budget=-1.0)
+        for field in ("delta", "margin", "weight_budget"):
+            with pytest.raises(BadBudget):
+                make_problem(**{field: float("nan")})
 
     def test_actionability_out_of_range(self):
         prob = make_problem(actionability=ActionabilitySpec(immutable={7}))

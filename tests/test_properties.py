@@ -4,13 +4,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import var_nonparametric
 from robust_recourse.feasibility import _project_cone_known, _project_l1_ball
 from robust_recourse.worst_case import (
     ABCTriple,
     AT_OR_ABOVE_HALF,
     prob_gaussian,
     prob_nonparametric,
-    var_nonparametric,
 )
 
 # triples with a + c < 0, i.e. inside the strict robust margin

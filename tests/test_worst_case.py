@@ -5,7 +5,12 @@ import pytest
 from scipy.special import ndtr
 
 from conftest import random_feasible_instance, random_pd_matrix
-from oracles import wc_prob_gaussian_bisect, wc_prob_nonparametric_bisect
+from oracles import (
+    var_gaussian,
+    var_nonparametric,
+    wc_prob_gaussian_bisect,
+    wc_prob_nonparametric_bisect,
+)
 from robust_recourse.errors import BetaOutOfRange, ZeroAction
 from robust_recourse.model import ComponentMoments
 from robust_recourse.worst_case import (
@@ -14,8 +19,6 @@ from robust_recourse.worst_case import (
     abc,
     prob_gaussian,
     prob_nonparametric,
-    var_gaussian,
-    var_nonparametric,
     wc_prob_gaussian,
     wc_prob_nonparametric,
 )
