@@ -88,14 +88,13 @@ def train_logistic(
     data: LabeledDataset,
     l2_reg: float = 1e-4,
     max_epochs: int = 2000,
-    lr: float = 1.0,
 ) -> LinearClassifier:
     """Fit theta by full-batch gradient descent on the regularized logistic
     loss, to gradient sup-norm <= 1e-6 or max_epochs.
 
-    The bias coordinate is unregularized.  Training starts from zero and
-    uses backtracked steps, so the fit is deterministic.  Hitting the epoch
-    cap emits NotConvergedWarning and returns the best iterate.
+    The bias coordinate is unregularized.  Training starts from zero with a
+    unit first step and backtracks, so the fit is deterministic.  Hitting
+    the epoch cap emits NotConvergedWarning and returns the best iterate.
     """
     X = data.augmented()
     y_pm = 2.0 * data.labels - 1.0  # {-1, +1}
@@ -115,7 +114,7 @@ def train_logistic(
 
     theta = np.zeros(d)
     loss, grad = loss_grad(theta)
-    step = lr
+    step = 1.0
     for _ in range(max_epochs):
         gnorm = float(np.abs(grad).max())
         if gnorm <= 1e-6:

@@ -11,12 +11,13 @@ The feasible set intersects three kinds of convex sets around the input x0:
 Projection onto the intersection uses Dykstra's alternating projections
 (with correction terms, so the limit is the exact Euclidean projection),
 each margin set projected onto by bisecting the KKT multiplier of its
-single constraint; per-spec invariants are cached on the spec.  Both
-auxiliary problems are small second-order cone programs, solved by one
-batched NumPy interior-point kernel (_cone_lp): the distance program behind
-delta_min, the smallest budget that keeps the set nonempty, and the
-projection program, the backstop where the cycles run out.  An empty set
-comes back from the kernel as a Farkas certificate.
+single constraint; per-spec invariants are cached on the spec.  Two small
+second-order cone programs are solved by one batched NumPy interior-point
+kernel (_cone_lp), specs that share their structure in one call: the
+distance program behind delta_min, the smallest budget that keeps the set
+nonempty, and the projection program, which gives the descent's starts
+(project_starts) and backs project_feasible up where its cycles run out.
+An empty set comes back from the kernel as a Farkas certificate.
 """
 
 import math
@@ -226,43 +227,6 @@ def _cost_ball(xp: np.ndarray, x0: np.ndarray, delta: float, l1: bool) -> np.nda
         return x0 + _project_l1_ball(diff, delta)
     n = math.sqrt(float(diff @ diff))
     return xp if n <= delta else x0 + (delta / n) * diff
-
-
-# --- intersection projection --------------------------------------------------
-
-
-def dykstra(xp, spec: FeasibleSetSpec, max_iter: int, tol: float):
-    """Dykstra's alternating projections of xp onto the full intersection:
-    (x, None) once a full cycle moves the iterate by less than tol and x
-    passes is_feasible at 10*tol, else (last iterate, MaxIterExceeded).
-
-    Cycles over the cost ball, each margin cone and the actionability box,
-    carrying one correction term per set.  An empty intersection, or one
-    too thin for the cycles to resolve, runs out of cycles; the conic
-    kernel behind project_feasible tells the two apart.  The defects of
-    spec raise at once.
-    """
-    if spec.defect:
-        raise spec.defect()
-    x = np.array(xp, dtype=float)
-    cycle = spec.cycle
-    corrections = [np.zeros(x.size) for _ in cycle]  # one per set, in cycle order
-    check_tol = tol
-    for _ in range(max_iter):
-        x_start = x
-        for (project, args), correction in zip(cycle, corrections):
-            z = x + correction
-            x = project(z, *args)
-            np.subtract(z, x, out=correction)
-        dv = x - x_start
-        if math.sqrt(float(dv @ dv)) < check_tol:
-            if is_feasible(x, spec, 10.0 * tol):
-                return x, None
-            # small motion alone does not mean convergence: a far-away
-            # input can hold the iterate still for thousands of cycles
-            # while the corrections rebalance; ask for less motion
-            check_tol = max(check_tol / 10.0, 1e-13)
-    return x, MaxIterExceeded(f"Dykstra did not converge in {max_iter} cycles")
 
 
 # --- conic kernel --------------------------------------------------------------
@@ -535,23 +499,71 @@ def _conic_program(specs, targets=None):
     return c, G, H, [1] * sum(len(g) for g, _ in rows) + [d + 1] * len(cones), points
 
 
+def _run_blocks(specs, targets=None) -> list:
+    """Per spec, (status, point) of its distance program (targets None) or
+    of its projection program for targets[i], in one _cone_lp call per
+    block of specs that share _structure; a row's answer is the same alone
+    and in a block."""
+    out, blocks = [None] * len(specs), {}
+    for i, spec in enumerate(specs):
+        blocks.setdefault(_structure(spec), []).append(i)
+    for rows in blocks.values():
+        c, G, H, sizes, points = _conic_program(
+            [specs[i] for i in rows], None if targets is None else targets[rows])
+        status, V, _ = _cone_lp(c, G, H, sizes)
+        for i, st, x in zip(rows, status.tolist(), points(V)):
+            out[i] = (st, x)
+    return out
+
+
 def project_feasible(
     xp, spec: FeasibleSetSpec, max_iter: int = 500, tol: float = 1e-8
 ) -> np.ndarray:
-    """Euclidean projection of xp onto the full intersection: the dykstra
-    cycles, and where they run out the projection program in the conic
-    kernel, which answers or certifies the set empty (EmptyFeasibleSet).
-    The descent's start runs the cycles alone (see optimizer.solve)."""
-    x, failure = dykstra(xp, spec, max_iter, tol)
-    if failure is None:
-        return x
-    c, G, H, sizes, points = _conic_program([spec], np.asarray(xp, dtype=float)[None])
-    status, V, _ = _cone_lp(c, G, H, sizes)
-    if status[0] == INFEASIBLE:
+    """Euclidean projection of xp onto the full intersection: Dykstra's
+    alternating projections over the cost ball, each margin cone and the
+    actionability box, one correction term per set, until a full cycle
+    moves the iterate by less than tol and it passes is_feasible at 10*tol.
+    An empty intersection, or one too thin for the cycles to resolve, runs
+    out of max_iter cycles; the projection program in the conic kernel then
+    answers or certifies the set empty (EmptyFeasibleSet).  The defects of
+    spec raise at once."""
+    if spec.defect:
+        raise spec.defect()
+    x = xp = np.asarray(xp, dtype=float)  # every cycle makes a new x
+    cycle = spec.cycle
+    corrections = [np.zeros(x.size) for _ in cycle]  # one per set, in cycle order
+    check_tol = tol
+    for _ in range(max_iter):
+        x_start = x
+        for (project, args), correction in zip(cycle, corrections):
+            z = x + correction
+            x = project(z, *args)
+            np.subtract(z, x, out=correction)
+        dv = x - x_start
+        if math.sqrt(float(dv @ dv)) < check_tol:
+            if is_feasible(x, spec, 10.0 * tol):
+                return x
+            # small motion alone does not mean convergence: a far-away
+            # input can hold the iterate still for thousands of cycles
+            # while the corrections rebalance; ask for less motion
+            check_tol = max(check_tol / 10.0, 1e-13)
+    [(status, point)] = _run_blocks([spec], xp[None])
+    if status == INFEASIBLE:
         raise EmptyFeasibleSet("the projection program has a Farkas certificate: no feasible point")
-    if status[0] == FAILED:
-        raise failure
-    return points(V)[0]
+    if status == FAILED:
+        raise MaxIterExceeded(f"Dykstra did not converge in {max_iter} cycles")
+    return point
+
+
+def project_starts(specs, proj_tol: float = 1e-8) -> list:
+    """The descent's starts, blocked as in min_cost_point: per spec, the
+    projection of x0 by the projection program, or None where the kernel
+    does not solve it or its point fails is_feasible at 10*proj_tol.  On a
+    curved boundary the point lies about 1e-5 from the exact projection:
+    the kernel stops on the distance, not on the point."""
+    runs = _run_blocks(specs, np.array([spec.x0 for spec in specs]))
+    return [x if status == SOLVED and is_feasible(x, spec, 10.0 * proj_tol) else None
+            for spec, (status, x) in zip(specs, runs)]
 
 
 def min_cost_point(specs, proj_tol: float = 1e-8) -> list:
@@ -559,9 +571,9 @@ def min_cost_point(specs, proj_tol: float = 1e-8) -> list:
     point) or the RecourseError delta_min raises for it.  The distance
     programs of specs that share G (those of one ProblemTemplate do) run
     in one _cone_lp call; a row's answer is the same alone and in a block."""
-    out, blocks = [None] * len(specs), {}
+    specs = [spec.without_delta() for spec in specs]
+    out, todo = [None] * len(specs), []
     for i, spec in enumerate(specs):
-        spec = spec.without_delta()
         if spec.empty_margin_sets():
             out[i] = Unattainable("some ambiguity radius is at least the direction norm")
         elif is_feasible(spec.x0, spec, proj_tol):
@@ -569,20 +581,17 @@ def min_cost_point(specs, proj_tol: float = 1e-8) -> list:
         elif spec.defect:
             out[i] = spec.defect()
         else:
-            blocks.setdefault(_structure(spec), []).append(i)
-    for rows in blocks.values():
-        c, G, H, sizes, points = _conic_program([specs[i] for i in rows])
-        status, V, _ = _cone_lp(c, G, H, sizes)
-        for i, st, x in zip(rows, status, points(V)):
-            cost = cost_of(x, specs[i].x0, specs[i].cost)
-            if st == INFEASIBLE:
-                out[i] = Unattainable("the margin-and-bounds set is empty (Farkas certificate)")
-            elif st == FAILED:
-                out[i] = Unattainable("the distance program did not converge")
-            elif cost > 2.0**10:
-                out[i] = Unattainable(f"cheapest budget {cost:.3g} exceeds the cap 2**10")
-            else:
-                out[i] = (cost, x)
+            todo.append(i)
+    for i, (status, x) in zip(todo, _run_blocks([specs[i] for i in todo])):
+        cost = cost_of(x, specs[i].x0, specs[i].cost)
+        if status == INFEASIBLE:
+            out[i] = Unattainable("the margin-and-bounds set is empty (Farkas certificate)")
+        elif status == FAILED:
+            out[i] = Unattainable("the distance program did not converge")
+        elif cost > 2.0**10:
+            out[i] = Unattainable(f"cheapest budget {cost:.3g} exceeds the cap 2**10")
+        else:
+            out[i] = (cost, x)
     return out
 
 

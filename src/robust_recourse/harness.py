@@ -360,8 +360,9 @@ def _describe(exc: RecourseError) -> str:
 
 
 def _delta_mins(template: ProblemTemplate, instances) -> list:
-    """Per instance, (delta_min, the cheapest point) or the stringified
-    failure; the distance programs run as one block (fz.min_cost_point)."""
+    """Per instance, (delta_min, the cheapest point, the feasible-set spec)
+    or the stringified failure; the distance programs run as one block
+    (fz.min_cost_point)."""
     out = [None] * len(instances)
     specs, rows = [], []
     for i, x0 in enumerate(instances):
@@ -370,27 +371,34 @@ def _delta_mins(template: ProblemTemplate, instances) -> list:
             rows.append(i)
         except RecourseError as exc:
             out[i] = _describe(exc)
-    for i, best in zip(rows, fz.min_cost_point(specs, template.config.proj_tol)):
-        out[i] = _describe(best) if isinstance(best, RecourseError) else best
+    for i, spec, best in zip(rows, specs, fz.min_cost_point(specs, template.config.proj_tol)):
+        out[i] = _describe(best) if isinstance(best, RecourseError) else (*best, spec)
     return out
 
 
 def _solve_one(args):
-    template, x0, (dmin, cheapest) = args
+    template, x0, dmin, start = args
     try:
         problem = template.problem_for(x0, dmin + template.delta_add)
-        return solve(problem, template.config, known_delta_min=dmin, cheapest=cheapest), None
+        return solve(problem, template.config, known_delta_min=dmin, start=start), None
     except RecourseError as exc:
         return None, _describe(exc)
 
 
 def _solve_all(template: ProblemTemplate, instances, dmins, workers: int = 1):
     """Solve every instance whose delta_min is known; (results, errors) as
-    in generate_recourses, a failed delta_min passing through as the error."""
+    in generate_recourses, a failed delta_min passing through as the error.
+    The starts are the block's: its cheapest points when delta_add is 0,
+    else fz.project_starts, where solve projects a row that gets none."""
     results = [None] * len(instances)
     errors = [d if isinstance(d, str) else None for d in dmins]
     todo = [i for i, e in enumerate(errors) if e is None]
-    tasks = [(template, instances[i], dmins[i]) for i in todo]
+    if template.delta_add > 0.0:
+        starts = fz.project_starts([dmins[i][2].with_delta(dmins[i][0] + template.delta_add)
+                                    for i in todo], template.config.proj_tol)
+    else:
+        starts = [dmins[i][1] for i in todo]
+    tasks = [(template, instances[i], dmins[i][0], s) for i, s in zip(todo, starts)]
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = pool.map(_solve_one, tasks)

@@ -9,7 +9,7 @@ Conventions used throughout the package:
   marked read-only, so instances can be shared freely across threads.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -314,8 +314,3 @@ def validate_problem(problem: RecourseProblem) -> RecourseProblem:
     if d - 1 not in problem.actionability.immutable:
         raise DimensionMismatch("bias coordinate must be immutable")
     return problem
-
-
-def problem_with(problem: RecourseProblem, **changes) -> RecourseProblem:
-    """dataclasses.replace wrapper, re-running construction checks."""
-    return replace(problem, **changes)

@@ -43,9 +43,6 @@ from .objective import (
 # bounds on the spectral trial step
 STEP_MIN = 1e-10
 STEP_MAX = 1e6
-# Dykstra cycles spent projecting x0 for the first start; where they run
-# out, the start is pulled back toward the cheapest point instead
-START_CYCLES = 20
 
 
 @dataclass(frozen=True)
@@ -191,55 +188,27 @@ def pgd_minimize(fn, proj, config: SolverConfig, x_start, callback=None, *, budg
     return x, ev.value, ev, iterations, converged, station
 
 
-def _cheapest(spec, cheapest, config: SolverConfig):
-    """cheapest, or else the point of the distance program."""
-    if cheapest is None:
-        cheapest = fz.delta_min(spec, proj_tol=config.proj_tol, with_point=True)[1]
-    return cheapest
-
-
-def _first_start(spec, cheapest, config: SolverConfig):
-    """The descent's first start: proj(x0) when START_CYCLES Dykstra cycles
-    reach it.  Otherwise, for z the last cycle's iterate and c the cheapest
-    point, the point of the segment [c, z] farthest from c that is still
-    feasible; c is feasible and the set convex, so bisection on membership
-    finds it."""
-    z, failure = fz.dykstra(spec.x0, spec, START_CYCLES, config.proj_tol)
-    if failure is None:
-        return z
-    c = _cheapest(spec, cheapest, config)
-    lo, hi = 0.0, 1.0
-    for _ in range(30):  # to 1e-9 of the segment
-        mid = 0.5 * (lo + hi)
-        if fz.is_feasible(c + mid * (z - c), spec, 10.0 * config.proj_tol):
-            lo = mid
-        else:
-            hi = mid
-    return c + lo * (z - c)
-
-
 def solve(
     problem: RecourseProblem,
     config: SolverConfig | None = None,
     *,
     known_delta_min: float | None = None,
-    cheapest=None,
+    start=None,
     callback=None,
 ) -> RecourseResult:
-    """End-to-end solve: validate, check the budget against delta_min,
-    find a feasible start and run the descent from it.
+    """End-to-end solve: validate, check the budget against delta_min and
+    run the descent from a feasible start.
 
-    The start is the projection of the input onto the feasible set when
-    START_CYCLES Dykstra cycles reach it.  When they run out, it is the
-    feasible point farthest from the cheapest point on the segment from
-    there to the last cycle's iterate.  A perturbed restart starts at the
-    full projection of its perturbed input.
+    The first run starts at start, a point of the feasible set, or else at
+    the projection of the input onto it (project_feasible); a perturbed
+    restart starts at the projection of its perturbed input.  A budget
+    pinned at delta_min leaves no room to move: the answer is start, or
+    else the distance program's cheapest point.
 
     known_delta_min skips the internal delta_min computation when the
     caller already solved it (e.g. to set delta = delta_min + delta_add);
-    cheapest, the point that computation found, spares a second run of the
-    distance program when the budget is pinned at delta_min or the start's
-    cycles run out.
+    generate_recourses passes it with the start it computed for the whole
+    block (feasibility.project_starts, or the cheapest point).
     callback(iteration, x, value) fires on the start point and on every
     accepted step of every restart.
     """
@@ -247,7 +216,7 @@ def solve(
     validate_problem(problem)
     spec = fz.FeasibleSetSpec.from_problem(problem)
     dmin, cheapest = fz.delta_min(spec, proj_tol=config.proj_tol, with_point=True) \
-        if known_delta_min is None else (float(known_delta_min), cheapest)
+        if known_delta_min is None else (float(known_delta_min), None)
     if problem.delta < dmin - 1e-9:
         raise BudgetTooSmall(f"delta={problem.delta} is below delta_min={dmin}")
 
@@ -258,10 +227,12 @@ def solve(
     if problem.delta - dmin <= max(1e-9, 1e-12 * dmin):
         # the budget pins the feasible set to the cost-argmin set; take its
         # cheapest point directly, descent has no room to move
-        cheapest = _cheapest(spec, cheapest, config)
-        ev = fn(cheapest)
+        if start is None:
+            start = cheapest if cheapest is not None else \
+                fz.delta_min(spec, proj_tol=config.proj_tol, with_point=True)[1]
+        ev = fn(start)
         return RecourseResult(
-            action=FeatureVector(cheapest),
+            action=FeatureVector(start),
             objective=float(min(max(ev.value, 0.0), 1.0)),
             component_probs=ev.component_values,
             iterations=0,
@@ -277,12 +248,12 @@ def solve(
     best = None
     for run in range(config.restarts):
         if run == 0:
-            start = _first_start(spec, cheapest, config)
+            x_start = proj(spec.x0) if start is None else start
         else:
             rng = np.random.default_rng(seeds[run - 1])
             scale = 0.25 * max(problem.delta, problem.margin)
-            start = proj(spec.x0 + rng.normal(scale=scale, size=spec.x0.size))
-        outcome = pgd_minimize(fn, proj, config, start, callback, budget=problem.delta)
+            x_start = proj(spec.x0 + rng.normal(scale=scale, size=spec.x0.size))
+        outcome = pgd_minimize(fn, proj, config, x_start, callback, budget=problem.delta)
         if best is None or outcome[1] < best[1]:
             best = outcome
     x, value, ev, iterations, converged, station = best

@@ -8,6 +8,7 @@ import json
 import math
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -44,7 +45,6 @@ from robust_recourse.model import (
     MixtureBelief,
     Mode,
     RecourseProblem,
-    problem_with,
 )
 from robust_recourse.objective import (
     _weight_dual,
@@ -326,7 +326,7 @@ class TestCriterion6:
             weight_budget=0.1,
         )
         dmin = fz.delta_min(fz.FeasibleSetSpec.from_problem(problem))
-        problem = problem_with(problem, delta=dmin + delta_add)
+        problem = replace(problem, delta=dmin + delta_add)
         spec = fz.FeasibleSetSpec.from_problem(problem)
         trace = []
         config = SolverConfig(restarts=1, max_iter=200, station_tol=1e-4)

@@ -1,11 +1,14 @@
 import contextlib
+import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -414,6 +417,50 @@ def fuzz_base(tmp_path_factory):
     with contextlib.redirect_stdout(io.StringIO()):
         assert [cli_main(argv) for argv in stages] == [0] * 5
     return base, stages
+
+
+def _stage(stages, i, **flags):
+    """Stage i of the tiny pipeline with some flag values replaced."""
+    argv = list(stages[i])
+    for flag, value in flags.items():
+        argv[argv.index(flag) + 1] = str(value)
+    return argv
+
+
+class TestOtherModes:
+    """Stages and settings the tiny pipeline does not use."""
+
+    def test_estimate_with_prior_tau(self, fuzz_base, tmp_path):
+        base, stages = fuzz_base
+        out = tmp_path / "prior.json"
+        assert run([*_stage(stages, 1, **{"--out": out}), "--prior-tau", "0.5"]) == 0
+        payload = json.loads(out.read_text())
+        [component] = payload["components"]
+        assert component["mean"] == payload["theta0"]
+        assert component["covariance"] == (0.5 * np.eye(3)).tolist()
+        assert component["radius"] == TINY_CONFIG["rho"][0]
+
+    def test_concat_m2_mode_needs_the_original_data(self, fuzz_base, tmp_path, capsys):
+        base, stages = fuzz_base
+        cfg = tmp_path / "concat.json"
+        cfg.write_text(json.dumps({**TINY_CONFIG, "m2": {"trials": 3, "mode": "concat"}}))
+        argv = _stage(stages, 3, **{"--config": cfg, "--out": tmp_path / "report"})
+        _assert_one_usage_line(run(argv), capsys)
+        assert run([*argv, "--data", base / "data" / "original.csv"]) == 0
+        assert json.loads((tmp_path / "report.json").read_text())["n_classifiers"] == 3
+
+    def test_sweep_cell_without_a_solution_reads_nan(self, fuzz_base, tmp_path):
+        # rho = 100 exceeds every direction norm: no margin set holds a point
+        base, stages = fuzz_base
+        out = tmp_path / "frontier.csv"
+        assert run(_stage(stages, 4, **{"--out": out, "--rhos": "0,100"})) == 0
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert [float(r["rho"]) for r in rows] == [0.0, 0.0, 100.0, 100.0]
+        for r in rows[2:]:
+            assert (r["n_solved"], r["n_failed"]) == ("0", "3")
+            assert math.isnan(float(r["mean_l1_cost"])) and math.isnan(float(r["m2_validity"]))
+            assert r["note"].startswith("Unattainable: ")
 
 
 # corruptions no input survives, as (kind, what, detail)

@@ -248,15 +248,23 @@ class TestProjectFeasible:
         ],
         ids=["l1-1e5", "l2-1e7"],
     )
-    def test_large_scale_set_is_answered(self, scale, cost, want):
+    def test_large_scale_set_is_answered(self, monkeypatch, scale, cost, want):
         # {[1, 0.5].x >= 1e-3} within the cost ball of radius 2*scale around
         # [-scale, 0] is not empty, but at this scale the absolute cycle
         # tolerance is out of reach: the conic kernel answers
         spec = raw_spec([-scale, 0.0], [[1.0, 0.5]], [0.0], margin=1e-3, delta=2 * scale,
                         cost=cost)
         xp = np.array([-3 * scale, 2 * scale])
-        assert feasibility.dykstra(xp, spec, 3000, 1e-10)[1] is not None
+        kernel_rows = []
+        inner = feasibility._cone_lp
+
+        def counted(c, G, H, sizes):
+            kernel_rows.append(len(H))
+            return inner(c, G, H, sizes)
+
+        monkeypatch.setattr(feasibility, "_cone_lp", counted)
         got = project_feasible(xp, spec, 3000, 1e-10)
+        assert kernel_rows == [1]  # the cycles ran out
         assert np.allclose(got, want, rtol=1e-10, atol=0.0)
         assert is_feasible(got, spec, 1e-10 * scale)
 
@@ -378,6 +386,20 @@ class TestDeltaMin:
 class TestConicKernel:
     """The conic kernel behind delta_min and the projection backstop."""
 
+    def test_unsolved_rows_get_no_start(self, monkeypatch):
+        good = raw_spec([-1.0, 0.0], [[1.0, 0.5]], [0.1], delta=3.0)
+        defective = raw_spec([-1.0, 0.0], [[1.0, 0.5]], [2.0], delta=3.0)  # empty margin set
+        starts = feasibility.project_starts([good, defective], 1e-10)
+        assert is_feasible(starts[0], good, 1e-9) and starts[1] is None
+        inner = feasibility._cone_lp
+
+        def failed(c, G, H, sizes):
+            status, V, Z = inner(c, G, H, sizes)
+            return np.full_like(status, feasibility.FAILED), V, Z
+
+        monkeypatch.setattr(feasibility, "_cone_lp", failed)
+        assert feasibility.project_starts([good], 1e-10) == [None]
+
     def test_emptiness_comes_with_a_farkas_certificate(self):
         # the halfspace x >= 0.1 misses the l2 ball of radius 0.5 around -1
         spec = raw_spec([-1.0, 0.0], [[1.0, 0.0]], [0.0], margin=0.1, delta=0.5, cost=Cost.L2)
@@ -406,7 +428,7 @@ class TestConicKernel:
             delta_min(spec)
 
     @pytest.mark.parametrize("cost", list(Cost))
-    def test_block_rows_match_single_runs_bitwise(self, rng, cost):
+    def test_block_rows_match_single_runs_bitwise(self, monkeypatch, rng, cost):
         thetas = np.array([[1.0, 0.4, 0.2], [0.8, 0.7, -0.1]])
         specs = []
         for i in range(9):
@@ -417,12 +439,32 @@ class TestConicKernel:
             # margins differ within a block: they enter h, not G
             specs.append(raw_spec(x0, thetas, [0.1, 0.2], margin=[1e-3, 0.5][i % 2], cost=cost,
                                   lower=[-np.inf, x0[1], 1.0], upper=upper))
+        # a block of their own whose l1 distance programs meet an exact zero
+        # pivot: the normal equations split into single-row solves
+        belief = MixtureBelief((ComponentMoments([1.0, 0.9, 0.2], 0.05 * np.eye(3), 0.1),), [1.0])
+        specs += [FeasibleSetSpec.from_problem(RecourseProblem(
+            x0=FeatureVector.from_features(x), belief=belief, delta=0.0, cost=Cost.L1))
+            for x in ([-1.2, -0.8], [-1.0, -1.0], [-2.0, 0.5])]
+        split, inner = [], feasibility._solve
+
+        def recorded(A, b):
+            if recorded.depth:  # a call made inside another: a row of a split block
+                split.append(len(A))
+            recorded.depth += 1
+            try:
+                return inner(A, b)
+            finally:
+                recorded.depth -= 1
+
+        recorded.depth = 0
+        monkeypatch.setattr(feasibility, "_solve", recorded)
         block = feasibility.min_cost_point(specs, 1e-10)
+        assert split and set(split) == {1}
         for spec, got in zip(specs, block):
             alone = delta_min(spec, 1e-10, with_point=True)
             assert got[0] == alone[0] and np.array_equal(got[1], alone[1])
             assert is_feasible(got[1], spec.without_delta(), 1e-9)
-            assert got[0] == cost_of(got[1], spec.x0, cost)
+            assert got[0] == cost_of(got[1], spec.x0, spec.cost)
 
 
 class TestCostOf:

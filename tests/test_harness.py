@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -28,8 +30,12 @@ from robust_recourse.harness import (
     sweep_frontier,
     write_frontier_csv,
 )
-from robust_recourse.model import FeatureVector, LinearClassifier
-from robust_recourse.optimizer import SolverConfig
+from robust_recourse import feasibility as fz
+from robust_recourse import harness
+from robust_recourse.cli import load_recourses_csv, save_recourses_csv
+from robust_recourse.errors import MaxIterExceeded
+from robust_recourse.model import ActionabilitySpec, FeatureVector, LinearClassifier
+from robust_recourse.optimizer import SolverConfig, solve
 
 
 class TestGenerateSynthetic:
@@ -219,9 +225,6 @@ class TestGenerateRecourses:
             assert res.action.values @ theta_hat > 0
 
     def test_pinned_cells_reuse_the_delta_min_point(self, rng, monkeypatch):
-        from robust_recourse import feasibility as fz
-        from robust_recourse.optimizer import solve
-
         original, shifted, theta0, belief, negatives = tiny_pipeline(rng)
         template = ProblemTemplate(belief=belief, delta_add=0.0, config=SolverConfig(restarts=1))
         instances = negatives[:4]
@@ -243,6 +246,75 @@ class TestGenerateRecourses:
                           known_delta_min=res.delta_min)
             assert res.iterations == 0
             assert np.array_equal(res.action.values, again.action.values)
+
+    def test_block_starts_are_the_kernel_projections(self, rng, monkeypatch):
+        original, shifted, theta0, belief, negatives = tiny_pipeline(rng)
+        template = ProblemTemplate(belief=belief, delta_add=0.5, config=SolverConfig(restarts=1))
+        instances = negatives[:4]
+        calls = []
+        project_starts = fz.project_starts
+
+        def counted(specs, *args):
+            calls.append(len(specs))
+            return project_starts(specs, *args)
+
+        monkeypatch.setattr(fz, "project_starts", counted)
+        results, errors = generate_recourses(template, instances)
+        assert not any(errors)
+        assert calls == [4]  # the block's starts in one call
+        for x0, res in zip(instances, results):
+            problem = template.problem_for(x0, res.delta_min + template.delta_add)
+            spec = fz.FeasibleSetSpec.from_problem(problem)
+            start = project_starts([spec], template.config.proj_tol)[0]
+            alone = solve(problem, template.config, known_delta_min=res.delta_min, start=start)
+            assert np.array_equal(res.action.values, alone.action.values)
+            assert (res.objective, res.iterations) == (alone.objective, alone.iterations)
+
+    def test_rows_without_a_start_project_x0(self, rng, monkeypatch):
+        # a row the kernel does not solve is solved as a direct call solves it
+        original, shifted, theta0, belief, negatives = tiny_pipeline(rng)
+        template = ProblemTemplate(belief=belief, delta_add=0.5, config=SolverConfig(restarts=1))
+        instances = negatives[:3]
+        monkeypatch.setattr(fz, "project_starts", lambda specs, *args: [None] * len(specs))
+        results, errors = generate_recourses(template, instances)
+        assert not any(errors)
+        for x0, res in zip(instances, results):
+            problem = template.problem_for(x0, res.delta_min + template.delta_add)
+            alone = solve(problem, template.config, known_delta_min=res.delta_min)
+            assert np.array_equal(res.action.values, alone.action.values)
+
+    def test_failed_rows_pass_through_csv_to_evaluate(self, rng, tmp_path, monkeypatch):
+        original, shifted, theta0, belief, negatives = tiny_pipeline(rng)
+        # feature 0 may only grow and stays at most 0: an input above 0 has
+        # no feasible point
+        act = ActionabilitySpec(non_decreasing=frozenset({0}),
+                                box=[[-np.inf, 0.0], [-np.inf, np.inf], [-np.inf, np.inf]])
+        template = ProblemTemplate(belief=belief, actionability=act,
+                                   config=SolverConfig(restarts=1))
+        instances = [negatives[0], FeatureVector.from_features([0.5, -3.0]), negatives[1]]
+
+        def failing(problem, *args, **kwargs):
+            if problem.x0 is instances[2]:
+                raise MaxIterExceeded("the projection ran out")
+            return solve(problem, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "solve", failing)
+        results, errors = generate_recourses(template, instances)
+        assert results[0] is not None and errors[0] is None
+        assert results[1] is None and errors[1].startswith("EmptyFeasibleSet: ")
+        assert results[2] is None and errors[2] == "MaxIterExceeded: the projection ran out"
+
+        path = tmp_path / "recourses.csv"
+        save_recourses_csv(path, ["a", "b", "c"], instances, results, errors)
+        with open(path) as fh:
+            assert [row["error"] for row in csv.DictReader(fh)] == ["", *errors[1:]]
+        ids, loaded_x0, loaded = load_recourses_csv(path)
+        assert ids == ["a"]
+        assert np.array_equal(loaded[0].values, results[0].action.values)
+        assert np.array_equal(loaded_x0[0].values, instances[0].values)
+        report = evaluate(loaded, loaded_x0, theta0, build_shift_ensemble(shifted, trials=4))
+        assert len(report.per_instance) == 1
+        assert report.m1_validity == 1.0
 
     def test_worker_pool_matches_sequential(self, rng):
         original, shifted, theta0, belief, negatives = tiny_pipeline(rng)
@@ -271,8 +343,6 @@ class TestSweep:
         assert len(rows) == 4
         path = tmp_path / "frontier.csv"
         write_frontier_csv(path, rows)
-        import csv
-
         with open(path) as fh:
             parsed = list(csv.DictReader(fh))
         assert len(parsed) == 4

@@ -1,8 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from robust_recourse import feasibility as fz
-from robust_recourse import optimizer
 from robust_recourse.errors import BudgetTooSmall
 from robust_recourse.estimation import bootstrap_parameters, fit_mixture_moments, train_logistic
 from robust_recourse.harness import (
@@ -19,7 +20,6 @@ from robust_recourse.model import (
     MixtureBelief,
     Mode,
     RecourseProblem,
-    problem_with,
 )
 from robust_recourse.objective import ObjectiveEval
 from robust_recourse.optimizer import (
@@ -41,7 +41,7 @@ def toy_problem(rho=0.1, mode=Mode.NONPARAMETRIC, cost=Cost.L1, delta_add=1.0, *
     )
     spec = fz.FeasibleSetSpec.from_problem(prob)
     dmin = fz.delta_min(spec)
-    return problem_with(prob, delta=dmin + delta_add), dmin
+    return replace(prob, delta=dmin + delta_add), dmin
 
 
 class TestSolve:
@@ -85,7 +85,7 @@ class TestSolve:
     def test_budget_too_small(self):
         prob, dmin = toy_problem()
         with pytest.raises(BudgetTooSmall):
-            solve(problem_with(prob, delta=max(dmin - 0.1, 0.0)), SolverConfig(restarts=1))
+            solve(replace(prob, delta=max(dmin - 0.1, 0.0)), SolverConfig(restarts=1))
 
     def test_delta_min_reported(self):
         prob, dmin = toy_problem()
@@ -186,72 +186,82 @@ class TestSolverConfig:
 
 def slow_start_problem():
     """A rho=0 halfspace at a narrow angle to the pinned bias coordinate:
-    Dykstra needs 184 cycles to project x0, more than optimizer.START_CYCLES."""
+    Dykstra needs 184 cycles to project x0."""
     x0 = FeatureVector.from_features([-1.2, -0.8])
     belief = MixtureBelief((ComponentMoments([0.3, 0.2, -1.0], 1e-3 * np.eye(3), 0.0),), [1.0])
     prob = RecourseProblem(x0=x0, belief=belief, delta=0.0, margin=1e-3, cost=Cost.L1)
-    dmin, cheapest = fz.delta_min(fz.FeasibleSetSpec.from_problem(prob), 1e-10, with_point=True)
-    return problem_with(prob, delta=dmin + 1.0), dmin, cheapest
+    dmin = fz.delta_min(fz.FeasibleSetSpec.from_problem(prob), 1e-10)
+    return replace(prob, delta=dmin + 1.0), dmin
+
+
+def kernel_start(prob):
+    """The start generate_recourses hands to solve for prob."""
+    return fz.project_starts([fz.FeasibleSetSpec.from_problem(prob)], 1e-10)[0]
 
 
 class TestStartRule:
-    def _start_and_cone_calls(self, monkeypatch, prob, **kw):
-        """The descent's start point and the cone projections spent on it."""
-        calls, seen = [0], []
-        inner = fz._project_cone_known
+    """Every descent starts at the projection of x0: the kernel's, computed
+    for a whole block, or project_feasible's when none is given."""
 
-        def counted(*args):
-            calls[0] += 1
-            return inner(*args)
-
-        def first(t, x, v):
-            if not seen:
-                seen.append((x.copy(), calls[0]))
-
-        monkeypatch.setattr(fz, "_project_cone_known", counted)
-        solve(prob, SolverConfig(restarts=1), callback=first, **kw)
+    def _first_point(self, prob, **kw):
+        seen = []
+        solve(prob, SolverConfig(restarts=1), callback=lambda t, x, v: seen.append(x.copy()),
+              **kw)
         return seen[0]
 
-    def test_overrun_start_spends_only_the_budget(self, monkeypatch):
-        prob, dmin, cheapest = slow_start_problem()
-        spec = fz.FeasibleSetSpec.from_problem(prob)
-        assert fz.dykstra(spec.x0, spec, optimizer.START_CYCLES, 1e-10)[1] is not None
-        start, cycles = self._start_and_cone_calls(
-            monkeypatch, prob, known_delta_min=dmin, cheapest=cheapest
-        )
-        # one cone: one cone projection per cycle
-        assert cycles == optimizer.START_CYCLES
-        assert fz.is_feasible(start, spec, 1e-9)
+    def test_block_starts_match_lone_runs_and_the_projection(self):
+        # curved (rho > 0) and flat boundaries, both costs, two blocks
+        problems = [toy_problem(rho=rho, cost=cost, delta_add=add)[0]
+                    for rho in (0.0, 0.1, 0.3) for cost in Cost for add in (0.2, 1.0)]
+        problems.append(slow_start_problem()[0])
+        specs = [fz.FeasibleSetSpec.from_problem(p) for p in problems]
+        block = fz.project_starts(specs, 1e-10)
+        cfg = SolverConfig()
+        for spec, got in zip(specs, block):
+            assert np.array_equal(got, fz.project_starts([spec], 1e-10)[0])
+            assert fz.is_feasible(got, spec, 1e-9)
+            projected = fz.project_feasible(spec.x0, spec, cfg.proj_max_iter, cfg.proj_tol)
+            assert np.linalg.norm(got - projected) <= 1e-4
 
-    def test_overrun_start_beats_the_projected_start(self):
-        prob, dmin, cheapest = slow_start_problem()
+    def test_descent_fires_first_at_the_given_start(self):
+        prob, dmin = toy_problem(rho=0.2)
+        start = kernel_start(prob)
+        assert np.array_equal(self._first_point(prob, known_delta_min=dmin, start=start), start)
+
+    def test_converged_start_is_the_projection(self):
+        prob, dmin = toy_problem()
         spec = fz.FeasibleSetSpec.from_problem(prob)
         cfg = SolverConfig(restarts=1)
-        res = solve(prob, cfg, known_delta_min=dmin, cheapest=cheapest)
+        projected = fz.project_feasible(spec.x0, spec, cfg.proj_max_iter, cfg.proj_tol)
+        assert np.array_equal(self._first_point(prob, known_delta_min=dmin), projected)
+
+    def test_kernel_start_beats_the_projected_start(self):
+        prob, dmin = slow_start_problem()
+        spec = fz.FeasibleSetSpec.from_problem(prob)
+        cfg = SolverConfig(restarts=1)
+        res = solve(prob, cfg, known_delta_min=dmin, start=kernel_start(prob))
         assert res.converged
         assert fz.is_feasible(res.action.values, spec)
         projected = fz.project_feasible(spec.x0, spec, cfg.proj_max_iter, cfg.proj_tol)
         assert res.objective <= make_objective(prob)(projected).value + 1e-10
 
-    def test_converged_start_is_the_projection(self, monkeypatch):
-        prob, dmin = toy_problem()
-        spec = fz.FeasibleSetSpec.from_problem(prob)
-        cfg = SolverConfig(restarts=1)
-        start, cycles = self._start_and_cone_calls(monkeypatch, prob, known_delta_min=dmin)
-        assert cycles <= optimizer.START_CYCLES
-        projected = fz.project_feasible(spec.x0, spec, cfg.proj_max_iter, cfg.proj_tol)
-        assert np.array_equal(start, projected)
-
     @pytest.mark.parametrize("make", [slow_start_problem, toy_problem])
     def test_anchor_computed_when_not_given(self, make):
-        prob, dmin, *given = make()
-        cheapest = given[0] if given else fz.delta_min(
-            fz.FeasibleSetSpec.from_problem(prob), 1e-10, with_point=True)[1]
+        # without a start, solve projects x0 itself
+        prob, dmin = make()
+        spec = fz.FeasibleSetSpec.from_problem(prob)
         cfg = SolverConfig(restarts=1)
+        projected = fz.project_feasible(spec.x0, spec, cfg.proj_max_iter, cfg.proj_tol)
         a = solve(prob, cfg, known_delta_min=dmin)
-        b = solve(prob, cfg, known_delta_min=dmin, cheapest=cheapest)
+        b = solve(prob, cfg, known_delta_min=dmin, start=projected)
         assert np.array_equal(a.action.values, b.action.values)
         assert (a.objective, a.iterations, a.converged) == (b.objective, b.iterations, b.converged)
+
+    def test_pinned_budget_returns_the_start(self):
+        prob, dmin = toy_problem(delta_add=0.0)
+        cheapest = fz.delta_min(fz.FeasibleSetSpec.from_problem(prob), 1e-10, with_point=True)[1]
+        res = solve(prob, SolverConfig(restarts=1), known_delta_min=dmin, start=cheapest)
+        assert np.array_equal(res.action.values, cheapest) and res.iterations == 0
 
 
 class TestPgdCore:
