@@ -133,6 +133,11 @@ def load_config(path) -> dict:
             raise UsageError(f"margin must be > 0, got {cfg['margin']}")
         if cfg["weight_budget"] < 0:
             raise UsageError(f"weight_budget must be >= 0, got {cfg['weight_budget']}")
+        for key in ("bootstrap", "m2"):
+            if not 0 < cfg[key]["subsample"] <= 1:
+                raise UsageError(f"{key}.subsample must be in (0, 1], got {cfg[key]['subsample']}")
+        if cfg["bootstrap"]["l2_reg"] < 0:
+            raise UsageError(f"bootstrap.l2_reg must be >= 0, got {cfg['bootstrap']['l2_reg']}")
         Mode(cfg["mode"]), Cost(cfg["cost"]), Divergence(cfg["divergence"])
         solver_config(cfg, cfg["seed"])
     except (TypeError, ValueError) as exc:

@@ -74,7 +74,7 @@ class BudgetTooSmall(RecourseError):
 # --- estimation --------------------------------------------------------------
 
 class NotConvergedWarning(UserWarning):
-    """Training stopped at the epoch cap before reaching gradient tolerance."""
+    """Training stopped short of gradient tolerance: iteration cap or failed line search."""
 
 
 class EmptyCluster(RecourseError):

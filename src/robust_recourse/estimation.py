@@ -1,7 +1,8 @@
 """Estimating the belief over future model parameters from data.
 
-Pipeline: retrain a logistic classifier on random subsamples to get a
-cloud of parameter vectors, cluster the cloud, and read off per-cluster
+Pipeline: retrain a logistic classifier on random subsamples (damped
+Newton, batched over the subsamples of one size) to get a cloud of
+parameter vectors, cluster the cloud, and read off per-cluster
 weights, means and covariances.  For black-box models a local linear
 surrogate (weighted ridge fit on perturbations around the query point)
 stands in for the classifier parameters.
@@ -87,53 +88,65 @@ class BlackBoxModel(Protocol):
 def train_logistic(
     data: LabeledDataset,
     l2_reg: float = 1e-4,
-    max_epochs: int = 2000,
+    max_iter: int = 100,
 ) -> LinearClassifier:
-    """Fit theta by full-batch gradient descent on the regularized logistic
-    loss, to gradient sup-norm <= 1e-6 or max_epochs.
+    """Fit theta by damped Newton on the regularized logistic loss (bias
+    unregularized; l2_reg >= 0 keeps it convex), from theta = 0 to gradient
+    sup-norm <= 1e-6 or max_iter steps.  Stopping short emits
+    NotConvergedWarning and returns the last iterate, whose loss is no worse
+    than at theta = 0.  The batched fits of bootstrap_parameters and
+    harness.build_shift_ensemble give the same bits."""
+    X, y = data.augmented()[None], data.labels[None]
+    return LinearClassifier(_fit_logistic(X, y, l2_reg, max_iter)[0])
 
-    The bias coordinate is unregularized.  Training starts from zero with a
-    unit first step and backtracks, so the fit is deterministic.  Hitting
-    the epoch cap emits NotConvergedWarning and returns the best iterate.
-    """
-    X = data.augmented()
-    y_pm = 2.0 * data.labels - 1.0  # {-1, +1}
-    n, d = X.shape
-    reg_mask = np.ones(d)
-    reg_mask[-1] = 0.0
 
-    def loss_grad(theta):
-        z = y_pm * (X @ theta)
-        # log(1 + exp(-z)) stably, and sigma(-z)
-        loss = float(np.mean(np.logaddexp(0.0, -z)))
-        sig = 0.5 * (1.0 - np.tanh(0.5 * z))
-        grad = -(X.T @ (y_pm * sig)) / n
-        loss += 0.5 * l2_reg * float(np.sum(reg_mask * theta**2))
-        grad = grad + l2_reg * reg_mask * theta
-        return loss, grad
+def _fit_logistic(X, y, l2_reg, max_iter):
+    """Damped Newton on the regularized logistic loss of B problems at once:
+    X (B, n, d) bias-augmented, y (B, n) in {0, 1}.  Each problem runs its
+    own Armijo backtracking on the Newton decrement and stops on its own,
+    so a row's theta is bitwise the same alone and in any stack.  Returns
+    the (B, d) thetas; NotConvergedWarning names how many stopped short."""
+    B, n, d = X.shape
+    ypm = 2.0 * y - 1.0  # {-1, +1}
+    reg = np.r_[np.full(d - 1, float(l2_reg)), 0.0]  # the bias is unregularized
 
-    theta = np.zeros(d)
-    loss, grad = loss_grad(theta)
-    step = 1.0
-    for _ in range(max_epochs):
-        gnorm = float(np.abs(grad).max())
-        if gnorm <= 1e-6:
-            return LinearClassifier(theta)
-        while True:
-            cand = theta - step * grad
-            cand_loss, cand_grad = loss_grad(cand)
-            if cand_loss <= loss - 0.5 * step * float(grad @ grad):
-                break
-            step *= 0.5
-            if step < 1e-18:
-                break
-        theta, loss, grad = cand, cand_loss, cand_grad
-        step = min(step * 1.5, 1e6)
-    warnings.warn(
-        f"logistic training stopped at the epoch cap with |grad|={float(np.abs(grad).max()):.2e}",
-        NotConvergedWarning,
-    )
-    return LinearClassifier(theta)
+    def loss(X, ypm, th):
+        z = ypm * (X @ th[:, :, None])[:, :, 0]
+        return np.logaddexp(0.0, -z).mean(axis=1) + 0.5 * (reg * th**2).sum(axis=1), z
+
+    th = np.zeros((B, d))
+    thetas, rows, converged = th.copy(), np.arange(B), 0  # rows: the problems still running
+    f, z = loss(X, ypm, th)
+    for it in range(max_iter + 1):
+        s = 0.5 * (1.0 - np.tanh(0.5 * z))  # sigma(-z)
+        g = reg * th - (X.transpose(0, 2, 1) @ (ypm * s)[:, :, None])[:, :, 0] / n
+        run = np.abs(g).max(axis=1) > 1e-6
+        thetas[rows[~run]] = th[~run]
+        converged += int(np.count_nonzero(~run))
+        X, ypm, th, f, s, g, rows = (a[run] for a in (X, ypm, th, f, s, g, rows))
+        if it == max_iter or not rows.size:
+            break
+        H = (X.transpose(0, 2, 1) * (s * (1.0 - s))[:, None, :]) @ X / n + np.diag(reg)
+        # solve with H scaled to a unit diagonal plus a ridge at rounding level:
+        # any feature scale, and margins that all saturate, keep it invertible
+        diag = np.diagonal(H, axis1=1, axis2=2)
+        D = 1.0 / np.sqrt(np.where(diag > 0.0, diag, 1.0))
+        H = H * D[:, :, None] * D[:, None, :] + 1e-12 * np.eye(d)
+        p = D * np.linalg.solve(H, (D * g)[:, :, None])[:, :, 0]
+        dec = (g * p).sum(axis=1)
+        t, retry = np.full(rows.size, 2.0), np.ones(rows.size, bool)
+        while retry.any():  # halve each row's step from 1 until Armijo holds
+            t[retry] *= 0.5
+            cand = th - t[:, None] * p
+            f_cand, z = loss(X, ypm, cand)
+            ok = f_cand <= f - 0.25 * t * dec
+            retry = ~ok & (t > 1e-9)
+        thetas[rows[~ok]] = th[~ok]  # no step lowers the loss enough: stop short
+        X, ypm, rows, th, f, z = X[ok], ypm[ok], rows[ok], cand[ok], f_cand[ok], z[ok]
+    thetas[rows] = th
+    if converged < B:
+        warnings.warn(f"{B - converged} of {B} logistic fits stopped short", NotConvergedWarning)
+    return thetas
 
 
 def _subsample_indices(rng, n, size, labels, max_tries=50):
@@ -144,13 +157,50 @@ def _subsample_indices(rng, n, size, labels, max_tries=50):
     raise TooFewSamples("could not draw a subsample containing both classes")
 
 
+_CHUNK_FLOATS = 2**15  # floats of stacked (rows, n, d) data fitted at once: bounds memory
+
+
+def _fit_subsamples(datasets, fraction, trials, seed, l2_reg, max_iter=100, prefix=None):
+    """Thetas (trials, d): trial t fits a `fraction` subsample of
+    datasets[t % len(datasets)] (all of it if the fraction rounds to every
+    row) drawn with child seed t, after the rows of prefix when given.
+    Trials of one size are fitted together, in chunks of at most
+    _CHUNK_FLOATS floats, each drawn just before it is fitted."""
+    if not 0.0 < fraction <= 1.0:
+        raise TooFewSamples(f"subsample fraction must lie in (0, 1], got {fraction}")
+    seeds = np.random.SeedSequence(seed).spawn(trials)
+    sizes = [max(int(round(fraction * datasets[t % len(datasets)].n)), 2) for t in range(trials)]
+    extra = 0 if prefix is None else prefix.n
+    dim = datasets[0].features.shape[1] + 1
+    thetas = np.empty((trials, dim))
+
+    def draw(t):
+        data = datasets[t % len(datasets)]
+        X, y = data.features, data.labels
+        if sizes[t] < len(y):
+            idx = _subsample_indices(np.random.default_rng(seeds[t]), len(y), sizes[t], y)
+            X, y = X[idx], y[idx]
+        if prefix is not None:
+            X, y = np.vstack([prefix.features, X]), np.concatenate([prefix.labels, y])
+        return LabeledDataset(X, y)
+
+    for n in dict.fromkeys(sizes):
+        group = [t for t in range(trials) if sizes[t] == n]
+        step = max(1, _CHUNK_FLOATS // ((n + extra) * dim))
+        for chunk in (group[at:at + step] for at in range(0, len(group), step)):
+            subs = [draw(t) for t in chunk]
+            X = np.stack([sub.augmented() for sub in subs])
+            thetas[chunk] = _fit_logistic(X, np.stack([sub.labels for sub in subs]), l2_reg, max_iter)
+    return thetas
+
+
 def bootstrap_parameters(
     data: LabeledDataset,
     B: int,
     subsample: float = 0.8,
     seed: int = 0,
     l2_reg: float = 1e-4,
-    max_epochs: int = 2000,
+    max_iter: int = 100,
 ) -> ParameterSample:
     """Train B classifiers on independent random subsamples (fraction
     `subsample` of the rows, drawn without replacement) and collect their
@@ -158,20 +208,7 @@ def bootstrap_parameters(
     fits are order-independent and reproducible."""
     if B < 2:
         raise TooFewSamples(f"need B >= 2 retrains, got {B}")
-    if not 0.0 < subsample <= 1.0:
-        raise TooFewSamples(f"subsample fraction must lie in (0, 1], got {subsample}")
-    size = max(int(round(subsample * data.n)), 2)
-    children = np.random.SeedSequence(seed).spawn(B)
-    thetas = np.empty((B, data.features.shape[1] + 1))
-    for i, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        if size >= data.n:
-            sub = data
-        else:
-            idx = _subsample_indices(rng, data.n, size, data.labels)
-            sub = LabeledDataset(data.features[idx], data.labels[idx])
-        thetas[i] = train_logistic(sub, l2_reg=l2_reg, max_epochs=max_epochs).theta
-    return ParameterSample(thetas)
+    return ParameterSample(_fit_subsamples([data], subsample, B, seed, l2_reg, max_iter))
 
 
 def _kmeans(points: np.ndarray, K: int, rng, max_restarts: int = 50, max_sweeps: int = 200):

@@ -25,7 +25,8 @@ from .errors import (
     ParseError,
     RecourseError,
 )
-from .estimation import LabeledDataset, _subsample_indices, train_logistic
+from .estimation import LabeledDataset, _fit_subsamples
+from .estimation import train_logistic  # noqa: F401  re-exported: bench/run.py hooks it here
 from .model import (
     ActionabilitySpec,
     Cost,
@@ -249,7 +250,8 @@ def build_shift_ensemble(
 
     mode="concat" additionally concatenates the original training data to
     every subsample; mode="shifted-only" trains on the subsample alone.
-    Raises TooFewSamples when 50 draws yield no subsample with both classes.
+    Raises TooFewSamples for a fraction outside (0, 1] or when 50 draws
+    yield no subsample with both classes.
     """
     shifted = list(shifted)
     if not shifted:
@@ -258,19 +260,11 @@ def build_shift_ensemble(
         raise ValueError(f"unknown m2 mode {mode!r}")
     if mode == "concat" and original is None:
         raise EmptyInput("concat mode needs the original dataset")
-    seeds = np.random.SeedSequence(seed).spawn(trials)
-    classifiers = []
-    for t in range(trials):
-        data = shifted[t % len(shifted)]
-        rng = np.random.default_rng(seeds[t])
-        size = max(int(round(subsample * data.n)), 2)
-        idx = _subsample_indices(rng, data.n, size, data.labels)
-        X, y = data.features[idx], data.labels[idx]
-        if mode == "concat":
-            X = np.vstack([original.features, X])
-            y = np.concatenate([original.labels, y])
-        classifiers.append(train_logistic(LabeledDataset(X, y), l2_reg=l2_reg))
-    return ShiftEnsemble(tuple(classifiers))
+    extra = original if mode == "concat" else None
+    if len({data.features.shape[1] for data in [*shifted, extra] if data is not None}) > 1:
+        raise DimensionMismatch("the datasets disagree in their number of features")
+    thetas = _fit_subsamples(shifted, subsample, trials, seed, l2_reg, prefix=extra)
+    return ShiftEnsemble(tuple(LinearClassifier(theta) for theta in thetas))
 
 
 def evaluate(

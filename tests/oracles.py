@@ -125,11 +125,15 @@ def weight_robust_grid(f, p_hat, eps, divergence, coarse=1e-3, refinements=3):
         if K == 2:
             p1 = axes[0]
             P = np.stack([p1, 1.0 - p1], axis=-1)
+            P = P[np.all(P >= 0.0, axis=-1) & np.all(P <= 1.0, axis=-1)]
         else:
+            # keep the simplex on the 2-D grid, then stack only the kept
+            # rows: the same rows in the same order as filtering the stack
             g1, g2 = np.meshgrid(axes[0], axes[1], indexing="ij")
-            P = np.stack([g1, g2, 1.0 - g1 - g2], axis=-1)
-            P = P.reshape(-1, 3)
-        P = P[np.all(P >= 0.0, axis=-1) & np.all(P <= 1.0, axis=-1)]
+            g3 = 1.0 - g1 - g2
+            keep = (g1 >= 0.0) & (g1 <= 1.0) & (g2 >= 0.0) & (g2 <= 1.0)
+            keep &= (g3 >= 0.0) & (g3 <= 1.0)
+            P = np.stack([g1[keep], g2[keep], g3[keep]], axis=-1)
         if P.size == 0:
             return None, None
         ok = _phi_div_rows(P, p_hat, divergence) <= eps + 1e-15

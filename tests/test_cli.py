@@ -208,6 +208,10 @@ class TestBadValues:
             # JSON NaN and Infinity, which Python's json reads as floats
             {"delta_add": float("nan")}, {"margin": float("inf")},
             {"rho": [0.1, -float("inf")]}, {"m2": {"subsample": float("nan")}},
+            # subsample fractions outside (0, 1] and a negative ridge
+            {"m2": {"subsample": 1.5}}, {"m2": {"subsample": -0.5}},
+            {"bootstrap": {"subsample": 0}}, {"bootstrap": {"subsample": 1.5}},
+            {"bootstrap": {"l2_reg": -1}},
         ],
     )
     def test_bad_config_value_exits_1(self, workdir, capsys, user_cfg):
@@ -467,6 +471,9 @@ class TestOtherModes:
 _BAD_NUMBERS = ["abc", "", "1,,2", "nan", "inf", "-inf", "1e999", "-2", "0x1p3", "1;2"]
 _BAD_JSON_VALUES = ["NaN", "Infinity", "-Infinity", '"x"', "null", "[]", "{}", "true"]
 _NUMERIC_KEYS = ["delta_add", "margin", "lambda_ls", "zeta", "station_tol", "weight_budget"]
+# (section, key, value) out of range inside a config section
+_BAD_SECTION_VALUES = [("bootstrap", "subsample", v) for v in ("1.5", "-0.5", "0")] + [
+    ("m2", "subsample", v) for v in ("1.5", "-0.5", "0")] + [("bootstrap", "l2_reg", "-1")]
 _BELIEF_EDITS = [("components", "[]"), ("weights", "[0.5]"), ("theta0", '"x"'),
                  ("theta0", "[NaN, 0, 0]"), ("components", '[{"mean": [1, 0, 0]}]'),
                  ("weights", "NaN"), ("theta0", None), ("normalization", "[1]")]
@@ -477,6 +484,7 @@ corruptions = st.one_of(
               st.sampled_from(_BAD_NUMBERS)),
     st.tuples(st.just("shifts"), st.sampled_from(["-2", "-1", "abc", "1.5", ""]), st.none()),
     st.tuples(st.just("config"), st.sampled_from(_NUMERIC_KEYS), st.sampled_from(_BAD_JSON_VALUES)),
+    st.tuples(st.just("section"), st.sampled_from(_BAD_SECTION_VALUES), st.none()),
     st.tuples(st.just("belief"), st.sampled_from(_BELIEF_EDITS), st.integers(0, 3)),
     st.tuples(st.just("csv"), st.sampled_from(_CSV_EDITS), st.integers(1, 40)),
     st.tuples(st.just("bytes"), st.sampled_from(["belief", "csv"]), st.binary(max_size=60)),
@@ -490,6 +498,9 @@ corruptions = st.one_of(
 @example(corruption=("config", "delta_add", "NaN"))
 @example(corruption=("shifts", "-2", None))
 @example(corruption=("csv", "nan", 14))  # a NaN label, which once read as class 0
+@example(corruption=("section", ("m2", "subsample", "1.5"), None))  # once a NumPy traceback
+@example(corruption=("section", ("m2", "subsample", "-0.5"), None))
+@example(corruption=("section", ("bootstrap", "l2_reg", "-1"), None))
 def test_cli_fuzz(fuzz_base, tmp_path_factory, corruption):
     """Whatever is malformed, the CLI exits 1 or 2 with one stderr line."""
     base, stages = fuzz_base
@@ -507,6 +518,11 @@ def test_cli_fuzz(fuzz_base, tmp_path_factory, corruption):
         argv[argv.index("--out") + 1] = str(work / "data")
     elif kind == "config":
         cfg_text = cfg_text.rstrip()[:-1] + f', "{what}": {detail}}}'
+    elif kind == "section":
+        section, key, value = what
+        cfg = json.loads(cfg_text)
+        cfg[section] = {**cfg.get(section, {}), key: "@@"}
+        cfg_text = json.dumps(cfg).replace('"@@"', value)
     elif kind == "belief":
         key, value = what
         payload = json.loads(belief_text)

@@ -1,21 +1,25 @@
 import numpy as np
 import pytest
 
+from robust_recourse import estimation
 from robust_recourse.errors import (
     DegenerateScores,
     DimensionMismatch,
+    NotConvergedWarning,
     TooFewSamples,
 )
 from robust_recourse.estimation import (
     LabeledDataset,
     ParameterSample,
     _kmeans,
+    _subsample_indices,
     bootstrap_parameters,
     fit_mixture_moments,
     local_linear_surrogate,
     prior_belief,
     train_logistic,
 )
+from robust_recourse.harness import build_shift_ensemble
 from robust_recourse.model import validate_problem
 
 
@@ -63,7 +67,7 @@ class TestTrainLogistic:
     def test_boundary_bisects_symmetric_points(self):
         X = np.array([[-1.0, 0.0]] * 10 + [[3.0, 0.0]] * 10)
         y = np.array([0] * 10 + [1] * 10)
-        clf = train_logistic(LabeledDataset(X, y), l2_reg=1e-2, max_epochs=20000)
+        clf = train_logistic(LabeledDataset(X, y), l2_reg=1e-2)
         midpoint = np.array([1.0, 0.0, 1.0])
         assert abs(clf.theta @ midpoint) <= 1e-3
 
@@ -72,6 +76,101 @@ class TestTrainLogistic:
         a = train_logistic(data)
         b = train_logistic(data)
         assert np.array_equal(a.theta, b.theta)
+
+    @pytest.mark.parametrize("mu", [3.0, 0.5], ids=["separable", "overlapping"])
+    def test_matches_scipy_minimizer(self, rng, mu):
+        minimize = pytest.importorskip("scipy.optimize").minimize
+        data = blobs(rng, mu0=(-mu, -mu), mu1=(mu, mu))
+        ref = minimize(
+            lambda t: _loss_grad(data, t), np.zeros(3), jac=True,
+            hess=lambda t: _hessian(data, t), method="trust-exact", options={"gtol": 1e-13},
+        ).x
+        theta = train_logistic(data).theta
+        grad = _loss_grad(data, theta)[1]
+        assert np.abs(grad).max() <= 1e-6
+        # the stopping rule bounds the distance to the minimizer by
+        # |grad| / (least curvature), with a factor 2 for the curvature's
+        # change between theta and the minimizer
+        least_curvature = np.linalg.eigvalsh(_hessian(data, ref))[0]
+        assert np.linalg.norm(theta - ref) <= 2.0 * np.linalg.norm(grad) / least_curvature
+
+    def test_iteration_cap_warns_and_returns_a_descent(self, rng):
+        data = blobs(rng)
+        with pytest.warns(NotConvergedWarning):
+            theta = train_logistic(data, max_iter=2).theta
+        assert np.all(np.isfinite(theta))
+        assert _loss_grad(data, theta)[0] < _loss_grad(data, np.zeros(3))[0]
+        assert np.abs(_loss_grad(data, theta)[1]).max() > 1e-6
+
+    def test_rounding_floor_warns_and_returns_a_descent(self, rng):
+        # at features near 1e12 the gradient's rounding error exceeds 1e-6,
+        # so the fit stops where no step lowers the loss
+        data = blobs(rng, mu0=(-1.0, -1.0), mu1=(1.0, 1.0))
+        data = LabeledDataset(data.features * 1e12, data.labels)
+        with pytest.warns(NotConvergedWarning):
+            theta = train_logistic(data).theta
+        assert np.all(np.isfinite(theta))
+        assert _loss_grad(data, theta)[0] < _loss_grad(data, np.zeros(3))[0]
+
+
+def _loss_grad(data, theta, l2_reg=1e-4):
+    """The regularized logistic loss and its gradient, computed directly."""
+    X, y = data.augmented(), 2.0 * data.labels - 1.0
+    reg = np.r_[np.full(X.shape[1] - 1, l2_reg), 0.0]
+    z = y * (X @ theta)
+    sig = 1.0 / (1.0 + np.exp(z))
+    loss = np.logaddexp(0.0, -z).mean() + 0.5 * reg @ theta**2
+    return loss, reg * theta - X.T @ (y * sig) / len(y)
+
+
+def _hessian(data, theta, l2_reg=1e-4):
+    X = data.augmented()
+    p = 1.0 / (1.0 + np.exp(-(X @ theta)))
+    reg = np.r_[np.full(X.shape[1] - 1, l2_reg), 0.0]
+    return (X.T * (p * (1.0 - p))) @ X / len(p) + np.diag(reg)
+
+
+def _lone_fits(datasets, sizes, seed, original=None):
+    """train_logistic on each trial's subsample, drawn as the ensembles draw
+    them: trial t from datasets[t % len], with child seed t."""
+    seeds = np.random.SeedSequence(seed).spawn(len(sizes))
+    thetas = []
+    for t, size in enumerate(sizes):
+        data = datasets[t % len(datasets)]
+        idx = _subsample_indices(np.random.default_rng(seeds[t]), data.n, size, data.labels)
+        X, y = data.features[idx], data.labels[idx]
+        if original is not None:
+            X, y = np.vstack([original.features, X]), np.concatenate([original.labels, y])
+        thetas.append(train_logistic(LabeledDataset(X, y)).theta)
+    return np.array(thetas)
+
+
+class TestBatchedFit:
+    """Every subsample's theta is bitwise the one train_logistic gives it
+    alone, whatever batch or chunk it is fitted in, and keeps its trial
+    order."""
+
+    @pytest.mark.parametrize("floats", [1, 3 * 240 * 2, estimation._CHUNK_FLOATS])
+    def test_bootstrap_rows_are_lone_fits(self, rng, monkeypatch, floats):
+        # 240 rows of 3 floats each: chunks of 1 row, of 2 rows, and one chunk
+        data = blobs(rng, n=150)
+        want = _lone_fits([data], [240] * 5, seed=4)
+        monkeypatch.setattr(estimation, "_CHUNK_FLOATS", floats)
+        assert np.array_equal(bootstrap_parameters(data, B=5, seed=4).thetas, want)
+
+    @pytest.mark.parametrize("mode", ["shifted-only", "concat"])
+    def test_shift_ensemble_rows_are_lone_fits(self, rng, monkeypatch, mode):
+        # two dataset sizes alternate by trial, so the fits run in two size
+        # groups and must come back in trial order
+        shifted = [blobs(rng, n=60), blobs(rng, n=45)]
+        original = blobs(rng, n=20) if mode == "concat" else None
+        want = _lone_fits(shifted, [60, 45] * 3 + [60], seed=9, original=original)
+        for floats in (1, estimation._CHUNK_FLOATS):
+            monkeypatch.setattr(estimation, "_CHUNK_FLOATS", floats)
+            ens = build_shift_ensemble(
+                shifted, subsample=0.5, trials=7, seed=9, mode=mode, original=original
+            )
+            assert np.array_equal(ens.matrix(), want)
 
 
 class TestBootstrap:

@@ -204,6 +204,12 @@ class TestShiftEnsemble:
         b = build_shift_ensemble(shifted, trials=4, seed=3)
         assert all(np.array_equal(x.theta, y.theta) for x, y in zip(a.classifiers, b.classifiers))
 
+    @pytest.mark.parametrize("subsample", [0.0, -0.5, 1.5, float("nan")])
+    def test_subsample_outside_unit_interval_raises(self, rng, subsample):
+        _, shifted, *_ = tiny_pipeline(rng)
+        with pytest.raises(TooFewSamples):
+            build_shift_ensemble(shifted, subsample=subsample, trials=2)
+
     def test_no_two_class_subsample_raises(self):
         # one positive among 1,000 rows: at seed 0 all 50 draws of 10 rows miss it
         labels = np.zeros(1000, int)
