@@ -25,10 +25,6 @@ class BadBudget(RecourseError):
 
 # --- worst-case / objective -------------------------------------------------
 
-class BetaOutOfRange(RecourseError):
-    """Risk level beta outside the valid interval."""
-
-
 class ZeroAction(RecourseError):
     """The all-zero action, where the worst-case formulas are 0/0."""
 

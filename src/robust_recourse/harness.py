@@ -165,63 +165,64 @@ class Normalization:
     def invert(self, X: np.ndarray) -> np.ndarray:
         return X * self.col_range + self.col_min
 
-    @classmethod
-    def identity(cls, n_cols: int) -> "Normalization":
-        return cls(np.zeros(n_cols), np.ones(n_cols))
+
+# every character that str.isspace() accepts lies below U+3001
+_BLANK = "".join(c for c in map(chr, range(0x3001)) if c.isspace()) + ',"'
+
+
+def _is_row(line: str) -> bool:
+    """False for a line of blank cells, which is skipped (an unbalanced quote is not blank)."""
+    return bool(line.strip(_BLANK)) or line.count('"') % 2 == 1 or any(
+        cell.strip() for cell in next(csv.reader([line])))
+
+
+def _table(rows, width: int, label_idx: int) -> np.ndarray:
+    """The rows as an (n, width) array; ValueError unless all are numbers, labels finite."""
+    table = np.loadtxt(rows, delimiter=",", comments=None, quotechar='"', ndmin=2, dtype=np.float64)
+    if table.shape[1] != width or not np.isfinite(table[:, label_idx]).all():
+        raise ValueError("not a table of numbers with finite labels")
+    return table
 
 
 def load_csv(path, label_column: str, normalize: bool = False):
-    """Read a headed numeric CSV into a LabeledDataset.
-
-    Labels are binarized by the rule value > 0.5 -> 1.  With normalize,
-    features are min-max scaled to [0, 1] per column (constant columns map
-    to zero) and the returned Normalization inverts the scaling.
+    """Read a dataset CSV: comma-delimited, one header row, cells may be
+    double-quoted, rows whose cells are all blank are skipped, labels must
+    be finite and are binarized as value > 0.5.  A malformed row raises
+    ParseError or NonNumeric naming path:line.  With normalize, features
+    are min-max scaled to [0, 1] per column (constant columns map to zero)
+    and the returned Normalization inverts the scaling.
     Returns (dataset, feature_names, normalization).
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file")
-        header = [h.strip() for h in header]
-        if label_column not in header:
-            raise MissingLabel(f"{path}: no column named {label_column!r} in header")
-        label_idx = header.index(label_column)
-        feat_names = [h for i, h in enumerate(header) if i != label_idx]
-        rows = []
-        labels = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(header):
-                raise ParseError(
-                    f"{path}:{line_no}: expected {len(header)} cells, got {len(row)}"
-                )
+    with open(path, errors="replace") as fh:  # a byte that is not text fails as a cell
+        lines = fh.readlines()  # each keeps its newline, as a quoted cell needs
+    if not lines:
+        raise ParseError(f"{path}: empty file")
+    header = [h.strip() for h in next(csv.reader(lines[:1]))]
+    if label_column not in header:
+        raise MissingLabel(f"{path}: no column named {label_column!r} in header")
+    label_idx = header.index(label_column)
+    feat_names = [h for i, h in enumerate(header) if i != label_idx]
+    width = len(header)
+    rows = list(filter(_is_row, lines[1:]))
+    try:
+        table = _table(rows, width, label_idx) if rows else np.empty((0, width))
+    except ValueError:  # name the first row that is rejected on its own
+        for line_no, line in enumerate(lines[1:], start=2):
             try:
-                values = [float(cell) for i, cell in enumerate(row) if i != label_idx]
-            except ValueError as exc:
-                raise NonNumeric(f"{path}:{line_no}: {exc}")
-            try:
-                lab = float(row[label_idx])
-            except ValueError as exc:
-                raise NonNumeric(f"{path}:{line_no}: label: {exc}")
-            if not math.isfinite(lab):
-                raise NonNumeric(f"{path}:{line_no}: label {row[label_idx]!r} is not finite")
-            rows.append(values)
-            labels.append(1 if lab > 0.5 else 0)
-    X = np.array(rows, dtype=float)
-    y = np.array(labels, dtype=int)
-    if normalize:
-        col_min = X.min(axis=0)
-        col_range = X.max(axis=0) - col_min
-        constant = col_range <= 0.0
-        col_range = np.where(constant, 1.0, col_range)
-        norm = Normalization(col_min, col_range)
-        X = norm.apply(X)
-    else:
-        norm = Normalization.identity(X.shape[1])
-    return LabeledDataset(X, y), feat_names, norm
+                if _is_row(line):
+                    _table([line], width, label_idx)
+            except ValueError:
+                cells = next(csv.reader([line]))
+                kind = NonNumeric if len(cells) == width else ParseError
+                raise kind(f"{path}:{line_no}: not {width} numbers with a finite label: {cells}")
+        raise ParseError(f"{path}: a quoted cell runs across lines")
+    data = LabeledDataset(np.delete(table, label_idx, axis=1), table[:, label_idx] > 0.5)
+    if not normalize:
+        return data, feat_names, Normalization(np.zeros(width - 1), np.ones(width - 1))
+    col_min = data.features.min(axis=0)
+    col_range = data.features.max(axis=0) - col_min
+    norm = Normalization(col_min, np.where(col_range <= 0.0, 1.0, col_range))
+    return replace(data, features=norm.apply(data.features)), feat_names, norm
 
 
 def save_dataset_csv(path, dataset: LabeledDataset, feat_names=None, label_column="label"):
@@ -443,6 +444,7 @@ def sweep_frontier(
     rhos = list(rhos)
     if not deltas_add or not rhos:
         raise EmptyInput("sweep grids must be nonempty")
+    thetas_t = ensemble.matrix().T  # (d, trials), the same for every cell
     rows = []
     for rho in rhos:
         tmpl_r = replace(template, belief=template.belief.with_radius(rho))
@@ -456,7 +458,7 @@ def sweep_frontier(
                 Xr = np.array([r.values for r, _ in solved])
                 X0 = np.array([x0.values for _, x0 in solved])
                 l1 = float(np.abs(Xr[:, :-1] - X0[:, :-1]).sum(axis=1).mean())
-                m2 = float((Xr @ ensemble.matrix().T >= 0.0).mean())
+                m2 = float((Xr @ thetas_t >= 0.0).mean())
             else:
                 l1 = math.nan
                 m2 = math.nan

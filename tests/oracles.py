@@ -3,16 +3,22 @@
 Everything here recomputes expected values by a route different from the
 library code: the worst-case value-at-risk curves and root bisection on
 them, dense grid search for projections and minimum budgets, and simplex
-enumeration for the weight-robust objective.
+enumeration for the weight-robust objective, and a cell-by-cell CSV
+reader.
 """
 
+import csv
 import math
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from robust_recourse.errors import BetaOutOfRange
+from robust_recourse.errors import RecourseError
 from robust_recourse.model import Cost
+
+
+class BetaOutOfRange(RecourseError):
+    """Risk level beta outside the valid interval of a value-at-risk curve."""
 
 
 def var_nonparametric(t, beta):
@@ -313,3 +319,16 @@ def cost_ball_numpy(xp, x0, delta, cost):
             return xp.copy()
         return x0 + (delta / n) * diff
     return x0 + l1_ball_numpy(diff, delta)
+
+
+def load_csv_cellwise(path, label_column):
+    """Features and 0/1 labels of a dataset CSV, read through the csv module
+    with one float() per cell: rows whose cells are all blank are skipped,
+    labels are binarized as value > 0.5.  Well-formed input only."""
+    with open(path, newline="") as fh:
+        rows = [row for row in csv.reader(fh) if any(cell.strip() for cell in row)]
+    header = [name.strip() for name in rows[0]]
+    label_idx = header.index(label_column)
+    X = np.array([[float(c) for i, c in enumerate(row) if i != label_idx] for row in rows[1:]])
+    y = np.array([1 if float(row[label_idx]) > 0.5 else 0 for row in rows[1:]])
+    return X, y

@@ -3,7 +3,9 @@ import csv
 import numpy as np
 import pytest
 
+import oracles
 from robust_recourse.errors import (
+    DimensionMismatch,
     EmptyInput,
     MissingLabel,
     NonNumeric,
@@ -32,7 +34,7 @@ from robust_recourse.harness import (
 )
 from robust_recourse import feasibility as fz
 from robust_recourse import harness
-from robust_recourse.cli import load_recourses_csv, save_recourses_csv
+from robust_recourse.cli import cli_main, load_recourses_csv, save_recourses_csv
 from robust_recourse.errors import MaxIterExceeded
 from robust_recourse.model import ActionabilitySpec, FeatureVector, LinearClassifier
 from robust_recourse.optimizer import SolverConfig, solve
@@ -79,6 +81,46 @@ class TestGenerateSynthetic:
         assert all(
             np.array_equal(x.features, y.features) for x, y in zip(a[1], b[1])
         )
+
+
+def _plain_csv():
+    """Ten rows, a,b,label; features (i + 0.5, i % 3), labels alternating."""
+    return "a,b,label\n" + "".join(f"{i + 0.5},{i % 3},{i % 2}\n" for i in range(10))
+
+
+_PLAIN_X = np.array([[i + 0.5, i % 3] for i in range(10)])
+_PLAIN_Y = np.arange(10) % 2
+
+
+def _reorder(text, order):
+    return "".join(",".join(line.split(",")[i] for i in order) + "\n"
+                   for line in text.splitlines())
+
+
+def _blank_rows(text):
+    lines = text.splitlines()
+    lines[3:3] = ["", ",,", "  ,\t, ", '"",""']
+    lines[8:8] = ["", ""]
+    return "\n".join(lines) + "\n"
+
+
+# files load_csv accepts: the syntax around the numbers varies, the data do not
+_EDGE_CSVS = {
+    "quoted": "".join(",".join(f'"{c}"' if i < 2 else c for i, c in enumerate(line.split(",")))
+                      + "\n" for line in _plain_csv().splitlines()),
+    "crlf": _plain_csv().replace("\n", "\r\n"),
+    "blank rows": _blank_rows(_plain_csv()),
+    "padded cells": _plain_csv().replace(",", " ,  ").replace("\n", " \n"),
+    "padded header": _plain_csv().replace("a,b,label", " a ,b  ,  label "),
+    "label first": _reorder(_plain_csv(), [2, 0, 1]),
+    "label in the middle": _reorder(_plain_csv(), [0, 2, 1]),
+}
+
+
+def _write(tmp_path, text):
+    path = tmp_path / "t.csv"
+    path.write_bytes(text.encode())
+    return path
 
 
 class TestLoadCsv:
@@ -137,6 +179,99 @@ class TestLoadCsv:
         back = norm.invert(data.features)
         assert back[3, 0] == pytest.approx(3.0)
         assert back[0, 1] == pytest.approx(5.0)
+
+    def test_quoted_cells(self, tmp_path):
+        data, names, _ = load_csv(_write(tmp_path, _EDGE_CSVS["quoted"]), "label")
+        assert names == ["a", "b"]
+        assert data.features[:2].tolist() == [[0.5, 0.0], [1.5, 1.0]]
+        assert data.labels[:2].tolist() == [0, 1]
+
+    def test_crlf_line_endings(self, tmp_path):
+        data, names, _ = load_csv(_write(tmp_path, _EDGE_CSVS["crlf"]), "label")
+        assert names == ["a", "b"]
+        assert np.array_equal(data.features, _PLAIN_X)
+
+    def test_blank_rows_in_the_body_are_skipped(self, tmp_path):
+        data, _, _ = load_csv(_write(tmp_path, _EDGE_CSVS["blank rows"]), "label")
+        assert np.array_equal(data.features, _PLAIN_X)
+        assert np.array_equal(data.labels, _PLAIN_Y)
+
+    def test_cells_padded_with_spaces(self, tmp_path):
+        data, _, _ = load_csv(_write(tmp_path, _EDGE_CSVS["padded cells"]), "label")
+        assert np.array_equal(data.features, _PLAIN_X)
+
+    def test_header_names_padded_with_spaces(self, tmp_path):
+        _, names, _ = load_csv(_write(tmp_path, _EDGE_CSVS["padded header"]), "label")
+        assert names == ["a", "b"]
+
+    @pytest.mark.parametrize("key", ["label first", "label in the middle"])
+    def test_label_column_anywhere(self, tmp_path, key):
+        data, names, _ = load_csv(_write(tmp_path, _EDGE_CSVS[key]), "label")
+        assert names == ["a", "b"]
+        assert np.array_equal(data.features, _PLAIN_X)
+        assert np.array_equal(data.labels, _PLAIN_Y)
+
+    def test_single_data_row_reaches_the_dataset_check(self, tmp_path):
+        with pytest.raises(DimensionMismatch, match="at least 10 samples, got 1"):
+            load_csv(_write(tmp_path, "a,b,label\n1,2,0\n"), "label")
+
+    def test_header_only(self, tmp_path):
+        with pytest.raises(DimensionMismatch):
+            load_csv(_write(tmp_path, "a,b,label\n"), "label")
+
+    def test_hash_cell_is_not_a_comment(self, tmp_path):
+        with pytest.raises(NonNumeric, match=":3:"):
+            load_csv(_write(tmp_path, _plain_csv().replace("\n1.5,", "\n#,", 1)), "label")
+
+    def test_bad_cell_after_blank_lines_names_its_line(self, tmp_path):
+        lines = _plain_csv().splitlines()
+        lines[4:4] = ["", ",,", " , , "]
+        lines[8] = "x" + lines[8]  # the fifth data row, below three blank lines
+        with pytest.raises(NonNumeric, match=r"t\.csv:9: "):
+            load_csv(_write(tmp_path, "\n".join(lines) + "\n"), "label")
+
+    def test_undecodable_byte_is_non_numeric(self, tmp_path):
+        path = _write(tmp_path, _plain_csv())
+        path.write_bytes(path.read_bytes().replace(b"\n2.5,", b"\n2.5\xff,", 1))
+        with pytest.raises(NonNumeric, match=":4:"):
+            load_csv(path, "label")
+
+    def test_lone_quote_row_is_not_skipped(self, tmp_path):
+        # it opens a quoted cell that swallows the rows below it
+        lines = _plain_csv().splitlines()
+        lines[4:4] = ['"']
+        with pytest.raises(ParseError, match=":5:"):
+            load_csv(_write(tmp_path, "\n".join(lines) + "\n"), "label")
+
+    def test_quote_left_open_across_rows(self, tmp_path):
+        # each row parses alone, but the open quote merges row 2 into row 1
+        text = _plain_csv().replace("\n0.5,0,0\n", '\n0.5,0,"0\n', 1)
+        with pytest.raises(ParseError, match="quoted cell runs across lines"):
+            load_csv(_write(tmp_path, text), "label")
+
+    def test_underscore_digit_separator_is_non_numeric(self, tmp_path):
+        # float() accepts "1_0"; the dataset syntax does not
+        with pytest.raises(NonNumeric, match=":2:"):
+            load_csv(_write(tmp_path, _plain_csv().replace("\n0.5,", "\n1_0,", 1)), "label")
+
+    @pytest.mark.parametrize("key", sorted(_EDGE_CSVS))
+    def test_edge_cases_match_cellwise_parse(self, tmp_path, key):
+        path = _write(tmp_path, _EDGE_CSVS[key])
+        data, _, _ = load_csv(path, "label")
+        X, y = oracles.load_csv_cellwise(path, "label")
+        assert np.array_equal(data.features, X) and np.array_equal(data.labels, y)
+
+    def test_synth_outputs_match_cellwise_parse(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"synthetic": {"n_per_class": 200}}')
+        assert cli_main(["synth", "--config", str(cfg), "--out", str(tmp_path / "data"),
+                         "--seed", "11", "--n-shifts", "6", "--kind", "all"]) == 0
+        paths = sorted((tmp_path / "data").glob("*.csv"))
+        assert len(paths) == 7
+        for path in paths:
+            data, _, _ = load_csv(path, "label")
+            X, y = oracles.load_csv_cellwise(path, "label")
+            assert np.array_equal(data.features, X) and np.array_equal(data.labels, y), path
 
 
 def tiny_pipeline(rng, n_shifts=6, n_per_class=120, rho=0.1):

@@ -6,12 +6,13 @@ from scipy.special import ndtr
 
 from conftest import random_feasible_instance, random_pd_matrix
 from oracles import (
+    BetaOutOfRange,
     var_gaussian,
     var_nonparametric,
     wc_prob_gaussian_bisect,
     wc_prob_nonparametric_bisect,
 )
-from robust_recourse.errors import BetaOutOfRange, ZeroAction
+from robust_recourse.errors import ZeroAction
 from robust_recourse.model import ComponentMoments
 from robust_recourse.worst_case import (
     ABCTriple,
