@@ -583,15 +583,12 @@ def min_cost_point(specs, proj_tol: float = 1e-8) -> list:
         else:
             todo.append(i)
     for i, (status, x) in zip(todo, _run_blocks([specs[i] for i in todo])):
-        cost = cost_of(x, specs[i].x0, specs[i].cost)
         if status == INFEASIBLE:
             out[i] = Unattainable("the margin-and-bounds set is empty (Farkas certificate)")
         elif status == FAILED:
             out[i] = Unattainable("the distance program did not converge")
-        elif cost > 2.0**10:
-            out[i] = Unattainable(f"cheapest budget {cost:.3g} exceeds the cap 2**10")
         else:
-            out[i] = (cost, x)
+            out[i] = (cost_of(x, specs[i].x0, specs[i].cost), x)
     return out
 
 
@@ -601,11 +598,17 @@ def delta_min(spec: FeasibleSetSpec, proj_tol: float = 1e-8, with_point: bool = 
     distance from x0 to the margin-and-bounds set M, by the distance
     program in the conic kernel (min_cost_point of this one spec).
 
-    Raises Unattainable when some margin set is empty, when the kernel
-    certifies M empty or does not converge, or when the distance exceeds
-    the cap 2**10, and DegenerateDirection for a zero direction.
+    Raises Unattainable when some margin set is empty or when the kernel
+    certifies M empty or does not converge, and DegenerateDirection for a
+    zero direction; no bound caps the distance.
     """
     best = min_cost_point([spec], proj_tol)[0]
     if isinstance(best, RecourseError):
         raise best
     return best if with_point else best[0]
+
+
+def budget_pinned(delta: float, dmin: float) -> bool:
+    """Whether delta, within max(1e-9, 1e-12*dmin) of delta_min, pins the
+    feasible set to the cost-argmin set, leaving a descent no room."""
+    return delta - dmin <= max(1e-9, 1e-12 * dmin)

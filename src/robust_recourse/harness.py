@@ -170,10 +170,17 @@ class Normalization:
 _BLANK = "".join(c for c in map(chr, range(0x3001)) if c.isspace()) + ',"'
 
 
-def _is_row(line: str) -> bool:
-    """False for a line of blank cells, which is skipped (an unbalanced quote is not blank)."""
-    return bool(line.strip(_BLANK)) or line.count('"') % 2 == 1 or any(
-        cell.strip() for cell in next(csv.reader([line])))
+def _cells(path, line_no: int, line: str) -> list:
+    """The cells of one line; a csv.Error (before Python 3.11 a NUL byte) as ParseError."""
+    try:
+        return next(csv.reader([line]))
+    except csv.Error as exc:
+        raise ParseError(f"{path}:{line_no}: {exc}") from None
+
+
+def _blank_line_is_row(path, line_no: int, line: str) -> bool:
+    """Whether a line that strip(_BLANK) empties is a row: an open quote or a non-blank cell."""
+    return line.count('"') % 2 == 1 or any(cell.strip() for cell in _cells(path, line_no, line))
 
 
 def _table(rows, width: int, label_idx: int) -> np.ndarray:
@@ -197,22 +204,23 @@ def load_csv(path, label_column: str, normalize: bool = False):
         lines = fh.readlines()  # each keeps its newline, as a quoted cell needs
     if not lines:
         raise ParseError(f"{path}: empty file")
-    header = [h.strip() for h in next(csv.reader(lines[:1]))]
+    header = [h.strip() for h in _cells(path, 1, lines[0])]
     if label_column not in header:
         raise MissingLabel(f"{path}: no column named {label_column!r} in header")
     label_idx = header.index(label_column)
     feat_names = [h for i, h in enumerate(header) if i != label_idx]
     width = len(header)
-    rows = list(filter(_is_row, lines[1:]))
+    rows = [line for n, line in enumerate(lines[1:], start=2)
+            if line.strip(_BLANK) or _blank_line_is_row(path, n, line)]
     try:
         table = _table(rows, width, label_idx) if rows else np.empty((0, width))
     except ValueError:  # name the first row that is rejected on its own
         for line_no, line in enumerate(lines[1:], start=2):
             try:
-                if _is_row(line):
+                if line.strip(_BLANK) or _blank_line_is_row(path, line_no, line):
                     _table([line], width, label_idx)
             except ValueError:
-                cells = next(csv.reader([line]))
+                cells = _cells(path, line_no, line)
                 kind = NonNumeric if len(cells) == width else ParseError
                 raise kind(f"{path}:{line_no}: not {width} numbers with a finite label: {cells}")
         raise ParseError(f"{path}: a quoted cell runs across lines")
@@ -371,49 +379,49 @@ def _delta_mins(template: ProblemTemplate, instances) -> list:
     return out
 
 
-def _solve_one(args):
-    template, x0, dmin, start = args
-    try:
-        problem = template.problem_for(x0, dmin + template.delta_add)
-        return solve(problem, template.config, known_delta_min=dmin, start=start), None
-    except RecourseError as exc:
-        return None, _describe(exc)
-
-
-def _solve_all(template: ProblemTemplate, instances, dmins, workers: int = 1):
+def _solve_all(template: ProblemTemplate, instances, dmins):
     """Solve every instance whose delta_min is known; (results, errors) as
     in generate_recourses, a failed delta_min passing through as the error.
-    The starts are the block's: its cheapest points when delta_add is 0,
-    else fz.project_starts, where solve projects a row that gets none."""
+    A row whose budget is pinned (fz.budget_pinned) starts at its cheapest
+    point, every other at its projection from fz.project_starts, one kernel
+    call for the block; solve projects a row that gets none."""
     results = [None] * len(instances)
     errors = [d if isinstance(d, str) else None for d in dmins]
     todo = [i for i, e in enumerate(errors) if e is None]
-    if template.delta_add > 0.0:
-        starts = fz.project_starts([dmins[i][2].with_delta(dmins[i][0] + template.delta_add)
-                                    for i in todo], template.config.proj_tol)
-    else:
-        starts = [dmins[i][1] for i in todo]
-    tasks = [(template, instances[i], dmins[i][0], s) for i, s in zip(todo, starts)]
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = pool.map(_solve_one, tasks)
-    else:
-        outcomes = map(_solve_one, tasks)
-    for i, (res, err) in zip(todo, outcomes):
-        results[i] = res
-        errors[i] = err
+    deltas = {i: dmins[i][0] + template.delta_add for i in todo}
+    starts = {i: dmins[i][1] for i in todo}
+    moving = [i for i in todo if not fz.budget_pinned(deltas[i], dmins[i][0])]
+    starts.update(zip(moving, fz.project_starts(
+        [dmins[i][2].with_delta(deltas[i]) for i in moving], template.config.proj_tol)))
+    for i in todo:
+        try:
+            problem = template.problem_for(instances[i], deltas[i])
+            results[i] = solve(problem, template.config, known_delta_min=dmins[i][0],
+                               start=starts[i])
+        except RecourseError as exc:
+            errors[i] = _describe(exc)
     return results, errors
 
 
 def generate_recourses(template: ProblemTemplate, instances, workers: int = 1):
     """Solve one problem per instance with delta = delta_min + delta_add.
 
+    workers > 1 splits the instances into that many contiguous chunks, each
+    solved as a block of its own in a worker process; the kernel and the
+    projections work row by row, so the answers do not depend on the split.
+
     Returns (results, errors): results[i] is a RecourseResult or None;
     errors[i] is None or the stringified failure.  Output order follows the
-    input order regardless of worker scheduling.
+    input order.
     """
     instances = list(instances)
-    return _solve_all(template, instances, _delta_mins(template, instances), workers)
+    n, workers = len(instances), min(workers, len(instances))
+    if workers > 1:
+        chunks = [instances[k * n // workers : (k + 1) * n // workers] for k in range(workers)]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(generate_recourses, [template] * workers, chunks))
+        return [r for res, _ in parts for r in res], [e for _, err in parts for e in err]
+    return _solve_all(template, instances, _delta_mins(template, instances))
 
 
 @dataclass(frozen=True)

@@ -119,8 +119,9 @@ def _kl_weights(h: np.ndarray, p: np.ndarray, eps: float):
         step = beta - excess / slope if slope > 0.0 else math.nan
         if abs(step - beta) <= 1e-15 * beta or hi - lo <= 1e-15 * lo:
             break
-        if not lo < step < hi:  # the bracket shrinks at every step
-            step = 2.0 * beta if math.isinf(hi) else 0.5 * (lo + hi)
+        if not lo < step < hi:  # the bracket shrinks at every step, a wide one in log scale
+            step = 2.0 * beta if math.isinf(hi) else math.sqrt(lo) * math.sqrt(hi) \
+                if hi > 2.0 * lo > 0.0 else 0.5 * (lo + hi)
         beta = step
     return 1.0 / beta, math.log(z) / beta, w
 

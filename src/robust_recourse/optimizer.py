@@ -20,6 +20,7 @@ a diagnostic of the returned point.
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -199,18 +200,17 @@ def solve(
     """End-to-end solve: validate, check the budget against delta_min and
     run the descent from a feasible start.
 
-    The first run starts at start, a point of the feasible set, or else at
-    the projection of the input onto it (project_feasible); a perturbed
-    restart starts at the projection of its perturbed input.  A budget
-    pinned at delta_min leaves no room to move: the answer is start, or
-    else the distance program's cheapest point.
+    The descent starts at start, a point of the feasible set, if given;
+    else, when the budget is pinned at delta_min (fz.budget_pinned), at the
+    distance program's cheapest point; else at the projection of the input
+    onto the feasible set (project_feasible).  A pinned budget leaves no
+    room to move: the start is the answer.  A perturbed restart starts at
+    the projection of its perturbed input.
 
     known_delta_min skips the internal delta_min computation when the
-    caller already solved it (e.g. to set delta = delta_min + delta_add);
-    generate_recourses passes it with the start it computed for the whole
-    block (feasibility.project_starts, or the cheapest point).
-    callback(iteration, x, value) fires on the start point and on every
-    accepted step of every restart.
+    caller already solved it, as generate_recourses does for a whole block,
+    with the block's starts.  callback(iteration, x, value) fires on the
+    start point and on every accepted step of every restart.
     """
     config = config or SolverConfig()
     validate_problem(problem)
@@ -219,43 +219,30 @@ def solve(
         if known_delta_min is None else (float(known_delta_min), None)
     if problem.delta < dmin - 1e-9:
         raise BudgetTooSmall(f"delta={problem.delta} is below delta_min={dmin}")
+    pinned = fz.budget_pinned(problem.delta, dmin)
 
     fn = make_objective(problem)
     if config.finite_diff:
         fn = _with_finite_diff(fn)
 
-    if problem.delta - dmin <= max(1e-9, 1e-12 * dmin):
-        # the budget pins the feasible set to the cost-argmin set; take its
-        # cheapest point directly, descent has no room to move
-        if start is None:
-            start = cheapest if cheapest is not None else \
-                fz.delta_min(spec, proj_tol=config.proj_tol, with_point=True)[1]
-        ev = fn(start)
-        return RecourseResult(
-            action=FeatureVector(start),
-            objective=float(min(max(ev.value, 0.0), 1.0)),
-            component_probs=ev.component_values,
-            iterations=0,
-            stationarity=0.0,
-            delta_min=dmin,
-            converged=True,
-        )
-
     def proj(y):
         return fz.project_feasible(y, spec, config.proj_max_iter, config.proj_tol)
 
-    seeds = np.random.SeedSequence(config.seed).spawn(config.restarts - 1)
-    best = None
-    for run in range(config.restarts):
-        if run == 0:
-            x_start = proj(spec.x0) if start is None else start
-        else:
-            rng = np.random.default_rng(seeds[run - 1])
-            scale = 0.25 * max(problem.delta, problem.margin)
-            x_start = proj(spec.x0 + rng.normal(scale=scale, size=spec.x0.size))
-        outcome = pgd_minimize(fn, proj, config, x_start, callback, budget=problem.delta)
-        if best is None or outcome[1] < best[1]:
-            best = outcome
+    if start is None and pinned and cheapest is None:
+        cheapest = fz.delta_min(spec, proj_tol=config.proj_tol, with_point=True)[1]
+    if start is None:
+        start = cheapest if pinned else proj(spec.x0)
+
+    if pinned:
+        ev = fn(start)
+        best = (start, ev.value, ev, 0, True, 0.0)
+    else:
+        scale, size = 0.25 * max(problem.delta, problem.margin), spec.x0.size
+        perturbed = (proj(spec.x0 + np.random.default_rng(seed).normal(scale=scale, size=size))
+                     for seed in np.random.SeedSequence(config.seed).spawn(config.restarts - 1))
+        # the first run of least value wins
+        best = min((pgd_minimize(fn, proj, config, x, callback, budget=problem.delta)
+                    for x in chain([start], perturbed)), key=lambda run: run[1])
     x, value, ev, iterations, converged, station = best
 
     return RecourseResult(

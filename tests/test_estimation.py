@@ -5,6 +5,7 @@ from robust_recourse import estimation
 from robust_recourse.errors import (
     DegenerateScores,
     DimensionMismatch,
+    EmptyCluster,
     NotConvergedWarning,
     TooFewSamples,
 )
@@ -220,6 +221,13 @@ class TestMixtureMoments:
         T = np.tile([1.0, 2.0, 3.0], (10, 1))
         belief = fit_mixture_moments(ParameterSample(T), K=1, jitter=1e-4)
         assert np.array_equal(belief.components[0].cov, 1e-4 * np.eye(3))
+
+    def test_identical_samples_leave_a_cluster_empty(self):
+        # every k-means++ center lands on the one point, so one cluster
+        # stays empty at every restart
+        T = np.tile([1.0, 2.0, 3.0], (10, 1))
+        with pytest.raises(EmptyCluster, match="after 50 restarts"):
+            fit_mixture_moments(ParameterSample(T), K=2)
 
     def test_too_few_samples(self):
         T = np.ones((3, 2)) + np.arange(3)[:, None]

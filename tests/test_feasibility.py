@@ -368,6 +368,22 @@ class TestDeltaMin:
         with pytest.raises(DegenerateDirection):
             delta_min(spec)
 
+    @pytest.mark.parametrize("scale", [1e3, 1e4])
+    @pytest.mark.parametrize("rho", [0.0, 0.1])
+    def test_input_in_raw_units_is_reachable(self, scale, rho):
+        # the l1 distance from (-s, -s) to {x1 + x2 >= margin} is 2s + margin
+        belief = MixtureBelief((ComponentMoments([1.0, 1.0, 0.0], np.eye(3), rho),), [1.0])
+        spec = FeasibleSetSpec.from_problem(RecourseProblem(
+            x0=FeatureVector.from_features([-scale, -scale]), belief=belief, delta=0.0,
+            margin=1e-3, cost=Cost.L1))
+        dmin, point = delta_min(spec, with_point=True)
+        assert is_feasible(point, spec.without_delta(), 1e-9 * scale)
+        assert dmin == cost_of(point, spec.x0, Cost.L1)
+        if rho == 0.0:
+            assert dmin == pytest.approx(2.0 * scale + 1e-3, rel=1e-9, abs=0.0)
+        else:  # the cone lies inside the halfspace
+            assert dmin > 2.0 * scale + 1e-3
+
     def test_consistency_with_projection(self, rng):
         count = 0
         while count < 8:
@@ -383,6 +399,17 @@ class TestDeltaMin:
             count += 1
 
 
+def fail_kernel(monkeypatch):
+    """Every row of every _cone_lp call reports FAILED."""
+    inner = feasibility._cone_lp
+
+    def failed(c, G, H, sizes):
+        status, V, Z = inner(c, G, H, sizes)
+        return np.full_like(status, feasibility.FAILED), V, Z
+
+    monkeypatch.setattr(feasibility, "_cone_lp", failed)
+
+
 class TestConicKernel:
     """The conic kernel behind delta_min and the projection backstop."""
 
@@ -391,14 +418,24 @@ class TestConicKernel:
         defective = raw_spec([-1.0, 0.0], [[1.0, 0.5]], [2.0], delta=3.0)  # empty margin set
         starts = feasibility.project_starts([good, defective], 1e-10)
         assert is_feasible(starts[0], good, 1e-9) and starts[1] is None
-        inner = feasibility._cone_lp
-
-        def failed(c, G, H, sizes):
-            status, V, Z = inner(c, G, H, sizes)
-            return np.full_like(status, feasibility.FAILED), V, Z
-
-        monkeypatch.setattr(feasibility, "_cone_lp", failed)
+        fail_kernel(monkeypatch)
         assert feasibility.project_starts([good], 1e-10) == [None]
+
+    def test_unconverged_distance_program_is_unattainable(self, monkeypatch):
+        spec = raw_spec([-1.0, 0.0], [[1.0, 0.5]], [0.1])
+        fail_kernel(monkeypatch)
+        [got] = feasibility.min_cost_point([spec])
+        assert isinstance(got, Unattainable) and "did not converge" in str(got)
+        with pytest.raises(Unattainable, match="did not converge"):
+            delta_min(spec)
+
+    def test_unconverged_backstop_raises_max_iter(self, monkeypatch):
+        # the cycles run out at this scale (test_large_scale_set_is_answered)
+        # and the kernel does not solve the projection program either
+        spec = raw_spec([-1e5, 0.0], [[1.0, 0.5]], [0.0], margin=1e-3, delta=2e5, cost=Cost.L1)
+        fail_kernel(monkeypatch)
+        with pytest.raises(MaxIterExceeded, match="did not converge in 30 cycles"):
+            project_feasible(np.array([-3e5, 2e5]), spec, 30, 1e-10)
 
     def test_emptiness_comes_with_a_farkas_certificate(self):
         # the halfspace x >= 0.1 misses the l2 ball of radius 0.5 around -1

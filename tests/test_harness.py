@@ -1,4 +1,5 @@
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -36,7 +37,13 @@ from robust_recourse import feasibility as fz
 from robust_recourse import harness
 from robust_recourse.cli import cli_main, load_recourses_csv, save_recourses_csv
 from robust_recourse.errors import MaxIterExceeded
-from robust_recourse.model import ActionabilitySpec, FeatureVector, LinearClassifier
+from robust_recourse.model import (
+    ActionabilitySpec,
+    ComponentMoments,
+    FeatureVector,
+    LinearClassifier,
+    MixtureBelief,
+)
 from robust_recourse.optimizer import SolverConfig, solve
 
 
@@ -261,6 +268,37 @@ class TestLoadCsv:
         X, y = oracles.load_csv_cellwise(path, "label")
         assert np.array_equal(data.features, X) and np.array_equal(data.labels, y)
 
+    def test_csv_module_error_names_the_line(self, tmp_path, monkeypatch):
+        # Python 3.10's csv module rejects a NUL byte (3.11 reads it as a cell)
+        reader = csv.reader
+
+        def reader_310(lines):
+            lines = list(lines)
+            if any("\0" in line for line in lines):
+                raise csv.Error("line contains NUL")
+            return reader(lines)
+
+        monkeypatch.setattr(harness.csv, "reader", reader_310)
+        path = _write(tmp_path, _plain_csv().replace("\n2.5,", "\n2.5\0,", 1))
+        with pytest.raises(ParseError, match=r"t\.csv:4: line contains NUL$"):
+            load_csv(path, "label")
+        with pytest.raises(ParseError, match=r"t\.csv:1: line contains NUL$"):
+            load_csv(_write(tmp_path, "a\0" + _plain_csv()[1:]), "label")
+
+    @pytest.mark.parametrize("row", [1, 3], ids=["header", "blank-row"])
+    def test_cell_over_the_field_limit_names_the_line(self, tmp_path, row):
+        lines = _plain_csv().splitlines()
+        lines[row - 1 : row - 1] = ['"' + " " * (csv.field_size_limit() + 1) + '"']
+        with pytest.raises(ParseError, match=f"t\\.csv:{row}: field larger than field limit"):
+            load_csv(_write(tmp_path, "\n".join(lines) + "\n"), "label")
+
+    def test_nul_byte_exits_2_with_one_line(self, tmp_path, capsys):
+        path = _write(tmp_path, _plain_csv().replace("\n2.5,", "\n2.5\0,", 1))
+        code = cli_main(["estimate", "--data", str(path), "--out", str(tmp_path / "b.json")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and ":4: " in err and err.count("\n") == 1
+
     def test_synth_outputs_match_cellwise_parse(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"synthetic": {"n_per_class": 200}}')
@@ -464,6 +502,35 @@ class TestGenerateRecourses:
         par, _ = generate_recourses(template, negatives[:4], workers=2)
         for a, b in zip(seq, par):
             assert np.array_equal(a.action.values, b.action.values)
+        # chunks of 1, 1 and 2 rows; feature 0 may only grow and stays at
+        # most 0, so the second row fails in FeasibleSetSpec.from_problem
+        act = ActionabilitySpec(non_decreasing=frozenset({0}),
+                                box=[[-np.inf, 0.0], [-np.inf, np.inf], [-np.inf, np.inf]])
+        template = replace(template, actionability=act)
+        instances = [negatives[0], FeatureVector.from_features([0.5, -3.0]), *negatives[1:3]]
+        seq, seq_errors = generate_recourses(template, instances, workers=1)
+        par, par_errors = generate_recourses(template, instances, workers=3)
+        assert par_errors == seq_errors and seq_errors[1].startswith("EmptyFeasibleSet: ")
+        assert seq[1] is None and par[1] is None
+        for i in (0, 2, 3):
+            a, b = seq[i], par[i]
+            assert np.array_equal(a.action.values, b.action.values)
+            assert (a.objective, a.iterations, a.converged) == (b.objective, b.iterations,
+                                                                b.converged)
+
+    @pytest.mark.parametrize("cost", ["l1", "l2"])
+    def test_budget_within_rounding_of_delta_min_is_pinned(self, cost):
+        # the budget rule is one predicate: delta_add = 1e-12 is pinned in
+        # the block as in solve, and answered by the cheapest point
+        belief = MixtureBelief((ComponentMoments([1.0, 0.9, 0.2], 0.05 * np.eye(3), 0.1),), [1.0])
+        instances = [FeatureVector.from_features(x)
+                     for x in ([-1.2, -0.8], [-1.0, -1.0], [-2.0, 0.5], [0.3, -1.5])]
+        template = ProblemTemplate(belief=belief, delta_add=0.0, cost=cost)
+        exact, _ = generate_recourses(template, instances)
+        near, _ = generate_recourses(replace(template, delta_add=1e-12), instances)
+        for a, b in zip(exact, near):
+            assert np.array_equal(a.action.values, b.action.values)
+            assert b.iterations == 0
 
 
 class TestSweep:

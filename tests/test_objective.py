@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import random_feasible_instance
 from oracles import fd_gradient, weight_robust_grid
-from robust_recourse.errors import InfeasibleMargin, ZeroAction
+from robust_recourse.errors import DualSolveFailed, InfeasibleMargin, ZeroAction
 from robust_recourse.model import ComponentMoments, Divergence, MixtureBelief
 from robust_recourse.objective import (
     _weight_dual,
@@ -171,6 +171,11 @@ class TestWeightRobust:
         kl = float(np.sum(w * np.log(w / p)))
         assert abs(kl / eps - 1.0) <= 1e-3
 
+    def test_negative_budget_is_rejected(self, rng):
+        belief, x = random_feasible_instance(rng, 3, 2)
+        with pytest.raises(DualSolveFailed, match="weight budget must be >= 0"):
+            eval_weight_robust(x, belief, -0.1, Divergence.KL)
+
     def test_gaussian_flavor_uses_gaussian_components(self, rng):
         belief, x = random_feasible_instance(rng, 3, 2)
         ev = eval_weight_robust(x, belief, 0.0, gaussian=True)
@@ -301,3 +306,15 @@ class TestWeightDualCertificate:
             assert value == 0.3
             assert lam == 0.0
             assert abs(w.sum() - 1.0) <= 2.0 * np.finfo(float).eps
+
+    def test_root_far_beyond_a_flat_newton_step(self):
+        # the top component carries 5e-17 of the nominal mass and nearly
+        # ties with the next, so KL(w||p) = eps needs beta ~ 1.6e17; a Newton
+        # step from a flat slope overshoots to ~1e44, and halving that
+        # bracket arithmetically took the whole iteration budget
+        f = np.array([0.9999999999999998, 0.0, 0.0, 1.0])
+        p = np.array([6.6666666666666674e-01, 1.6666666666666669e-01, 1.6666666666666669e-01,
+                      5.3390441730248631e-17])
+        value, lam, eta, w = _weight_dual(f, p, 10.0, Divergence.KL)
+        assert abs(divergence_of(w, p, Divergence.KL) / 10.0 - 1.0) <= 1e-9
+        assert dual_bound(f, p, 10.0, lam, eta, Divergence.KL) - value <= 1e-9

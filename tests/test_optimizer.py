@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from robust_recourse import feasibility as fz
-from robust_recourse.errors import BudgetTooSmall
+from robust_recourse.errors import BudgetTooSmall, InfeasibleMargin
 from robust_recourse.estimation import bootstrap_parameters, fit_mixture_moments, train_logistic
 from robust_recourse.harness import (
     ProblemTemplate,
@@ -265,6 +265,24 @@ class TestStartRule:
 
 
 class TestPgdCore:
+    def test_trial_outside_the_margin_is_skipped(self):
+        # the unit trial step lands at 2a, where the objective is undefined;
+        # the line search moves on to the next, shorter trial
+        a = np.array([1.0, 0.0])
+        raised = []
+
+        def fn(x):
+            if x[0] > 1.5:
+                raised.append(x.copy())
+                raise InfeasibleMargin("component 0")
+            return ObjectiveEval(float((x - a) @ (x - a)), 2.0 * (x - a), np.zeros(1))
+
+        x, value, _, iters, converged, _ = pgd_minimize(
+            fn, lambda y: y, SolverConfig(station_tol=1e-8), np.zeros(2))
+        assert np.array_equal(raised[0], 2.0 * a)
+        assert converged and iters >= 1
+        assert np.linalg.norm(x - a) <= 1e-8
+
     def test_quadratic_reaches_interior_minimizer(self):
         prob, dmin = toy_problem(delta_add=5.0)
         spec = fz.FeasibleSetSpec.from_problem(prob)
