@@ -9,15 +9,18 @@ The feasible set intersects three kinds of convex sets around the input x0:
   coordinates bounded below, optional global bounds).
 
 Projection onto the intersection uses Dykstra's alternating projections
-(with correction terms, so the limit is the exact Euclidean projection),
-each margin set projected onto by bisecting the KKT multiplier of its
-single constraint; per-spec invariants are cached on the spec.  Two small
-second-order cone programs are solved by one batched NumPy interior-point
-kernel (_cone_lp), specs that share their structure in one call: the
-distance program behind delta_min, the smallest budget that keeps the set
-nonempty, and the projection program, which gives the descent's starts
-(project_starts) and backs project_feasible up where its cycles run out.
-An empty set comes back from the kernel as a Farkas certificate.
+(with correction terms, so the limit is the exact Euclidean projection)
+over FeasibleSetSpec.cycle: the cost ball with the pinned coordinates,
+each margin set, projected onto by bisecting the KKT multiplier of its
+single constraint, and the box; one cycle ends a projection where the
+others hold the first set's projection.  Per-spec invariants are
+cached on the spec.  Two small second-order cone programs are solved by
+one batched NumPy interior-point kernel (_cone_lp), specs that share their
+structure in one call: the distance program behind delta_min, the smallest
+budget that keeps the set nonempty, and the projection program, which
+gives the descent's starts (project_starts) and backs project_feasible up
+where its cycles run out.  An empty set comes back from the kernel as a
+Farkas certificate.
 """
 
 import math
@@ -88,11 +91,6 @@ class FeasibleSetSpec:
         return Cost(self.cost) is Cost.L1
 
     @cached_property
-    def cones(self) -> tuple:
-        """(theta_k, rho_k, theta_k^T theta_k) per component, radii as floats."""
-        return tuple(zip(self.thetas, self.radii.tolist(), self.tts.tolist()))
-
-    @cached_property
     def defect(self):
         """Maker of the error every projection onto this spec raises, or
         None: a zero direction, else an empty margin set."""
@@ -110,11 +108,17 @@ class FeasibleSetSpec:
     @cached_property
     def cycle(self) -> tuple:
         """The single-set projections in Dykstra's order, as pairs (project,
-        args) for project(z, *args): the cost ball (if the spec has one),
-        each margin cone, the actionability box."""
-        ball = () if self.delta is None else ((_cost_ball, (self.x0, self.delta, self.l1)),)
-        cones = tuple((_project_cone_known, (*cone, self.margin)) for cone in self.cones)
-        return ball + cones + ((np.ndarray.clip, (self.lower, self.upper)),)
+        args) for project(z, *args): the cost ball (if any) with the pins,
+        each margin cone, the actionability box.  The pins, lower == upper
+        == x0 (the bias, immutables), cost nothing: the ball meets them in a
+        product set, projected exactly, where alternating between the two
+        converges only linearly.  The box comes last, so every cycle ends
+        with the pins exactly at x0."""
+        pins = (self.lower == self.upper) & (self.lower == self.x0)
+        cones = tuple((_project_cone_known, (theta, rho, tt, self.margin)) for theta, rho, tt
+                      in zip(self.thetas, self.radii.tolist(), self.tts.tolist()))
+        return (((_pinned_ball, (self.x0, pins, self.delta, self.l1)),) + cones
+                + ((np.ndarray.clip, (self.lower, self.upper)),))
 
     def empty_margin_sets(self) -> list:
         """Components whose margin set is empty: radius at least ||theta_k||."""
@@ -227,6 +231,13 @@ def _cost_ball(xp: np.ndarray, x0: np.ndarray, delta: float, l1: bool) -> np.nda
         return x0 + _project_l1_ball(diff, delta)
     n = math.sqrt(float(diff @ diff))
     return xp if n <= delta else x0 + (delta / n) * diff
+
+
+def _pinned_ball(xp, x0, pins, delta, l1: bool) -> np.ndarray:
+    """Euclidean projection onto {x : x_i = x0_i on pins, c(x, x0) <= delta},
+    or onto the pins alone with delta None; the ball keeps the pins."""
+    x = np.where(pins, x0, xp)
+    return x if delta is None else _cost_ball(x, x0, delta, l1)
 
 
 # --- conic kernel --------------------------------------------------------------
@@ -520,8 +531,9 @@ def project_feasible(
     xp, spec: FeasibleSetSpec, max_iter: int = 500, tol: float = 1e-8
 ) -> np.ndarray:
     """Euclidean projection of xp onto the full intersection: Dykstra's
-    alternating projections over the cost ball, each margin cone and the
-    actionability box, one correction term per set, until a full cycle
+    alternating projections over spec.cycle, one correction term per set.
+    A first cycle that moves no set after the first ends there: the first
+    set's projection lies in every set.  Else the cycles run until one
     moves the iterate by less than tol and it passes is_feasible at 10*tol.
     An empty intersection, or one too thin for the cycles to resolve, runs
     out of max_iter cycles; the projection program in the conic kernel then
@@ -533,12 +545,14 @@ def project_feasible(
     cycle = spec.cycle
     corrections = [np.zeros(x.size) for _ in cycle]  # one per set, in cycle order
     check_tol = tol
-    for _ in range(max_iter):
+    for it in range(max_iter):
         x_start = x
         for (project, args), correction in zip(cycle, corrections):
             z = x + correction
             x = project(z, *args)
             np.subtract(z, x, out=correction)
+        if it == 0 and not any(map(np.any, corrections[1:])):
+            return x  # the first set's projection lies in every other set
         dv = x - x_start
         if math.sqrt(float(dv @ dv)) < check_tol:
             if is_feasible(x, spec, 10.0 * tol):

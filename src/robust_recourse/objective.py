@@ -53,7 +53,7 @@ def _component_stats(x, belief: MixtureBelief, gaussian: bool):
     d = x.size
     values = np.empty(K)
     grads = np.empty((K, d))
-    nx = float(np.linalg.norm(x))
+    nx = math.sqrt(float(x @ x))  # np.linalg.norm's own arithmetic
     bad = []
     for k, comp in enumerate(belief.components):
         a = -float(comp.mean @ x)

@@ -127,7 +127,8 @@ def _prox_step(x, grad, proj, zeta: float):
     """The projected step Proj(x - zeta*grad) and the prox-stationarity
     measure ||x - Proj(x - zeta*grad)||_2 / zeta it yields."""
     cand = proj(x - zeta * grad)
-    return cand, float(np.linalg.norm(x - cand)) / zeta
+    diff = x - cand  # the norm as np.linalg.norm computes it, without its overhead
+    return cand, math.sqrt(float(diff @ diff)) / zeta
 
 
 def _spectral_step(s, y, grad, budget) -> float:

@@ -3,8 +3,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))  # for the oracles module
+
+# every property test draws the same examples on every run, so a run's
+# outcome depends on the code alone; the per-test @settings keep their
+# max_examples and deadlines
+settings.register_profile("deterministic", derandomize=True)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture

@@ -67,7 +67,7 @@ def project_cone(xp, theta, rho, margin):
 
 
 def project_cost_ball(xp, x0, delta, cost):
-    """The cost-ball projection, as the Dykstra cycle calls it."""
+    """The cost-ball projection, as the cycle's first set calls it."""
     return _cost_ball(
         np.asarray(xp, dtype=float), np.asarray(x0, dtype=float), delta, Cost(cost) is Cost.L1
     )
@@ -336,6 +336,87 @@ class TestActionabilityBounds:
         )
         with pytest.raises(EmptyFeasibleSet):
             FeasibleSetSpec.from_problem(prob2)
+
+
+class TestPinnedBall:
+    """The cost ball and the pinned coordinates are one set of the cycle."""
+
+    X0 = np.array([-3.0, -2.5, 1.0])  # the last coordinate is the bias
+
+    def spec(self, cost, lower=(-np.inf, -np.inf, 1.0), upper=(np.inf, np.inf, 1.0)):
+        base = raw_spec(self.X0, [[2.4, 1.9, -0.4], [2.0, 2.2, -0.1]], [0.1, 0.2],
+                        margin=1e-3, cost=cost, lower=lower, upper=upper)
+        return base.with_delta(delta_min(base) + 1.0)
+
+    # targets whose answer lies inside both margin sets: only the ball binds
+    FREE_BALL = [(Cost.L1, [1.0, 3.0, 7.0]), (Cost.L2, [4.0, 5.0, -2.0]),
+                 (Cost.L2, [1.0, 3.0, 7.0])]
+
+    @pytest.mark.parametrize("cost, xp", FREE_BALL)
+    def test_matches_the_closed_form(self, cost, xp):
+        spec, xp = self.spec(cost), np.array(xp)
+        want = self.X0.copy()
+        want[:2] = cost_ball_numpy(xp[:2], self.X0[:2], spec.delta, cost)
+        margins = spec.thetas @ want - spec.radii * np.linalg.norm(want) - spec.margin
+        assert margins.min() > 0.1
+        got = project_feasible(xp, spec, 20000, 1e-10)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    @staticmethod
+    def count_calls(monkeypatch):
+        """Counts of the ball and cone projections project_feasible makes."""
+        calls = {"ball": 0, "cone": 0}
+
+        def counted(name, inner):
+            def wrapped(*args):
+                calls[name] += 1
+                return inner(*args)
+            return wrapped
+
+        monkeypatch.setattr(feasibility, "_cost_ball", counted("ball", feasibility._cost_ball))
+        monkeypatch.setattr(feasibility, "_project_cone_known",
+                            counted("cone", feasibility._project_cone_known))
+        return calls
+
+    @pytest.mark.parametrize("cost, xp", FREE_BALL)
+    def test_one_cycle(self, monkeypatch, cost, xp):
+        calls = self.count_calls(monkeypatch)
+        project_feasible(np.array(xp), self.spec(cost), 20000, 1e-10)
+        assert calls == {"ball": 1, "cone": 2}
+
+    @pytest.mark.parametrize(
+        "cost, xp, lower, upper",
+        [(Cost.L1, [-1.0, 6.0, -5.0], (-np.inf, -np.inf, 1.0), (np.inf, np.inf, 1.0)),
+         (Cost.L2, [3.0, -4.0, 2.0], (-np.inf, -np.inf, 1.0), (np.inf, np.inf, 1.0)),
+         (Cost.L1, [3.0, -4.0, 2.0], (-3.0, -np.inf, 1.0), (-3.0, np.inf, 1.0))],
+        ids=["l1", "l2", "l1-immutable"],
+    )
+    def test_many_cycles_keep_the_pins_exact(self, monkeypatch, cost, xp, lower, upper):
+        """A margin set binds against the pins, so the cycles run on; every
+        cycle ends with the box, which leaves the pins exactly at x0."""
+        spec = self.spec(cost, lower, upper)
+        calls = self.count_calls(monkeypatch)
+        got = project_feasible(np.array(xp), spec, 20000, 1e-10)
+        assert calls["ball"] > 1
+        pins = spec.lower == spec.upper
+        assert np.array_equal(got[pins], self.X0[pins])
+        assert is_feasible(got, spec, 1e-9)
+
+    @pytest.mark.parametrize("cost", [Cost.L1, Cost.L2])
+    @pytest.mark.parametrize(
+        "lower, upper",
+        [((-3.0, -np.inf, 1.0), (np.inf, np.inf, 1.0)),  # non-decreasing first feature
+         ((-np.inf, -2.0, 1.0), (np.inf, -2.0, 1.0))],  # second feature boxed away from x0
+        ids=["non-decreasing", "pin-off-x0"],
+    )
+    def test_other_bounds_keep_the_clip(self, cost, lower, upper):
+        spec, xp = self.spec(cost, lower, upper), np.array([-5.0, 5.0, -2.0])
+        assert spec.cycle[-1][0] is np.ndarray.clip
+        [(status, want)] = feasibility._run_blocks([spec], xp[None])
+        assert status == feasibility.SOLVED
+        got = project_feasible(xp, spec, 20000, 1e-10)
+        assert is_feasible(got, spec, 1e-9)
+        assert np.abs(got - want).max() <= 1e-9
 
 
 class TestDeltaMin:

@@ -235,6 +235,14 @@ class TestStartRule:
         projected = fz.project_feasible(spec.x0, spec, cfg.proj_max_iter, cfg.proj_tol)
         assert np.array_equal(self._first_point(prob, known_delta_min=dmin), projected)
 
+    def test_zero_iterations_return_the_projected_start(self):
+        """Dykstra needs many cycles for this x0; its projection still has
+        the bias exactly at 1, so solve can return it as an action."""
+        prob, _ = slow_start_problem()
+        res = solve(prob, SolverConfig(max_iter=0, restarts=1))
+        assert res.action.values[-1] == 1.0
+        assert fz.is_feasible(res.action.values, fz.FeasibleSetSpec.from_problem(prob))
+
     def test_kernel_start_beats_the_projected_start(self):
         prob, dmin = slow_start_problem()
         spec = fz.FeasibleSetSpec.from_problem(prob)
