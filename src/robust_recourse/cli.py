@@ -133,6 +133,8 @@ def load_config(path) -> dict:
             raise UsageError(f"margin must be > 0, got {cfg['margin']}")
         if cfg["weight_budget"] < 0:
             raise UsageError(f"weight_budget must be >= 0, got {cfg['weight_budget']}")
+        if not cfg["rho"] or min(cfg["rho"]) < 0:
+            raise UsageError(f"rho must be a nonempty list of radii >= 0, got {cfg['rho']}")
         for key in ("bootstrap", "m2"):
             if not 0 < cfg[key]["subsample"] <= 1:
                 raise UsageError(f"{key}.subsample must be in (0, 1], got {cfg[key]['subsample']}")

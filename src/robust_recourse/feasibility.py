@@ -17,8 +17,8 @@ others hold the first set's projection.  Per-spec invariants are
 cached on the spec.  Two small second-order cone programs are solved by
 one batched NumPy interior-point kernel (_cone_lp), specs that share their
 structure in one call: the distance program behind delta_min, the smallest
-budget that keeps the set nonempty, and the projection program, which
-gives the descent's starts (project_starts) and backs project_feasible up
+budget that keeps the set nonempty, whose cheapest point starts every
+descent, and the projection program, which only backs project_feasible up
 where its cycles run out.  An empty set comes back from the kernel as a
 Farkas certificate.
 """
@@ -126,9 +126,6 @@ class FeasibleSetSpec:
 
     def without_delta(self) -> "FeasibleSetSpec":
         return replace(self, delta=None)
-
-    def with_delta(self, delta: float) -> "FeasibleSetSpec":
-        return replace(self, delta=float(delta))
 
 
 def _cost(diff: np.ndarray, l1: bool) -> float:
@@ -567,17 +564,6 @@ def project_feasible(
     if status == FAILED:
         raise MaxIterExceeded(f"Dykstra did not converge in {max_iter} cycles")
     return point
-
-
-def project_starts(specs, proj_tol: float = 1e-8) -> list:
-    """The descent's starts, blocked as in min_cost_point: per spec, the
-    projection of x0 by the projection program, or None where the kernel
-    does not solve it or its point fails is_feasible at 10*proj_tol.  On a
-    curved boundary the point lies about 1e-5 from the exact projection:
-    the kernel stops on the distance, not on the point."""
-    runs = _run_blocks(specs, np.array([spec.x0 for spec in specs]))
-    return [x if status == SOLVED and is_feasible(x, spec, 10.0 * proj_tol) else None
-            for spec, (status, x) in zip(specs, runs)]
 
 
 def min_cost_point(specs, proj_tol: float = 1e-8) -> list:

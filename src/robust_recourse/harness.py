@@ -363,8 +363,8 @@ def _describe(exc: RecourseError) -> str:
 
 
 def _delta_mins(template: ProblemTemplate, instances) -> list:
-    """Per instance, (delta_min, the cheapest point, the feasible-set spec)
-    or the stringified failure; the distance programs run as one block
+    """Per instance, the pair (delta_min, the cheapest point) or the
+    stringified failure; the distance programs run as one block
     (fz.min_cost_point)."""
     out = [None] * len(instances)
     specs, rows = [], []
@@ -374,32 +374,25 @@ def _delta_mins(template: ProblemTemplate, instances) -> list:
             rows.append(i)
         except RecourseError as exc:
             out[i] = _describe(exc)
-    for i, spec, best in zip(rows, specs, fz.min_cost_point(specs, template.config.proj_tol)):
-        out[i] = _describe(best) if isinstance(best, RecourseError) else (*best, spec)
+    for i, best in zip(rows, fz.min_cost_point(specs, template.config.proj_tol)):
+        out[i] = _describe(best) if isinstance(best, RecourseError) else best
     return out
 
 
 def _solve_all(template: ProblemTemplate, instances, dmins):
-    """Solve every instance whose delta_min is known; (results, errors) as
-    in generate_recourses, a failed delta_min passing through as the error.
-    A row whose budget is pinned (fz.budget_pinned) starts at its cheapest
-    point, every other at its projection from fz.project_starts, one kernel
-    call for the block; solve projects a row that gets none."""
+    """Solve every instance whose delta_min is known, at delta_min +
+    delta_add and from its cheapest point (solve's cheapest=); (results,
+    errors) as in generate_recourses, a failed delta_min passing through as
+    the error."""
     results = [None] * len(instances)
     errors = [d if isinstance(d, str) else None for d in dmins]
-    todo = [i for i, e in enumerate(errors) if e is None]
-    deltas = {i: dmins[i][0] + template.delta_add for i in todo}
-    starts = {i: dmins[i][1] for i in todo}
-    moving = [i for i in todo if not fz.budget_pinned(deltas[i], dmins[i][0])]
-    starts.update(zip(moving, fz.project_starts(
-        [dmins[i][2].with_delta(deltas[i]) for i in moving], template.config.proj_tol)))
-    for i in todo:
-        try:
-            problem = template.problem_for(instances[i], deltas[i])
-            results[i] = solve(problem, template.config, known_delta_min=dmins[i][0],
-                               start=starts[i])
-        except RecourseError as exc:
-            errors[i] = _describe(exc)
+    for i, cheapest in enumerate(dmins):
+        if errors[i] is None:
+            try:
+                problem = template.problem_for(instances[i], cheapest[0] + template.delta_add)
+                results[i] = solve(problem, template.config, cheapest=cheapest)
+            except RecourseError as exc:
+                errors[i] = _describe(exc)
     return results, errors
 
 

@@ -302,8 +302,8 @@ def validate_problem(problem: RecourseProblem) -> RecourseProblem:
     Construction already enforces the per-type invariants (bias coordinate,
     positive definiteness, weights summing to one, budget signs) and the
     types are immutable, so only the checks that need the whole problem
-    remain: consistent dimensions, actionability index ranges and the
-    pinned bias coordinate. Idempotent.
+    remain: consistent dimensions and actionability index ranges.
+    Idempotent.
     """
     d = problem.x0.dim
     if problem.belief.dim != d:
@@ -311,6 +311,4 @@ def validate_problem(problem: RecourseProblem) -> RecourseProblem:
             f"x0 has dimension {d} but belief components have {problem.belief.dim}"
         )
     problem.actionability.validate_indices(d)
-    if d - 1 not in problem.actionability.immutable:
-        raise DimensionMismatch("bias coordinate must be immutable")
     return problem

@@ -194,33 +194,33 @@ def solve(
     problem: RecourseProblem,
     config: SolverConfig | None = None,
     *,
-    known_delta_min: float | None = None,
-    start=None,
+    cheapest=None,
     callback=None,
 ) -> RecourseResult:
     """End-to-end solve: validate, check the budget against delta_min and
-    run the descent from a feasible start.
+    run the descent from the cheapest point.
 
-    The descent starts at start, a point of the feasible set, if given;
-    else, when the budget is pinned at delta_min (fz.budget_pinned), at the
-    distance program's cheapest point; else at the projection of the input
-    onto the feasible set (project_feasible).  A pinned budget leaves no
-    room to move: the start is the answer.  A perturbed restart starts at
-    the projection of its perturbed input.
+    A budget that passes the check is at least delta_min, so the point
+    that attains delta_min lies in the feasible set and every descent
+    starts there.  A budget pinned at delta_min (fz.budget_pinned, which
+    also takes the 1e-9 the check forgives) leaves no room to move: that
+    point is the answer.  A perturbed restart starts at the projection
+    of its perturbed input.
 
-    known_delta_min skips the internal delta_min computation when the
-    caller already solved it, as generate_recourses does for a whole block,
-    with the block's starts.  callback(iteration, x, value) fires on the
-    start point and on every accepted step of every restart.
+    cheapest, the pair (delta_min, the cheapest point) that fz.min_cost_point
+    gives for the problem, skips the distance program when the caller
+    already solved it, as generate_recourses does for a whole block; a lone
+    solve returns the same bytes.  callback(iteration, x, value) fires on
+    the start point and on every accepted step of every restart.
     """
     config = config or SolverConfig()
     validate_problem(problem)
     spec = fz.FeasibleSetSpec.from_problem(problem)
-    dmin, cheapest = fz.delta_min(spec, proj_tol=config.proj_tol, with_point=True) \
-        if known_delta_min is None else (float(known_delta_min), None)
+    if cheapest is None:
+        cheapest = fz.delta_min(spec, proj_tol=config.proj_tol, with_point=True)
+    dmin, start = cheapest
     if problem.delta < dmin - 1e-9:
         raise BudgetTooSmall(f"delta={problem.delta} is below delta_min={dmin}")
-    pinned = fz.budget_pinned(problem.delta, dmin)
 
     fn = make_objective(problem)
     if config.finite_diff:
@@ -229,12 +229,7 @@ def solve(
     def proj(y):
         return fz.project_feasible(y, spec, config.proj_max_iter, config.proj_tol)
 
-    if start is None and pinned and cheapest is None:
-        cheapest = fz.delta_min(spec, proj_tol=config.proj_tol, with_point=True)[1]
-    if start is None:
-        start = cheapest if pinned else proj(spec.x0)
-
-    if pinned:
+    if fz.budget_pinned(problem.delta, dmin):
         ev = fn(start)
         best = (start, ev.value, ev, 0, True, 0.0)
     else:

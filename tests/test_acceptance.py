@@ -204,7 +204,7 @@ class TestCriterion4:
                 dm_grid = grid_delta_min(spec)
                 worst_dm = max(worst_dm, abs(dm - dm_grid))
                 assert abs(dm - dm_grid) <= 1e-3, f"delta_min err {abs(dm - dm_grid):.2e}"
-                full = spec.with_delta(dm + float(rng.uniform(0.3, 1.5)))
+                full = replace(spec, delta=dm + float(rng.uniform(0.3, 1.5)))
                 xp = rng.normal(size=2) * 2.5
                 got = fz.project_feasible(xp, full, max_iter=20000)
                 want = grid_project(xp, full)
@@ -325,7 +325,7 @@ class TestCriterion6:
             mode=mode,
             weight_budget=0.1,
         )
-        dmin = fz.delta_min(fz.FeasibleSetSpec.from_problem(problem))
+        dmin, cheapest = fz.delta_min(fz.FeasibleSetSpec.from_problem(problem), with_point=True)
         problem = replace(problem, delta=dmin + delta_add)
         spec = fz.FeasibleSetSpec.from_problem(problem)
         trace = []
@@ -334,7 +334,7 @@ class TestCriterion6:
         res = solve(
             problem,
             config,
-            known_delta_min=dmin,
+            cheapest=(dmin, cheapest),
             callback=lambda t, x, v: trace.append((x.copy(), v)),
         )
         elapsed = time.perf_counter() - t0

@@ -212,6 +212,8 @@ class TestBadValues:
             {"m2": {"subsample": 1.5}}, {"m2": {"subsample": -0.5}},
             {"bootstrap": {"subsample": 0}}, {"bootstrap": {"subsample": 1.5}},
             {"bootstrap": {"l2_reg": -1}},
+            # no radius at all, and a negative one
+            {"rho": []}, {"rho": [-0.1]},
         ],
     )
     def test_bad_config_value_exits_1(self, workdir, capsys, user_cfg):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -346,7 +348,7 @@ class TestPinnedBall:
     def spec(self, cost, lower=(-np.inf, -np.inf, 1.0), upper=(np.inf, np.inf, 1.0)):
         base = raw_spec(self.X0, [[2.4, 1.9, -0.4], [2.0, 2.2, -0.1]], [0.1, 0.2],
                         margin=1e-3, cost=cost, lower=lower, upper=upper)
-        return base.with_delta(delta_min(base) + 1.0)
+        return replace(base, delta=delta_min(base) + 1.0)
 
     # targets whose answer lies inside both margin sets: only the ball binds
     FREE_BALL = [(Cost.L1, [1.0, 3.0, 7.0]), (Cost.L2, [4.0, 5.0, -2.0]),
@@ -474,9 +476,9 @@ class TestDeltaMin:
             dm = delta_min(spec)
             if dm <= 1e-2:
                 continue
-            project_feasible(spec.x0, spec.with_delta(dm + 1e-4), max_iter=20000)
+            project_feasible(spec.x0, replace(spec, delta=dm + 1e-4), max_iter=20000)
             with pytest.raises((EmptyFeasibleSet, MaxIterExceeded)):
-                project_feasible(spec.x0, spec.with_delta(dm - 1e-2), max_iter=2000)
+                project_feasible(spec.x0, replace(spec, delta=dm - 1e-2), max_iter=2000)
             count += 1
 
 
@@ -493,14 +495,6 @@ def fail_kernel(monkeypatch):
 
 class TestConicKernel:
     """The conic kernel behind delta_min and the projection backstop."""
-
-    def test_unsolved_rows_get_no_start(self, monkeypatch):
-        good = raw_spec([-1.0, 0.0], [[1.0, 0.5]], [0.1], delta=3.0)
-        defective = raw_spec([-1.0, 0.0], [[1.0, 0.5]], [2.0], delta=3.0)  # empty margin set
-        starts = feasibility.project_starts([good, defective], 1e-10)
-        assert is_feasible(starts[0], good, 1e-9) and starts[1] is None
-        fail_kernel(monkeypatch)
-        assert feasibility.project_starts([good], 1e-10) == [None]
 
     def test_unconverged_distance_program_is_unattainable(self, monkeypatch):
         spec = raw_spec([-1.0, 0.0], [[1.0, 0.5]], [0.1])
@@ -606,7 +600,7 @@ class TestCachedInvariants:
     def test_empty_margin_set_raises_on_every_call(self):
         spec = raw_spec([1.0, 0.0], [[1.0, 0.0], [0.0, 1.0]], [0.1, 2.0], delta=1.0)
         self._raises_twice(spec, EmptyFeasibleSet)
-        self._raises_twice(spec.with_delta(3.0), EmptyFeasibleSet)
+        self._raises_twice(replace(spec, delta=3.0), EmptyFeasibleSet)
         self._raises_twice(spec.without_delta(), EmptyFeasibleSet)
         with pytest.raises(EmptyFeasibleSet, match=r"components \[1\]"):
             project_feasible(spec.x0, spec)

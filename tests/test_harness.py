@@ -44,7 +44,7 @@ from robust_recourse.model import (
     LinearClassifier,
     MixtureBelief,
 )
-from robust_recourse.optimizer import SolverConfig, solve
+from robust_recourse.optimizer import SolverConfig, make_objective, solve
 
 
 class TestGenerateSynthetic:
@@ -421,46 +421,38 @@ class TestGenerateRecourses:
         assert len(calls) == 1
         for x0, res in zip(instances, results):
             # the path without the carried point runs the distance program again
-            again = solve(template.problem_for(x0, res.delta_min), template.config,
-                          known_delta_min=res.delta_min)
+            again = solve(template.problem_for(x0, res.delta_min), template.config)
             assert res.iterations == 0
             assert np.array_equal(res.action.values, again.action.values)
 
-    def test_block_starts_are_the_kernel_projections(self, rng, monkeypatch):
+    def test_one_kernel_call_per_block(self, rng, monkeypatch):
         original, shifted, theta0, belief, negatives = tiny_pipeline(rng)
         template = ProblemTemplate(belief=belief, delta_add=0.5, config=SolverConfig(restarts=1))
         instances = negatives[:4]
         calls = []
-        project_starts = fz.project_starts
+        cone_lp = fz._cone_lp
 
-        def counted(specs, *args):
-            calls.append(len(specs))
-            return project_starts(specs, *args)
+        def counted(c, G, H, sizes):
+            calls.append(len(H))
+            return cone_lp(c, G, H, sizes)
 
-        monkeypatch.setattr(fz, "project_starts", counted)
+        monkeypatch.setattr(fz, "_cone_lp", counted)
         results, errors = generate_recourses(template, instances)
         assert not any(errors)
-        assert calls == [4]  # the block's starts in one call
-        for x0, res in zip(instances, results):
-            problem = template.problem_for(x0, res.delta_min + template.delta_add)
-            spec = fz.FeasibleSetSpec.from_problem(problem)
-            start = project_starts([spec], template.config.proj_tol)[0]
-            alone = solve(problem, template.config, known_delta_min=res.delta_min, start=start)
-            assert np.array_equal(res.action.values, alone.action.values)
-            assert (res.objective, res.iterations) == (alone.objective, alone.iterations)
+        assert calls == [4]  # the block's distance programs; the descents start at their points
 
-    def test_rows_without_a_start_project_x0(self, rng, monkeypatch):
-        # a row the kernel does not solve is solved as a direct call solves it
+    def test_answers_no_worse_than_the_projected_start(self, rng):
         original, shifted, theta0, belief, negatives = tiny_pipeline(rng)
         template = ProblemTemplate(belief=belief, delta_add=0.5, config=SolverConfig(restarts=1))
-        instances = negatives[:3]
-        monkeypatch.setattr(fz, "project_starts", lambda specs, *args: [None] * len(specs))
-        results, errors = generate_recourses(template, instances)
+        cfg = template.config
+        results, errors = generate_recourses(template, negatives)
         assert not any(errors)
-        for x0, res in zip(instances, results):
+        for x0, res in zip(negatives, results):
             problem = template.problem_for(x0, res.delta_min + template.delta_add)
-            alone = solve(problem, template.config, known_delta_min=res.delta_min)
-            assert np.array_equal(res.action.values, alone.action.values)
+            spec = fz.FeasibleSetSpec.from_problem(problem)
+            assert fz.is_feasible(res.action.values, spec)
+            projected = fz.project_feasible(spec.x0, spec, cfg.proj_max_iter, cfg.proj_tol)
+            assert res.objective <= make_objective(problem)(projected).value + 1e-10
 
     def test_failed_rows_pass_through_csv_to_evaluate(self, rng, tmp_path, monkeypatch):
         original, shifted, theta0, belief, negatives = tiny_pipeline(rng)

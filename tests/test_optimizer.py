@@ -51,7 +51,7 @@ class TestSolve:
         res = solve(
             prob,
             SolverConfig(restarts=1),
-            known_delta_min=dmin,
+            cheapest=cheapest_pair(prob),
             callback=lambda t, x, v: trace.append(v),
         )
         assert res.converged
@@ -61,7 +61,7 @@ class TestSolve:
 
     def test_action_is_feasible_with_margin(self):
         prob, dmin = toy_problem()
-        res = solve(prob, SolverConfig(restarts=1), known_delta_min=dmin)
+        res = solve(prob, SolverConfig(restarts=1), cheapest=cheapest_pair(prob))
         spec = fz.FeasibleSetSpec.from_problem(prob)
         assert fz.is_feasible(res.action.values, spec, 1e-7)
         comp = prob.belief.components[0]
@@ -75,7 +75,7 @@ class TestSolve:
         solve(
             prob,
             SolverConfig(restarts=1),
-            known_delta_min=dmin,
+            cheapest=cheapest_pair(prob),
             callback=lambda t, x, v: seen.append(x.copy()),
         )
         assert seen
@@ -95,15 +95,15 @@ class TestSolve:
     def test_modes_all_run(self):
         for mode in Mode:
             prob, dmin = toy_problem(mode=mode, weight_budget=0.1)
-            res = solve(prob, SolverConfig(restarts=1), known_delta_min=dmin)
+            res = solve(prob, SolverConfig(restarts=1), cheapest=cheapest_pair(prob))
             assert 0.0 <= res.objective <= 1.0
             assert res.component_probs.shape == (1,)
 
     def test_deterministic(self):
         prob, dmin = toy_problem()
         cfg = SolverConfig(restarts=3, seed=11)
-        a = solve(prob, cfg, known_delta_min=dmin)
-        b = solve(prob, cfg, known_delta_min=dmin)
+        a = solve(prob, cfg, cheapest=cheapest_pair(prob))
+        b = solve(prob, cfg, cheapest=cheapest_pair(prob))
         assert np.array_equal(a.action.values, b.action.values)
         assert a.objective == b.objective
         assert a.iterations == b.iterations
@@ -111,7 +111,7 @@ class TestSolve:
 
     def test_delta_add_zero_returns_min_cost_point(self):
         prob, dmin = toy_problem(delta_add=0.0)
-        res = solve(prob, SolverConfig(restarts=1), known_delta_min=dmin)
+        res = solve(prob, SolverConfig(restarts=1), cheapest=cheapest_pair(prob))
         assert res.converged
         assert res.iterations == 0
         cost = float(np.abs(res.action.values - prob.x0.values).sum())
@@ -119,7 +119,7 @@ class TestSolve:
 
     def test_pinned_budget_runs_the_distance_program_once(self, monkeypatch):
         prob, dmin = toy_problem(delta_add=0.0)
-        want = solve(prob, SolverConfig(restarts=1), known_delta_min=dmin)
+        want = solve(prob, SolverConfig(restarts=1), cheapest=cheapest_pair(prob))
         calls = []
         original = fz.min_cost_point
 
@@ -135,7 +135,7 @@ class TestSolve:
 
     def test_gaussian_probs_below_half(self):
         prob, dmin = toy_problem(mode=Mode.GAUSSIAN)
-        res = solve(prob, SolverConfig(restarts=1), known_delta_min=dmin)
+        res = solve(prob, SolverConfig(restarts=1), cheapest=cheapest_pair(prob))
         assert np.all(res.component_probs < 0.5)
 
     def test_trial_points_stay_within_the_budget(self, monkeypatch):
@@ -156,7 +156,7 @@ class TestSolve:
 
         monkeypatch.setattr(fz, "project_feasible", recording)
         res = solve(
-            prob, cfg, known_delta_min=dmin,
+            prob, cfg, cheapest=cheapest_pair(prob),
             callback=lambda t, x, v: here.update(x=x.copy()),
         )
         assert res.converged and moves
@@ -166,8 +166,8 @@ class TestSolve:
 
     def test_restarts_never_worse(self):
         prob, dmin = toy_problem(rho=0.2)
-        single = solve(prob, SolverConfig(restarts=1, seed=3), known_delta_min=dmin)
-        multi = solve(prob, SolverConfig(restarts=4, seed=3), known_delta_min=dmin)
+        single = solve(prob, SolverConfig(restarts=1, seed=3), cheapest=cheapest_pair(prob))
+        multi = solve(prob, SolverConfig(restarts=4, seed=3), cheapest=cheapest_pair(prob))
         assert multi.objective <= single.objective + 1e-12
 
 
@@ -194,14 +194,14 @@ def slow_start_problem():
     return replace(prob, delta=dmin + 1.0), dmin
 
 
-def kernel_start(prob):
-    """The start generate_recourses hands to solve for prob."""
-    return fz.project_starts([fz.FeasibleSetSpec.from_problem(prob)], 1e-10)[0]
+def cheapest_pair(prob):
+    """The (delta_min, cheapest point) pair generate_recourses hands to solve for prob."""
+    return fz.delta_min(fz.FeasibleSetSpec.from_problem(prob), 1e-10, with_point=True)
 
 
 class TestStartRule:
-    """Every descent starts at the projection of x0: the kernel's, computed
-    for a whole block, or project_feasible's when none is given."""
+    """Every descent starts at the cheapest point, the one that attains
+    delta_min, whether solve computes it or is handed it."""
 
     def _first_point(self, prob, **kw):
         seen = []
@@ -209,45 +209,28 @@ class TestStartRule:
               **kw)
         return seen[0]
 
-    def test_block_starts_match_lone_runs_and_the_projection(self):
-        # curved (rho > 0) and flat boundaries, both costs, two blocks
-        problems = [toy_problem(rho=rho, cost=cost, delta_add=add)[0]
-                    for rho in (0.0, 0.1, 0.3) for cost in Cost for add in (0.2, 1.0)]
-        problems.append(slow_start_problem()[0])
-        specs = [fz.FeasibleSetSpec.from_problem(p) for p in problems]
-        block = fz.project_starts(specs, 1e-10)
-        cfg = SolverConfig()
-        for spec, got in zip(specs, block):
-            assert np.array_equal(got, fz.project_starts([spec], 1e-10)[0])
-            assert fz.is_feasible(got, spec, 1e-9)
-            projected = fz.project_feasible(spec.x0, spec, cfg.proj_max_iter, cfg.proj_tol)
-            assert np.linalg.norm(got - projected) <= 1e-4
-
     def test_descent_fires_first_at_the_given_start(self):
         prob, dmin = toy_problem(rho=0.2)
-        start = kernel_start(prob)
-        assert np.array_equal(self._first_point(prob, known_delta_min=dmin, start=start), start)
+        pair = cheapest_pair(prob)
+        assert np.array_equal(self._first_point(prob, cheapest=pair), pair[1])
+        assert np.array_equal(self._first_point(prob), pair[1])  # and when solve computes it
 
-    def test_converged_start_is_the_projection(self):
-        prob, dmin = toy_problem()
-        spec = fz.FeasibleSetSpec.from_problem(prob)
-        cfg = SolverConfig(restarts=1)
-        projected = fz.project_feasible(spec.x0, spec, cfg.proj_max_iter, cfg.proj_tol)
-        assert np.array_equal(self._first_point(prob, known_delta_min=dmin), projected)
-
-    def test_zero_iterations_return_the_projected_start(self):
-        """Dykstra needs many cycles for this x0; its projection still has
-        the bias exactly at 1, so solve can return it as an action."""
+    def test_zero_iterations_return_the_cheapest_point(self):
+        """Dykstra needs many cycles to project this x0; the cheapest point
+        has the bias exactly at 1, so solve can return it as an action."""
         prob, _ = slow_start_problem()
         res = solve(prob, SolverConfig(max_iter=0, restarts=1))
+        assert np.array_equal(res.action.values, cheapest_pair(prob)[1])
         assert res.action.values[-1] == 1.0
         assert fz.is_feasible(res.action.values, fz.FeasibleSetSpec.from_problem(prob))
 
     def test_kernel_start_beats_the_projected_start(self):
+        # the distance program's point, not Dykstra's projection of x0,
+        # starts the descent; the answer is still no worse than the latter
         prob, dmin = slow_start_problem()
         spec = fz.FeasibleSetSpec.from_problem(prob)
         cfg = SolverConfig(restarts=1)
-        res = solve(prob, cfg, known_delta_min=dmin, start=kernel_start(prob))
+        res = solve(prob, cfg, cheapest=cheapest_pair(prob))
         assert res.converged
         assert fz.is_feasible(res.action.values, spec)
         projected = fz.project_feasible(spec.x0, spec, cfg.proj_max_iter, cfg.proj_tol)
@@ -255,21 +238,38 @@ class TestStartRule:
 
     @pytest.mark.parametrize("make", [slow_start_problem, toy_problem])
     def test_anchor_computed_when_not_given(self, make):
-        # without a start, solve projects x0 itself
+        # without a cheapest pair, solve runs the distance program itself
         prob, dmin = make()
-        spec = fz.FeasibleSetSpec.from_problem(prob)
         cfg = SolverConfig(restarts=1)
-        projected = fz.project_feasible(spec.x0, spec, cfg.proj_max_iter, cfg.proj_tol)
-        a = solve(prob, cfg, known_delta_min=dmin)
-        b = solve(prob, cfg, known_delta_min=dmin, start=projected)
+        a = solve(prob, cfg)
+        b = solve(prob, cfg, cheapest=cheapest_pair(prob))
         assert np.array_equal(a.action.values, b.action.values)
         assert (a.objective, a.iterations, a.converged) == (b.objective, b.iterations, b.converged)
 
     def test_pinned_budget_returns_the_start(self):
         prob, dmin = toy_problem(delta_add=0.0)
-        cheapest = fz.delta_min(fz.FeasibleSetSpec.from_problem(prob), 1e-10, with_point=True)[1]
-        res = solve(prob, SolverConfig(restarts=1), known_delta_min=dmin, start=cheapest)
-        assert np.array_equal(res.action.values, cheapest) and res.iterations == 0
+        pair = cheapest_pair(prob)
+        res = solve(prob, SolverConfig(restarts=1), cheapest=pair)
+        assert np.array_equal(res.action.values, pair[1]) and res.iterations == 0
+
+    @pytest.mark.parametrize("rho", [0.0, 0.2])
+    @pytest.mark.parametrize("cost", list(Cost))
+    @pytest.mark.parametrize("K, mode", [(1, Mode.NONPARAMETRIC), (3, Mode.WEIGHT_ROBUST)])
+    def test_lone_solve_equals_the_block_answer(self, synthetic_beliefs, K, mode, cost, rho):
+        beliefs, negatives = synthetic_beliefs
+        template = ProblemTemplate(
+            belief=beliefs[K].with_radius(rho), delta_add=1.0, cost=cost, mode=mode,
+            weight_budget=0.1 if mode is Mode.WEIGHT_ROBUST else 0.0,
+            config=SolverConfig(restarts=1))
+        instances = negatives[:4]
+        results, errors = generate_recourses(template, instances)
+        assert not any(errors)
+        for x0, res in zip(instances, results):
+            alone = solve(template.problem_for(x0, res.delta_min + template.delta_add),
+                          template.config)
+            assert alone.action.values.tobytes() == res.action.values.tobytes()
+            assert (alone.objective, alone.iterations, alone.converged) == (
+                res.objective, res.iterations, res.converged)
 
 
 class TestPgdCore:
@@ -353,7 +353,7 @@ class TestStationarity:
     def test_converged_solution_is_stationary(self):
         prob, dmin = toy_problem()
         cfg = SolverConfig(restarts=1)
-        res = solve(prob, cfg, known_delta_min=dmin)
+        res = solve(prob, cfg, cheapest=cheapest_pair(prob))
         post_hoc = stationarity(res.action.values, prob, cfg)
         assert post_hoc <= cfg.station_tol * 1.5
 
@@ -365,9 +365,9 @@ class TestStationarity:
 
     def test_finite_diff_mode_agrees(self):
         prob, dmin = toy_problem()
-        res_a = solve(prob, SolverConfig(restarts=1), known_delta_min=dmin)
+        res_a = solve(prob, SolverConfig(restarts=1), cheapest=cheapest_pair(prob))
         res_f = solve(
-            prob, SolverConfig(restarts=1, finite_diff=True), known_delta_min=dmin
+            prob, SolverConfig(restarts=1, finite_diff=True), cheapest=cheapest_pair(prob)
         )
         assert res_f.objective == pytest.approx(res_a.objective, abs=1e-6)
 
