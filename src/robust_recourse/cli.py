@@ -138,6 +138,9 @@ def load_config(path) -> dict:
         for key in ("bootstrap", "m2"):
             if not 0 < cfg[key]["subsample"] <= 1:
                 raise UsageError(f"{key}.subsample must be in (0, 1], got {cfg[key]['subsample']}")
+        for key, value, least in (("seed", cfg["seed"], 0), ("m2.trials", cfg["m2"]["trials"], 1)):
+            if value < least:
+                raise UsageError(f"{key} must be >= {least}, got {value}")
         if cfg["bootstrap"]["l2_reg"] < 0:
             raise UsageError(f"bootstrap.l2_reg must be >= 0, got {cfg['bootstrap']['l2_reg']}")
         Mode(cfg["mode"]), Cost(cfg["cost"]), Divergence(cfg["divergence"])
@@ -497,11 +500,15 @@ def _cmd_sweep(args):
     return 0
 
 
-def positive_int(text: str) -> int:
+def positive_int(text: str, least: int = 1) -> int:
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value < least:
+        raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
     return value
+
+
+def nonnegative_int(text: str) -> int:
+    return positive_int(text, 0)
 
 
 def build_parser() -> _Parser:
@@ -510,7 +517,7 @@ def build_parser() -> _Parser:
 
     def common(p, data=False, belief=False, shifted=False):
         p.add_argument("--config", default=None, help="JSON config file")
-        p.add_argument("--seed", type=int, default=None, help="override config seed")
+        p.add_argument("--seed", type=nonnegative_int, default=None, help="override config seed")
         if data or belief:  # every subcommand but synth reads CSVs
             p.add_argument("--label-column", default="label")
             p.add_argument("--normalize", action="store_true",

@@ -13,14 +13,15 @@ Projection onto the intersection uses Dykstra's alternating projections
 over FeasibleSetSpec.cycle: the cost ball with the pinned coordinates,
 each margin set, projected onto by bisecting the KKT multiplier of its
 single constraint, and the box; one cycle ends a projection where the
-others hold the first set's projection.  Per-spec invariants are
-cached on the spec.  Two small second-order cone programs are solved by
-one batched NumPy interior-point kernel (_cone_lp), specs that share their
-structure in one call: the distance program behind delta_min, the smallest
-budget that keeps the set nonempty, whose cheapest point starts every
-descent, and the projection program, which only backs project_feasible up
-where its cycles run out.  An empty set comes back from the kernel as a
-Farkas certificate.
+others hold the first set's projection.  RowProjection runs that first
+cycle for many rows in lock step, project_feasible the rest.  Per-spec
+invariants are cached on the spec.  Two small second-order cone programs
+are solved by one batched NumPy interior-point kernel (_cone_lp), specs
+that share their structure in one call: the distance program behind
+delta_min, the smallest budget that keeps the set nonempty, whose
+cheapest point starts every descent, and the projection program, which
+only backs project_feasible up where its cycles run out.  An empty set
+comes back from the kernel as a Farkas certificate.
 """
 
 import math
@@ -202,22 +203,20 @@ def _project_cone_known(xp, theta, rho: float, tt: float, margin: float) -> np.n
     return np.zeros_like(v) if nv <= s else (1.0 - s / nv) * v
 
 
-def _project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
-    """Euclidean projection of v onto {w : ||w||_1 <= radius}, by the
-    sort-based soft threshold (Duchi et al., ICML 2008), exact; v itself
-    when the ball holds it.  The threshold search runs on plain floats,
-    the running sum adding in the order np.cumsum does."""
+def _project_l1_ball(v: np.ndarray, radius) -> np.ndarray:
+    """Euclidean projection of each row of v (its last axis) onto {w :
+    ||w||_1 <= radius}, radius a scalar or one per row, by the sort-based
+    soft threshold (Duchi et al., ICML 2008), exact; a row the ball holds
+    comes back unchanged.  The running sum adds in np.cumsum's order."""
     a = np.abs(v)
-    if a.sum() <= radius:
-        return v
-    if radius <= 0.0:
-        return np.zeros_like(v)
-    css = tau = 0.0
-    for j, u in enumerate(sorted(a.tolist(), reverse=True), 1):
-        css += u
-        if u * j > css - radius:
-            tau = (css - radius) / j
-    return np.sign(v) * np.maximum(a - tau, 0.0)
+    radius = np.asarray(radius, dtype=float)[..., None]
+    u = -np.sort(-a, axis=-1)
+    excess = np.cumsum(u, axis=-1) - radius
+    passes = u * np.arange(1, u.shape[-1] + 1) > excess
+    j = u.shape[-1] - np.argmax(passes[..., ::-1], axis=-1)[..., None]  # the last j that passes
+    tau = np.take_along_axis(excess, j - 1, -1) / j
+    inside, empty = a.sum(-1, keepdims=True) <= radius, radius <= 0.0
+    return np.where(inside, v, np.where(empty, 0.0, np.sign(v) * np.maximum(a - tau, 0.0)))
 
 
 def _cost_ball(xp: np.ndarray, x0: np.ndarray, delta: float, l1: bool) -> np.ndarray:
@@ -235,6 +234,45 @@ def _pinned_ball(xp, x0, pins, delta, l1: bool) -> np.ndarray:
     or onto the pins alone with delta None; the ball keeps the pins."""
     x = np.where(pins, x0, xp)
     return x if delta is None else _cost_ball(x, x0, delta, l1)
+
+
+class RowProjection:
+    """Projections of rows, row i onto the set of specs[i]: specs with cost
+    balls that share thetas, radii, margin and cost, as one template's do.
+    A call projects Y onto the sets of the given rows: (points, errors),
+    errors mapping a position to its RecourseError."""
+
+    def __init__(self, specs, max_iter: int, tol: float):
+        self.specs, self.max_iter, self.tol = specs, max_iter, tol
+        self.x0, self.lower, self.upper, self.delta = (
+            np.array([getattr(s, a) for s in specs], dtype=float)
+            for a in ("x0", "lower", "upper", "delta"))
+        self.pins = (self.lower == self.upper) & (self.lower == self.x0)
+
+    def __call__(self, Y, rows):
+        """Dykstra's first cycle in lock step: the cost ball with the pins,
+        then a membership test against every margin cone and the box.  A
+        row that passes is project_feasible's answer after one cycle that
+        moves no other set; project_feasible answers the rest."""
+        s0, x0, delta = self.specs[0], self.x0[rows], self.delta[rows]
+        X = np.where(self.pins[rows], x0, Y)
+        D = X - x0
+        if s0.l1:
+            X = x0 + _project_l1_ball(D, delta)
+        else:
+            n = np.sqrt((D * D).sum(-1))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                X = np.where((n <= delta)[:, None], X, x0 + (delta / n)[:, None] * D)
+        cones = s0.radii * np.sqrt((X * X).sum(-1))[:, None] - (X[:, None, :] * s0.thetas).sum(-1)
+        closed = ((cones <= -s0.margin).all(-1)
+                  & ((X >= self.lower[rows]) & (X <= self.upper[rows])).all(-1))
+        errors = {}
+        for i in np.flatnonzero(~closed).tolist():
+            try:
+                X[i] = project_feasible(Y[i], self.specs[rows[i]], self.max_iter, self.tol)
+            except RecourseError as exc:
+                errors[i] = exc
+        return X, errors
 
 
 # --- conic kernel --------------------------------------------------------------
@@ -535,7 +573,8 @@ def project_feasible(
     An empty intersection, or one too thin for the cycles to resolve, runs
     out of max_iter cycles; the projection program in the conic kernel then
     answers or certifies the set empty (EmptyFeasibleSet).  The defects of
-    spec raise at once."""
+    spec raise at once.  RowProjection calls it for the rows its lock-step
+    first cycle does not close."""
     if spec.defect:
         raise spec.defect()
     x = xp = np.asarray(xp, dtype=float)  # every cycle makes a new x

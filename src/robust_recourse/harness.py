@@ -36,8 +36,10 @@ from .model import (
     MixtureBelief,
     Mode,
     RecourseProblem,
+    validate_problem,
 )
-from .optimizer import SolverConfig, solve
+from .optimizer import SolverConfig, solve_block
+from .optimizer import solve  # noqa: F401  re-exported: bench/run.py hooks it here
 
 
 class ShiftKind(str, Enum):
@@ -67,6 +69,9 @@ class SyntheticConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "shift_kind", ShiftKind(self.shift_kind))
+        shapes = [np.shape(v)[:1] for v in (self.mu0, self.mu1, self.sigma0, self.sigma1)]
+        if len(set(shapes)) > 1:
+            raise DimensionMismatch(f"means and covariances of the classes disagree: {shapes}")
         if self.n_per_class < 10:
             raise DimensionMismatch("need at least 10 samples per class")
         for sig in (np.array(self.sigma0), np.array(self.sigma1)):
@@ -365,7 +370,10 @@ def _describe(exc: RecourseError) -> str:
 def _delta_mins(template: ProblemTemplate, instances) -> list:
     """Per instance, the pair (delta_min, the cheapest point) or the
     stringified failure; the distance programs run as one block
-    (fz.min_cost_point)."""
+    (fz.min_cost_point).  Raises DimensionMismatch, before any spec is
+    built, when the template does not fit the instances' dimension."""
+    for x0 in {x0.dim: x0 for x0 in instances}.values():
+        validate_problem(template.problem_for(x0, 0.0))
     out = [None] * len(instances)
     specs, rows = [], []
     for i, x0 in enumerate(instances):
@@ -381,18 +389,18 @@ def _delta_mins(template: ProblemTemplate, instances) -> list:
 
 def _solve_all(template: ProblemTemplate, instances, dmins):
     """Solve every instance whose delta_min is known, at delta_min +
-    delta_add and from its cheapest point (solve's cheapest=); (results,
-    errors) as in generate_recourses, a failed delta_min passing through as
-    the error."""
-    results = [None] * len(instances)
-    errors = [d if isinstance(d, str) else None for d in dmins]
-    for i, cheapest in enumerate(dmins):
-        if errors[i] is None:
-            try:
-                problem = template.problem_for(instances[i], cheapest[0] + template.delta_add)
-                results[i] = solve(problem, template.config, cheapest=cheapest)
-            except RecourseError as exc:
-                errors[i] = _describe(exc)
+    delta_add and from its cheapest point, in one solve_block call: the
+    descents run in lock step.  Returns (results, errors) as in
+    generate_recourses, a failed delta_min passing through as the error."""
+    rows = [i for i, d in enumerate(dmins) if not isinstance(d, str)]
+    problems = [template.problem_for(instances[i], dmins[i][0] + template.delta_add) for i in rows]
+    results, errors = [None] * len(instances), [d if isinstance(d, str) else None for d in dmins]
+    for i, answer in zip(rows, solve_block(problems, template.config,
+                                           cheapest=[dmins[i] for i in rows])):
+        if isinstance(answer, RecourseError):
+            errors[i] = _describe(answer)
+        else:
+            results[i] = answer
     return results, errors
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DualSolveFailed, InfeasibleMargin, ZeroAction
-from .model import Divergence, MixtureBelief
+from .model import Divergence, MixtureBelief, Mode
 from .worst_case import closed_form
 
 
@@ -37,64 +37,97 @@ class ObjectiveEval:
     inner_dual: tuple | None = None
 
 
-def _component_stats(x, belief: MixtureBelief, gaussian: bool):
-    """Per-component worst-case probabilities and their gradients.
+def _component_stats(X, belief: MixtureBelief, gaussian: bool):
+    """Per-component worst-case probabilities and their gradients at the
+    rows of X, (N, d).
 
     The closed forms come from worst_case.closed_form; only the chain rule
     through a = -m^T x, b = sqrt(x^T S x) and c = rho*||x|| lives here.
-    Returns (values, grads) with shapes (K,) and (K, d).  Raises
-    InfeasibleMargin listing every component whose robust margin
-    theta^T x - rho*||x|| is not strictly positive.
+    Products are summed over the last axis, never by BLAS, so a row's bits
+    do not depend on the other rows.  Returns (values, grads, bad), (N, K),
+    (N, K, d) and (N, K); bad marks where the robust margin theta^T x -
+    rho*||x|| is not positive, and the values there mean nothing.
     """
-    x = np.asarray(x, dtype=float)
-    if not np.any(x):
-        raise ZeroAction("objective undefined at x = 0")
-    K = belief.n_components
-    d = x.size
-    values = np.empty(K)
-    grads = np.empty((K, d))
-    nx = math.sqrt(float(x @ x))  # np.linalg.norm's own arithmetic
-    bad = []
-    for k, comp in enumerate(belief.components):
-        a = -float(comp.mean @ x)
-        Sx = comp.cov @ x
-        b = math.sqrt(max(float(x @ Sx), 0.0))
-        c = comp.radius * nx
-        if a + c >= 0.0:
-            bad.append(k)
-            continue
-        values[k], outer, d_a, d_b, d_c = closed_form(a, b, c, gaussian)
-        ga = -comp.mean
-        gb = Sx / b
-        gc = (comp.radius / nx) * x  # zero vector when radius == 0
-        grads[k] = outer * (d_a * ga + d_b * gb + d_c * gc)
-    if bad:
-        raise InfeasibleMargin(bad)
-    return values, grads
+    means, covs, radii = (np.array([getattr(c, a) for c in belief.components])
+                          for a in ("mean", "cov", "radius"))
+    a = -(X[:, None, :] * means).sum(-1)
+    Sx = (covs * X[:, None, None, :]).sum(-1)
+    b = np.sqrt(np.maximum((X[:, None, :] * Sx).sum(-1), 0.0))
+    nx = np.sqrt((X * X).sum(-1))[:, None]
+    c = radii * nx
+    bad = a + c >= 0.0
+    with np.errstate(all="ignore"):
+        values, outer, d_a, d_b, d_c = closed_form(a, b, c, gaussian)
+        gb = Sx / b[..., None]
+        gc = (radii / nx)[..., None] * X[:, None, :]  # zero when radius == 0
+        grads = outer[..., None] * (d_a[..., None] * -means + d_b[..., None] * gb
+                                    + d_c[..., None] * gc)
+    return values, grads, bad
+
+
+def evaluate(X, belief: MixtureBelief, mode: Mode, weight_budget: float = 0.0,
+             divergence: Divergence = Divergence.KL):
+    """The objective of mode at the rows of X: (values, grads, component
+    values, errors, inner duals).  errors maps a row to its RecourseError
+    (ZeroAction at x = 0, else InfeasibleMargin, else DualSolveFailed);
+    the inner duals are (lam, eta) per row where a weight dual ran (once
+    per row), else None."""
+    mode, divergence = Mode(mode), Divergence(divergence)
+    if weight_budget < 0.0:
+        raise DualSolveFailed(f"weight budget must be >= 0, got {weight_budget}")
+    gaussian = mode.value.startswith("gaussian")
+    v, g, bad = _component_stats(X, belief, gaussian)
+    errors = {i: ZeroAction("objective undefined at x = 0")
+              for i in np.flatnonzero(~X.any(-1)).tolist()}
+    for i in np.flatnonzero(bad.any(-1)).tolist():
+        errors.setdefault(i, InfeasibleMargin(np.flatnonzero(bad[i]).tolist()))
+    duals = [None] * len(X)
+    p = belief.weights
+    if mode in (Mode.WORST_COMPONENT, Mode.GAUSSIAN_WORST_COMPONENT):
+        # the attaining component's gradient, lowest index on ties
+        k, rows = np.argmax(v, -1), np.arange(len(X))
+        return v[rows, k], g[rows, k], v, errors, duals
+    values, W = (v * p).sum(-1), np.broadcast_to(p, v.shape)
+    if weight_budget > 0.0 and mode in (Mode.WEIGHT_ROBUST, Mode.GAUSSIAN_WEIGHT_ROBUST):
+        # weights with p_k = 0 can never receive mass (infinite divergence);
+        # restrict the dual to the support
+        support = p > 0.0
+        W = np.zeros_like(v)
+        for i in (i for i in range(len(X)) if i not in errors):
+            try:
+                value, lam, eta, W[i, support] = _weight_dual(
+                    v[i, support], p[support], weight_budget, divergence)
+                values[i], duals[i] = min(value, 1.0), (lam, eta)
+            except DualSolveFailed as exc:
+                errors[i] = exc
+    return values, (W[..., None] * g).sum(-2), v, errors, duals
+
+
+def _one(x, belief, mode, weight_budget=0.0, divergence=Divergence.KL) -> ObjectiveEval:
+    """evaluate at the single point x; raises the row's error."""
+    values, grads, v, errors, duals = evaluate(
+        np.asarray(x, dtype=float)[None], belief, mode, weight_budget, divergence)
+    if errors:
+        raise errors[0]
+    return ObjectiveEval(float(values[0]), grads[0], v[0], duals[0])
 
 
 def eval_nonparametric(x, belief: MixtureBelief) -> ObjectiveEval:
     """Weighted mixture of nonparametric worst-case probabilities."""
-    v, g = _component_stats(x, belief, gaussian=False)
-    w = belief.weights
-    return ObjectiveEval(float(w @ v), w @ g, v)
+    return _one(x, belief, Mode.NONPARAMETRIC)
 
 
 def eval_gaussian(x, belief: MixtureBelief) -> ObjectiveEval:
     """Weighted mixture of gaussian worst-case probabilities,
     i.e. 1 - sum_k p_k Phi(g_k(x))."""
-    v, g = _component_stats(x, belief, gaussian=True)
-    w = belief.weights
-    return ObjectiveEval(float(w @ v), w @ g, v)
+    return _one(x, belief, Mode.GAUSSIAN)
 
 
 def eval_worst_component(x, belief: MixtureBelief, gaussian: bool = False) -> ObjectiveEval:
     """Largest per-component worst-case probability; ignores the mixture
     weights entirely.  Gradient is that of the attaining component, lowest
     index on ties."""
-    v, g = _component_stats(x, belief, gaussian=gaussian)
-    k = int(np.argmax(v))
-    return ObjectiveEval(float(v[k]), g[k].copy(), v)
+    return _one(x, belief, Mode.GAUSSIAN_WORST_COMPONENT if gaussian else Mode.WORST_COMPONENT)
 
 
 def _kl_weights(h: np.ndarray, p: np.ndarray, eps: float):
@@ -199,17 +232,5 @@ def eval_weight_robust(
     weight_budget == 0 collapses the ball to the nominal weights and the
     value reduces exactly to the plain mixture objective.
     """
-    if weight_budget < 0.0:
-        raise DualSolveFailed(f"weight budget must be >= 0, got {weight_budget}")
-    divergence = Divergence(divergence)
-    v, g = _component_stats(x, belief, gaussian=gaussian)
-    p = belief.weights
-    if weight_budget == 0.0:
-        return ObjectiveEval(float(p @ v), p @ g, v, inner_dual=None)
-    # weights with p_k = 0 can never receive mass (infinite divergence);
-    # restrict the dual to the support
-    support = p > 0.0
-    value, lam, eta, w_s = _weight_dual(v[support], p[support], weight_budget, divergence)
-    w = np.zeros_like(p)
-    w[support] = w_s
-    return ObjectiveEval(min(value, 1.0), w @ g, v, inner_dual=(lam, eta))
+    mode = Mode.GAUSSIAN_WEIGHT_ROBUST if gaussian else Mode.WEIGHT_ROBUST
+    return _one(x, belief, mode, weight_budget, divergence)

@@ -1,4 +1,5 @@
-"""Projected gradient descent with a spectral step and backtracking.
+"""Projected gradient descent with a spectral step and backtracking, run
+in lock step over the rows of a block.
 
 Each accepted step satisfies the sufficient-decrease condition
 
@@ -16,30 +17,23 @@ early once the prox-stationarity measure
 
 drops below station_tol; the same measure, always at zeta, is reported as
 a diagnostic of the returned point.
+
+_descend runs it over the rows of a block in lock step, each row with its
+own trial step, backtrack counter and retirement flag, every operation
+row-wise, so a row's answer is the same alone and in a block.
+solve_block, solve and pgd_minimize all run it.
 """
 
 import math
-from dataclasses import dataclass
-from itertools import chain
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import feasibility as fz
-from .errors import BudgetTooSmall, InfeasibleMargin
-from .model import (
-    FeatureVector,
-    Mode,
-    RecourseProblem,
-    RecourseResult,
-    validate_problem,
-)
-from .objective import (
-    ObjectiveEval,
-    eval_gaussian,
-    eval_nonparametric,
-    eval_weight_robust,
-    eval_worst_component,
-)
+from . import objective
+from .errors import BudgetTooSmall, InfeasibleMargin, RecourseError
+from .model import FeatureVector, Mode, RecourseProblem, RecourseResult, validate_problem
+from .objective import eval_gaussian, eval_nonparametric, eval_weight_robust, eval_worst_component
 
 # bounds on the spectral trial step
 STEP_MIN = 1e-10
@@ -89,177 +83,226 @@ class SolverConfig:
 
 def make_objective(problem: RecourseProblem):
     """The evaluation function for problem.mode: x -> ObjectiveEval."""
-    belief = problem.belief
-    mode = problem.mode
-    if mode is Mode.NONPARAMETRIC:
-        return lambda x: eval_nonparametric(x, belief)
-    if mode is Mode.GAUSSIAN:
-        return lambda x: eval_gaussian(x, belief)
-    if mode is Mode.WEIGHT_ROBUST:
-        return lambda x: eval_weight_robust(
-            x, belief, problem.weight_budget, problem.divergence, gaussian=False
-        )
-    if mode is Mode.GAUSSIAN_WEIGHT_ROBUST:
-        return lambda x: eval_weight_robust(
-            x, belief, problem.weight_budget, problem.divergence, gaussian=True
-        )
-    if mode is Mode.WORST_COMPONENT:
-        return lambda x: eval_worst_component(x, belief, gaussian=False)
-    if mode is Mode.GAUSSIAN_WORST_COMPONENT:
-        return lambda x: eval_worst_component(x, belief, gaussian=True)
-    raise ValueError(f"unknown mode {mode}")
+    b, eps, div = problem.belief, problem.weight_budget, problem.divergence
+    return {
+        Mode.NONPARAMETRIC: lambda x: eval_nonparametric(x, b),
+        Mode.GAUSSIAN: lambda x: eval_gaussian(x, b),
+        Mode.WEIGHT_ROBUST: lambda x: eval_weight_robust(x, b, eps, div),
+        Mode.GAUSSIAN_WEIGHT_ROBUST: lambda x: eval_weight_robust(x, b, eps, div, gaussian=True),
+        Mode.WORST_COMPONENT: lambda x: eval_worst_component(x, b),
+        Mode.GAUSSIAN_WORST_COMPONENT: lambda x: eval_worst_component(x, b, gaussian=True),
+    }[problem.mode]
 
 
-def _with_finite_diff(fn, step: float = 1e-6):
-    def wrapped(x):
-        ev = fn(x)
-        grad = np.empty_like(np.asarray(x, dtype=float))
-        for i in range(grad.size):
-            e = np.zeros_like(grad)
-            e[i] = step
-            grad[i] = (fn(x + e).value - fn(x - e).value) / (2.0 * step)
-        return ObjectiveEval(ev.value, grad, ev.component_values, ev.inner_dual)
+def _rows_objective(problem: RecourseProblem, config: SolverConfig):
+    """X -> (values, grads, component values, errors) of problem's objective
+    at the rows of X; with config.finite_diff the gradient is by central
+    differences, an error at a shifted point counting as the row's."""
+    def fn(X):
+        return objective.evaluate(X, problem.belief, problem.mode, problem.weight_budget,
+                                  problem.divergence)[:4]
 
-    return wrapped
+    def with_finite_diff(X, step=1e-6):
+        values, grads, comps, errors = fn(X)
+        for i, e in enumerate(np.eye(X.shape[1]) * step):
+            (up, _, _, up_err), (down, _, _, down_err) = fn(X + e), fn(X - e)
+            grads[:, i] = (up - down) / (2.0 * step)
+            errors = {**down_err, **up_err, **errors}
+        return values, grads, comps, errors
 
-
-def _prox_step(x, grad, proj, zeta: float):
-    """The projected step Proj(x - zeta*grad) and the prox-stationarity
-    measure ||x - Proj(x - zeta*grad)||_2 / zeta it yields."""
-    cand = proj(x - zeta * grad)
-    diff = x - cand  # the norm as np.linalg.norm computes it, without its overhead
-    return cand, math.sqrt(float(diff @ diff)) / zeta
+    return with_finite_diff if config.finite_diff else fn
 
 
-def _spectral_step(s, y, grad, budget) -> float:
-    """Barzilai-Borwein trial step (s.s)/(s.y), clamped to [STEP_MIN, cap]
-    and the cap when s.y <= 0; the cap keeps trial*||grad|| within budget,
-    or is STEP_MAX without one."""
-    gnorm = math.sqrt(float(grad @ grad))
-    cap = STEP_MAX if budget is None or gnorm == 0.0 else min(STEP_MAX, budget / gnorm)
-    sy = float(s @ y)
-    return max(STEP_MIN, min(float(s @ s) / sy, cap) if sy > 0.0 else cap)
+def _spectral_step(s, y, grad, budget):
+    """Barzilai-Borwein trial steps (s.s)/(s.y) per row, clamped to [STEP_MIN,
+    cap], and cap where s.y <= 0: trial*||grad|| <= budget, cap <= STEP_MAX."""
+    gnorm = np.sqrt((grad * grad).sum(-1))
+    sy = (s * y).sum(-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cap = np.where(gnorm == 0.0, STEP_MAX, np.minimum(STEP_MAX, budget / gnorm))
+        spectral = np.minimum((s * s).sum(-1) / sy, cap)
+    return np.maximum(STEP_MIN, np.where(sy > 0.0, spectral, cap))
+
+
+def _descend(fn, proj, config: SolverConfig, X, budget, callback=None, skip=None):
+    """The descent from every row of X, a point of its feasible set, in
+    lock step; rows in skip are only evaluated.  fn(X) -> (values, grads,
+    aux, errors) evaluates the objective at rows, aux any per-row array
+    kept with the accepted points; proj(Y, rows) -> (points, errors)
+    projects Y onto the sets of the given rows; errors map a position in
+    the call to its RecourseError.  A round calls each once: rows that
+    start an iteration project x - zeta*grad to measure stationarity, with
+    their trial if it is not zeta, and rows still searching evaluate their
+    candidates.  InfeasibleMargin rejects a candidate, any other error
+    retires its row.  budget (inf for none) caps each row's trial steps.
+    callback(iteration, x, value) fires on each start and accepted step.
+
+    Returns (X, values, aux, iterations, converged, stationarity, errors).
+    """
+    X = np.array(X, dtype=float)
+    N, zeta, tol = len(X), config.zeta, config.station_tol
+    powers = np.array([config.lambda_ls**i for i in range(config.max_backtracks + 1)])
+    values, G, aux, errors = fn(X)
+    errors = dict(errors)
+    iterations, backtracks = np.zeros(N, int), np.zeros(N, int)
+    station, trial, converged = np.zeros(N), np.full(N, zeta), np.zeros(N, bool)
+    alive = np.ones(N, bool) if skip is None else ~skip
+    alive[list(errors)] = False
+    if callback is not None:
+        for i in np.flatnonzero(alive).tolist():
+            callback(0, X[i].copy(), float(values[i]))
+    C = np.empty_like(X)  # each row's candidate
+    while alive.any():
+        live = np.flatnonzero(alive)
+        new = live[backtracks[live] == 0]
+        fresh = live[(backtracks[live] > 0)
+                     | ((trial[live] != zeta) & (iterations[live] < config.max_iter))]
+        targets = np.concatenate([new, fresh])
+        step = trial[fresh] * powers[backtracks[fresh]]
+        P, errs = proj(np.concatenate([X[new] - zeta * G[new], X[fresh] - step[:, None] * G[fresh]]),
+                       targets)
+        C[new], C[fresh] = P[: new.size], P[new.size :]
+        diff = X[new] - P[: new.size]
+        station[new] = np.sqrt((diff * diff).sum(-1)) / zeta
+        for j, exc in errs.items():  # a failed measuring projection retires its row
+            if j < new.size:
+                errors[int(targets[j])], alive[targets[j]] = exc, False
+        # a row ends at stationarity or at the iteration cap, where it is measured last
+        ends = new[alive[new] & ((station[new] <= tol) | (iterations[new] >= config.max_iter))]
+        converged[ends], alive[ends] = station[ends] <= tol, False
+        for j, exc in errs.items():  # and a failed trial projection a row still searching
+            if alive[targets[j]]:
+                errors[int(targets[j])], alive[targets[j]] = exc, False
+        rows = live[alive[live]]
+        if not rows.size:
+            continue
+        cand, step = C[rows], trial[rows] * powers[backtracks[rows]]
+        cand_values, cand_G, cand_aux, errs = fn(cand)
+        ok = np.ones(rows.size, bool)
+        for j, exc in errs.items():
+            ok[j] = False
+            if not isinstance(exc, InfeasibleMargin):
+                errors[int(rows[j])], alive[rows[j]] = exc, False
+        diff = X[rows] - cand
+        ok &= cand_values <= values[rows] - (diff * diff).sum(-1) / (2.0 * step)
+        a = rows[ok]
+        trial[a] = _spectral_step(cand[ok] - X[a], cand_G[ok] - G[a], cand_G[ok], budget[a])
+        X[a], values[a], G[a], aux[a] = cand[ok], cand_values[ok], cand_G[ok], cand_aux[ok]
+        iterations[a], backtracks[a] = iterations[a] + 1, 0
+        # the rest try a shorter step; a row out of trials has stalled and
+        # keeps its iterate, unconverged
+        backtracks[rows[~ok]] += 1
+        alive[rows[backtracks[rows] > config.max_backtracks]] = False
+        if callback is not None:
+            for r in a.tolist():
+                callback(int(iterations[r]), X[r].copy(), float(values[r]))
+    return X, values, aux, iterations, converged, station, errors
 
 
 def pgd_minimize(fn, proj, config: SolverConfig, x_start, callback=None, *, budget=None):
-    """Run the descent from x_start, a point of the feasible set, which is
-    not projected again; fn(x) -> object with .value/.gradient.  budget,
-    the cost budget delta, caps the trial steps.
+    """The one-row _descend from x_start, a feasible point, not projected
+    again; fn(x) -> object with .value/.gradient, proj(y) -> projection,
+    budget (the cost budget delta) caps the trial steps.  Returns (x,
+    value, eval, iterations, converged, stationarity)."""
+    def rows_fn(X):
+        aux = np.empty(1, dtype=object)
+        try:
+            aux[0] = ev = fn(X[0])
+        except RecourseError as exc:
+            return np.zeros(1), np.zeros_like(X), aux, {0: exc}
+        return np.array([ev.value], dtype=float), np.array([ev.gradient], dtype=float), aux, {}
 
-    Returns (x, value, eval, iterations, converged, stationarity).
-    """
-    x = np.asarray(x_start, dtype=float)
-    ev = fn(x)
-    if callback is not None:
-        callback(0, x, ev.value)
-    iterations = 0
-    converged = False
-    trial = config.zeta
-    for t in range(config.max_iter):
-        base_cand, station = _prox_step(x, ev.gradient, proj, config.zeta)
-        if station <= config.station_tol:
-            converged = True
-            break
-        accepted = None
-        for i in range(config.max_backtracks + 1):
-            step = trial * config.lambda_ls**i
-            reuse = i == 0 and trial == config.zeta
-            cand = base_cand if reuse else proj(x - step * ev.gradient)
-            try:
-                cand_ev = fn(cand)
-            except InfeasibleMargin:
-                continue
-            dist2 = float(np.sum((x - cand) ** 2))
-            if cand_ev.value <= ev.value - dist2 / (2.0 * step):
-                accepted = (cand, cand_ev)
-                break
-        if accepted is None:
-            # line search stalled: keep the current iterate, flag non-convergence
-            break
-        trial = _spectral_step(
-            accepted[0] - x, accepted[1].gradient - ev.gradient, accepted[1].gradient, budget
-        )
-        x, ev = accepted
-        iterations = t + 1
-        if callback is not None:
-            callback(iterations, x, ev.value)
-    else:
-        # the iteration cap (or max_iter == 0) left the last point unmeasured
-        station = _prox_step(x, ev.gradient, proj, config.zeta)[1]
-        converged = station <= config.station_tol
-    return x, ev.value, ev, iterations, converged, station
+    X, values, aux, iterations, converged, station, errors = _descend(
+        rows_fn, lambda Y, rows: (np.array([proj(y) for y in Y], dtype=float), {}), config,
+        np.asarray(x_start, dtype=float)[None], np.array([math.inf if budget is None else budget]),
+        callback)
+    if errors:
+        raise errors[0]
+    return X[0], float(values[0]), aux[0], int(iterations[0]), bool(converged[0]), float(station[0])
 
 
-def solve(
-    problem: RecourseProblem,
-    config: SolverConfig | None = None,
-    *,
-    cheapest=None,
-    callback=None,
-) -> RecourseResult:
-    """End-to-end solve: validate, check the budget against delta_min and
-    run the descent from the cheapest point.
-
-    A budget that passes the check is at least delta_min, so the point
-    that attains delta_min lies in the feasible set and every descent
-    starts there.  A budget pinned at delta_min (fz.budget_pinned, which
-    also takes the 1e-9 the check forgives) leaves no room to move: that
-    point is the answer.  A perturbed restart starts at the projection
-    of its perturbed input.
-
-    cheapest, the pair (delta_min, the cheapest point) that fz.min_cost_point
-    gives for the problem, skips the distance program when the caller
-    already solved it, as generate_recourses does for a whole block; a lone
-    solve returns the same bytes.  callback(iteration, x, value) fires on
-    the start point and on every accepted step of every restart.
+def solve_block(problems, config: SolverConfig | None = None, *, cheapest=None, callback=None):
+    """Solve the problems of one template, which differ only in x0, delta
+    and actionability, in lock step: per problem, its RecourseResult or
+    the RecourseError that solving it raised.  A budget that passes the
+    check against delta_min makes the point that attains delta_min
+    feasible; the descent starts there, and a budget pinned at delta_min
+    (fz.budget_pinned) makes it the answer.  With restarts > 1, each other
+    problem also runs from the projections of its input plus seeded noise,
+    the same seeds for every problem; the first run of least value wins,
+    an error in any run is the problem's.  cheapest, one pair (delta_min,
+    the cheapest point) per problem as fz.min_cost_point gives them, skips
+    the distance programs.  callback(iteration, x, value) fires on every
+    run's start and accepted steps.
     """
     config = config or SolverConfig()
-    validate_problem(problem)
-    spec = fz.FeasibleSetSpec.from_problem(problem)
+    out, specs = [None] * len(problems), {}
+    for i, problem in enumerate(problems):
+        try:
+            specs[i] = fz.FeasibleSetSpec.from_problem(validate_problem(problem))
+        except RecourseError as exc:
+            out[i] = exc
     if cheapest is None:
-        cheapest = fz.delta_min(spec, proj_tol=config.proj_tol, with_point=True)
-    dmin, start = cheapest
-    if problem.delta < dmin - 1e-9:
-        raise BudgetTooSmall(f"delta={problem.delta} is below delta_min={dmin}")
+        cheapest = dict(zip(specs, fz.min_cost_point(list(specs.values()), config.proj_tol)))
+    for i in specs:
+        if isinstance(cheapest[i], RecourseError):
+            out[i] = cheapest[i]
+        elif problems[i].delta < cheapest[i][0] - 1e-9:
+            out[i] = BudgetTooSmall(f"delta={problems[i].delta} is below delta_min={cheapest[i][0]}")
+    todo = [i for i in specs if out[i] is None]
+    if not todo:
+        return out
+    pinned = [fz.budget_pinned(problems[i].delta, cheapest[i][0]) for i in todo]
+    free = [i for i, pin in zip(todo, pinned) if not pin]
+    # row k < len(todo) starts todo[k] at its cheapest point; the rows after
+    # them start the perturbed runs 1, 2, ... of the free problems
+    rows, n = todo + free * (config.restarts - 1), len(todo)
+    proj = fz.RowProjection([specs[i] for i in rows], config.proj_max_iter, config.proj_tol)
+    starts, skip = np.array([cheapest[i][1] for i in rows]), np.zeros(len(rows), bool)
+    skip[:n], failed = pinned, {}
+    if len(rows) > n:
+        seeds = np.random.SeedSequence(config.seed).spawn(config.restarts - 1)
+        P, errs = proj(np.array([specs[i].x0 + np.random.default_rng(seeds[k // len(free)]).normal(
+            scale=0.25 * max(problems[i].delta, problems[i].margin), size=specs[i].x0.size)
+            for k, i in enumerate(rows[n:])]), np.arange(n, len(rows)))
+        failed = {n + j: exc for j, exc in errs.items()}  # these runs end in their error
+        skip[list(failed)] = True
+        starts[n:][~skip[n:]] = P[~skip[n:]]
+    X, values, comps, iterations, converged, station, errors = _descend(
+        _rows_objective(problems[todo[0]], config), proj, config, starts,
+        np.array([problems[i].delta for i in rows]), callback, skip)
+    converged[:n] |= pinned
+    errors.update(failed)
+    runs = {}
+    for k, i in enumerate(rows):
+        runs.setdefault(i, []).append(k)
+    for i in todo:
+        k = min(runs[i], key=lambda k: values[k])  # the first run of least value
+        try:
+            out[i] = next((errors[k] for k in runs[i] if k in errors), None) or RecourseResult(
+                FeatureVector(X[k]), float(min(max(values[k], 0.0), 1.0)), comps[k],
+                int(iterations[k]), float(station[k]), cheapest[i][0], bool(converged[k]))
+        except RecourseError as exc:
+            out[i] = exc
+    return out
 
-    fn = make_objective(problem)
-    if config.finite_diff:
-        fn = _with_finite_diff(fn)
 
-    def proj(y):
-        return fz.project_feasible(y, spec, config.proj_max_iter, config.proj_tol)
-
-    if fz.budget_pinned(problem.delta, dmin):
-        ev = fn(start)
-        best = (start, ev.value, ev, 0, True, 0.0)
-    else:
-        scale, size = 0.25 * max(problem.delta, problem.margin), spec.x0.size
-        perturbed = (proj(spec.x0 + np.random.default_rng(seed).normal(scale=scale, size=size))
-                     for seed in np.random.SeedSequence(config.seed).spawn(config.restarts - 1))
-        # the first run of least value wins
-        best = min((pgd_minimize(fn, proj, config, x, callback, budget=problem.delta)
-                    for x in chain([start], perturbed)), key=lambda run: run[1])
-    x, value, ev, iterations, converged, station = best
-
-    return RecourseResult(
-        action=FeatureVector(x),
-        objective=float(min(max(value, 0.0), 1.0)),
-        component_probs=ev.component_values,
-        iterations=iterations,
-        stationarity=station,
-        delta_min=dmin,
-        converged=converged,
-    )
+def solve(problem: RecourseProblem, config: SolverConfig | None = None, *, cheapest=None,
+          callback=None) -> RecourseResult:
+    """solve_block of the one problem; raises its error.  cheapest, the
+    pair (delta_min, the cheapest point) fz.min_cost_point gives for the
+    problem, skips the distance program."""
+    [out] = solve_block([problem], config, callback=callback,
+                        cheapest=None if cheapest is None else [cheapest])
+    if isinstance(out, RecourseError):
+        raise out
+    return out
 
 
 def stationarity(x, problem: RecourseProblem, config: SolverConfig | None = None) -> float:
-    """Prox-stationarity measure ||x - Proj(x - zeta*grad f(x))||_2 / zeta."""
-    config = config or SolverConfig()
+    """Prox-stationarity measure ||x - Proj(x - zeta*grad f(x))||_2 / zeta,
+    as the descent measures it (pgd_minimize with no iteration)."""
+    config = replace(config or SolverConfig(), max_iter=0)
     spec = fz.FeasibleSetSpec.from_problem(problem)
-    fn = make_objective(problem)
-    x = np.asarray(x, dtype=float)
-
-    def proj(y):
-        return fz.project_feasible(y, spec, config.proj_max_iter, config.proj_tol)
-
-    return _prox_step(x, fn(x).gradient, proj, config.zeta)[1]
+    return pgd_minimize(make_objective(problem), lambda y: fz.project_feasible(
+        y, spec, config.proj_max_iter, config.proj_tol), config, x)[5]

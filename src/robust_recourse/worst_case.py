@@ -29,6 +29,7 @@ from .errors import ZeroAction
 from .model import ComponentMoments
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
+_erfc = np.vectorize(math.erfc, otypes=[float])  # NumPy has no erfc
 
 __all__ = [
     "ABCTriple",
@@ -80,8 +81,9 @@ def abc(x, comp: ComponentMoments) -> ABCTriple:
     return ABCTriple(a, b, c)
 
 
-def closed_form(a: float, b: float, c: float, gaussian: bool):
-    """Worst-case probability at a + c < 0 and its partials in (a, b, c).
+def closed_form(a, b, c, gaussian: bool):
+    """Worst-case probability at a + c < 0 and its partials in (a, b, c),
+    elementwise over arrays (or plain floats) a, b, c.
 
     Returns (value, outer, d_a, d_b, d_c); the derivative of the value along
     any direction is outer * (d_a*a' + d_b*b' + d_c*c').  With
@@ -95,7 +97,7 @@ def closed_form(a: float, b: float, c: float, gaussian: bool):
     """
     # a + c < 0 implies a^2 >= c^2, so analytically a^2 + b^2 - c^2 >= b^2 > 0;
     # clamp against roundoff only
-    s = math.sqrt(max(a * a + b * b - c * c, 0.0))
+    s = np.sqrt(np.maximum(a * a + b * b - c * c, 0.0))
     if gaussian:
         Ng = a * a - c * c
         Dg = -a * b + c * s
@@ -103,8 +105,8 @@ def closed_form(a: float, b: float, c: float, gaussian: bool):
         dg_da = (2.0 * a * Dg - Ng * (-b + a * c / s)) / (Dg * Dg)
         dg_db = -Ng * (-a + b * c / s) / (Dg * Dg)
         dg_dc = (-2.0 * c * Dg - Ng * (s - c * c / s)) / (Dg * Dg)
-        pdf = math.exp(-0.5 * g * g) / _SQRT2PI
-        return 0.5 * math.erfc(g / math.sqrt(2.0)), -pdf, dg_da, dg_db, dg_dc
+        pdf = np.exp(-0.5 * g * g) / _SQRT2PI
+        return 0.5 * _erfc(g / math.sqrt(2.0)), -pdf, dg_da, dg_db, dg_dc
     D = a * a + b * b
     N = -a * c + b * s
     t = N / D
@@ -114,7 +116,7 @@ def closed_form(a: float, b: float, c: float, gaussian: bool):
     dt_da = (dN_da * D - 2.0 * a * N) / (D * D)
     dt_db = (dN_db * D - 2.0 * b * N) / (D * D)
     dt_dc = dN_dc / D
-    return min(t * t, 1.0), 2.0 * t, dt_da, dt_db, dt_dc
+    return np.minimum(t * t, 1.0), 2.0 * t, dt_da, dt_db, dt_dc
 
 
 def prob_nonparametric(t: ABCTriple) -> float:
@@ -126,7 +128,7 @@ def prob_nonparametric(t: ABCTriple) -> float:
     """
     if t.a + t.c >= 0.0:
         return 1.0
-    return closed_form(t.a, t.b, t.c, gaussian=False)[0]
+    return float(closed_form(t.a, t.b, t.c, gaussian=False)[0])
 
 
 def prob_gaussian(t: ABCTriple):
@@ -138,7 +140,7 @@ def prob_gaussian(t: ABCTriple):
     """
     if t.a + t.c >= 0.0:
         return AT_OR_ABOVE_HALF
-    return closed_form(t.a, t.b, t.c, gaussian=True)[0]
+    return float(closed_form(t.a, t.b, t.c, gaussian=True)[0])
 
 
 def _triple_checked(x, comp: ComponentMoments) -> ABCTriple:

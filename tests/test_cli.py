@@ -214,6 +214,8 @@ class TestBadValues:
             {"bootstrap": {"l2_reg": -1}},
             # no radius at all, and a negative one
             {"rho": []}, {"rho": [-0.1]},
+            # a seed SeedSequence rejects, and a negative ensemble size
+            {"seed": -1}, {"m2": {"trials": -2}},
         ],
     )
     def test_bad_config_value_exits_1(self, workdir, capsys, user_cfg):
@@ -250,6 +252,20 @@ class TestBadValues:
         code = run(["generate", "--config", cfg, "--belief", belief,
                     "--data", base / "missing.csv", "--out", base / "x.csv", flag, value])
         _assert_one_usage_line(code, capsys)
+
+    @pytest.mark.parametrize("command", ["synth", "estimate", "generate", "evaluate", "sweep"])
+    def test_negative_seed_flag_exits_1(self, workdir, capsys, command):
+        base, cfg = workdir
+        belief = _write_belief(base / "belief.json")
+        args = {"synth": [], "estimate": ["--data", base / "missing.csv"],
+                "generate": ["--belief", belief, "--data", base / "missing.csv"],
+                "evaluate": ["--belief", belief, "--recourses", base / "missing.csv",
+                             "--shifted", base / "missing.csv"],
+                "sweep": ["--belief", belief, "--data", base / "missing.csv",
+                          "--shifted", base / "missing.csv"]}[command]
+        code = run([command, "--config", cfg, "--seed", -1, "--out", base / "out", *args])
+        _assert_one_usage_line(code, capsys)
+        assert not (base / "out").exists()
 
     @pytest.mark.parametrize("flags", [["--normalize"], ["--label-column", "y"]])
     def test_synth_rejects_csv_flags(self, workdir, capsys, flags):
@@ -454,6 +470,28 @@ class TestOtherModes:
         _assert_one_usage_line(run(argv), capsys)
         assert run([*argv, "--data", base / "data" / "original.csv"]) == 0
         assert json.loads((tmp_path / "report.json").read_text())["n_classifiers"] == 3
+
+    @pytest.mark.parametrize("stage", [2, 4], ids=["generate", "sweep"])
+    @pytest.mark.parametrize("user_cfg", [{"immutable": [99]}, {"non_decreasing": [-5]}])
+    def test_index_outside_the_dimension_exits_2(self, fuzz_base, tmp_path, capsys, stage,
+                                                 user_cfg):
+        base, stages = fuzz_base
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**TINY_CONFIG, **user_cfg}))
+        code = run(_stage(stages, stage, **{"--config": cfg, "--out": tmp_path / "out"}))
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error: DimensionMismatch: ")
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("synthetic", [{"mu0": [-3.0, -3.0, -3.0]}, {"mu1": [3.0]}])
+    def test_synthetic_mean_of_the_wrong_length_exits_2(self, tmp_path, capsys, synthetic):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**TINY_CONFIG, "synthetic": synthetic}))
+        code = run(["synth", "--config", cfg, "--out", tmp_path / "data"])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error: DimensionMismatch: ")
+        assert len(err.strip().splitlines()) == 1
 
     def test_sweep_cell_without_a_solution_reads_nan(self, fuzz_base, tmp_path):
         # rho = 100 exceeds every direction norm: no margin set holds a point

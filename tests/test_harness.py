@@ -36,13 +36,15 @@ from robust_recourse.harness import (
 from robust_recourse import feasibility as fz
 from robust_recourse import harness
 from robust_recourse.cli import cli_main, load_recourses_csv, save_recourses_csv
-from robust_recourse.errors import MaxIterExceeded
+from robust_recourse import objective
+from robust_recourse.errors import DualSolveFailed, MaxIterExceeded
 from robust_recourse.model import (
     ActionabilitySpec,
     ComponentMoments,
     FeatureVector,
     LinearClassifier,
     MixtureBelief,
+    Mode,
 )
 from robust_recourse.optimizer import SolverConfig, make_objective, solve
 
@@ -464,12 +466,17 @@ class TestGenerateRecourses:
                                    config=SolverConfig(restarts=1))
         instances = [negatives[0], FeatureVector.from_features([0.5, -3.0]), negatives[1]]
 
-        def failing(problem, *args, **kwargs):
-            if problem.x0 is instances[2]:
-                raise MaxIterExceeded("the projection ran out")
-            return solve(problem, *args, **kwargs)
+        project = fz.RowProjection.__call__
 
-        monkeypatch.setattr(harness, "solve", failing)
+        def failing(self, Y, rows):
+            # the descent's projections of the third instance run out
+            points, errors = project(self, Y, rows)
+            for j, r in enumerate(rows.tolist()):
+                if np.array_equal(self.specs[r].x0, instances[2].values):
+                    errors[j] = MaxIterExceeded("the projection ran out")
+            return points, errors
+
+        monkeypatch.setattr(fz.RowProjection, "__call__", failing)
         results, errors = generate_recourses(template, instances)
         assert results[0] is not None and errors[0] is None
         assert results[1] is None and errors[1].startswith("EmptyFeasibleSet: ")
@@ -486,6 +493,41 @@ class TestGenerateRecourses:
         report = evaluate(loaded, loaded_x0, theta0, build_shift_ensemble(shifted, trials=4))
         assert len(report.per_instance) == 1
         assert report.m1_validity == 1.0
+
+    def test_a_row_that_raises_leaves_the_others_alone(self, rng, monkeypatch):
+        # an empty feasible set fails before the descent, a weight dual
+        # that fails at the third instance's start fails in it
+        original, shifted, theta0, _, negatives = tiny_pipeline(rng)
+        belief = fit_mixture_moments(bootstrap_parameters(original, B=30, seed=5), K=3, seed=5)
+        act = ActionabilitySpec(non_decreasing=frozenset({0}),
+                                box=[[-np.inf, 0.0], [-np.inf, np.inf], [-np.inf, np.inf]])
+        template = ProblemTemplate(belief=belief.with_radius(0.1), mode=Mode.WEIGHT_ROBUST,
+                                   weight_budget=0.1, actionability=act)
+        good = [x0 for x0 in negatives if x0.values[0] < 0.0][:4]
+        instances = [good[0], FeatureVector.from_features([0.5, -3.0]), *good[1:]]
+        alone, errors = generate_recourses(template, good)
+        assert not any(errors)
+        problem = template.problem_for(good[1], alone[1].delta_min + template.delta_add)
+        start = fz.delta_min(fz.FeasibleSetSpec.from_problem(problem), 1e-10, with_point=True)[1]
+        victim = make_objective(problem)(start).component_values
+        weight_dual = objective._weight_dual
+
+        def failing(f, *args):
+            if f.tobytes() == victim.tobytes():
+                raise DualSolveFailed("no usable optimum")
+            return weight_dual(f, *args)
+
+        monkeypatch.setattr(objective, "_weight_dual", failing)
+        results, errors = generate_recourses(template, instances)
+        assert errors[1] == "EmptyFeasibleSet: actionability bounds exclude the input point"
+        assert errors[2] == "DualSolveFailed: no usable optimum"
+        assert results[1] is None and results[2] is None
+        for i, j in ((0, 0), (3, 2), (4, 3)):
+            assert errors[i] is None
+            a, b = results[i], alone[j]
+            assert a.action.values.tobytes() == b.action.values.tobytes()
+            assert (a.objective, a.iterations, a.converged) == (b.objective, b.iterations,
+                                                                b.converged)
 
     def test_worker_pool_matches_sequential(self, rng):
         original, shifted, theta0, belief, negatives = tiny_pipeline(rng)

@@ -13,6 +13,7 @@ from robust_recourse.harness import (
     generate_synthetic,
 )
 from robust_recourse.model import (
+    ActionabilitySpec,
     ComponentMoments,
     Cost,
     Divergence,
@@ -27,6 +28,7 @@ from robust_recourse.optimizer import (
     make_objective,
     pgd_minimize,
     solve,
+    solve_block,
     stationarity,
 )
 
@@ -146,15 +148,15 @@ class TestSolve:
         fn = make_objective(prob)
         here = {}
         moves = []
-        original = fz.project_feasible
+        original = fz.RowProjection.__call__
 
-        def recording(y, *args):
+        def recording(self, Y, rows):
             if "x" in here:
                 gnorm = float(np.linalg.norm(fn(here["x"]).gradient))
-                moves.append((float(np.linalg.norm(y - here["x"])), gnorm))
-            return original(y, *args)
+                moves.extend((float(np.linalg.norm(y - here["x"])), gnorm) for y in Y)
+            return original(self, Y, rows)
 
-        monkeypatch.setattr(fz, "project_feasible", recording)
+        monkeypatch.setattr(fz.RowProjection, "__call__", recording)
         res = solve(
             prob, cfg, cheapest=cheapest_pair(prob),
             callback=lambda t, x, v: here.update(x=x.copy()),
@@ -413,3 +415,80 @@ class TestConvergesAtDefaults:
         results, errors = generate_recourses(template, negatives)
         assert not any(errors)
         assert sum(r.converged for r in results) >= 0.95 * len(results)
+
+
+def assert_same_answer(a, b):
+    """Bitwise: action, objective, iterations and converged flag."""
+    assert a.action.values.tobytes() == b.action.values.tobytes()
+    assert (a.objective, a.iterations, a.converged) == (b.objective, b.iterations, b.converged)
+
+
+class TestBlock:
+    """A row of a lock-step block gets the bytes of its lone solve."""
+
+    def lone(self, template, results):
+        return [solve(template.problem_for(x0, res.delta_min + template.delta_add),
+                      template.config) for x0, res in zip(self.instances, results)]
+
+    @pytest.fixture(autouse=True)
+    def _data(self, synthetic_beliefs):
+        self.beliefs, negatives = synthetic_beliefs
+        self.instances = negatives[:4]
+
+    @pytest.mark.parametrize("rho", [0.0, 0.1])
+    @pytest.mark.parametrize("cost", list(Cost))
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_every_mode_matches_lone_solves(self, mode, cost, rho):
+        template = ProblemTemplate(belief=self.beliefs[3].with_radius(rho), cost=cost, mode=mode,
+                                   weight_budget=0.1, config=SolverConfig())
+        results, errors = generate_recourses(template, self.instances)
+        assert not any(errors)
+        for block, alone in zip(results, self.lone(template, results)):
+            assert_same_answer(block, alone)
+
+    @pytest.mark.parametrize("mode", [Mode.NONPARAMETRIC, Mode.WEIGHT_ROBUST])
+    def test_restarts_match_lone_solves(self, mode):
+        template = ProblemTemplate(belief=self.beliefs[3], mode=mode, weight_budget=0.1,
+                                   config=SolverConfig(restarts=3, seed=4))
+        results, errors = generate_recourses(template, self.instances)
+        assert not any(errors)
+        single, _ = generate_recourses(replace(template, config=SolverConfig()), self.instances)
+        for block, alone, one in zip(results, self.lone(template, results), single):
+            assert_same_answer(block, alone)
+            assert block.objective <= one.objective
+
+    def test_pinned_and_free_rows_in_one_block(self):
+        template = ProblemTemplate(belief=self.beliefs[1], config=SolverConfig())
+        dmins = [fz.delta_min(fz.FeasibleSetSpec.from_problem(template.problem_for(x0, 0.0)))
+                 for x0 in self.instances]
+        problems = [template.problem_for(x0, dmin + (1.0 if i % 2 else 0.0))
+                    for i, (x0, dmin) in enumerate(zip(self.instances, dmins))]
+        answers = solve_block(problems, template.config)
+        assert [a.iterations == 0 for a in answers] == [True, False, True, False]
+        for block, problem in zip(answers, problems):
+            assert_same_answer(block, solve(problem, template.config))
+
+    def test_rows_whose_first_cycle_does_not_close(self, monkeypatch):
+        # feature 0 may not exceed -2.5: the box cuts the cost ball, so
+        # some projections take more than one cycle
+        instances = [x0 for x0 in self.instances if x0.values[0] < -2.5]
+        assert len(instances) >= 2
+        act = ActionabilitySpec(box=[[-np.inf, -2.5], [-np.inf, np.inf], [-np.inf, np.inf]])
+        template = ProblemTemplate(belief=self.beliefs[1], actionability=act,
+                                   config=SolverConfig())
+        calls = []
+        project = fz.project_feasible
+
+        def counted(*args):
+            calls.append(1)
+            return project(*args)
+
+        monkeypatch.setattr(fz, "project_feasible", counted)
+        results, errors = generate_recourses(template, instances)
+        assert not any(errors) and calls
+        for x0, block in zip(instances, results):
+            spec = fz.FeasibleSetSpec.from_problem(
+                template.problem_for(x0, block.delta_min + template.delta_add))
+            assert fz.is_feasible(block.action.values, spec)
+            assert_same_answer(block, solve(template.problem_for(
+                x0, block.delta_min + template.delta_add), template.config))
