@@ -238,15 +238,16 @@ def _pinned_ball(xp, x0, pins, delta, l1: bool) -> np.ndarray:
 
 class RowProjection:
     """Projections of rows, row i onto the set of specs[i]: specs with cost
-    balls that share thetas, radii, margin and cost, as one template's do.
+    balls that share thetas, margin and cost, as one template's do, each
+    with its own radii.
     A call projects Y onto the sets of the given rows: (points, errors),
     errors mapping a position to its RecourseError."""
 
     def __init__(self, specs, max_iter: int, tol: float):
         self.specs, self.max_iter, self.tol = specs, max_iter, tol
-        self.x0, self.lower, self.upper, self.delta = (
+        self.x0, self.lower, self.upper, self.delta, self.radii = (
             np.array([getattr(s, a) for s in specs], dtype=float)
-            for a in ("x0", "lower", "upper", "delta"))
+            for a in ("x0", "lower", "upper", "delta", "radii"))
         self.pins = (self.lower == self.upper) & (self.lower == self.x0)
 
     def __call__(self, Y, rows):
@@ -263,7 +264,8 @@ class RowProjection:
             n = np.sqrt((D * D).sum(-1))
             with np.errstate(divide="ignore", invalid="ignore"):
                 X = np.where((n <= delta)[:, None], X, x0 + (delta / n)[:, None] * D)
-        cones = s0.radii * np.sqrt((X * X).sum(-1))[:, None] - (X[:, None, :] * s0.thetas).sum(-1)
+        cones = (self.radii[rows] * np.sqrt((X * X).sum(-1))[:, None]
+                 - (X[:, None, :] * s0.thetas).sum(-1))
         closed = ((cones <= -s0.margin).all(-1)
                   & ((X >= self.lower[rows]) & (X <= self.upper[rows])).all(-1))
         errors = {}

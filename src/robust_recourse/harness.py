@@ -387,21 +387,29 @@ def _delta_mins(template: ProblemTemplate, instances) -> list:
     return out
 
 
-def _solve_all(template: ProblemTemplate, instances, dmins):
+def _solve_all(cells, instances):
     """Solve every instance whose delta_min is known, at delta_min +
-    delta_add and from its cheapest point, in one solve_block call: the
-    descents run in lock step.  Returns (results, errors) as in
-    generate_recourses, a failed delta_min passing through as the error."""
-    rows = [i for i, d in enumerate(dmins) if not isinstance(d, str)]
-    problems = [template.problem_for(instances[i], dmins[i][0] + template.delta_add) for i in rows]
-    results, errors = [None] * len(instances), [d if isinstance(d, str) else None for d in dmins]
-    for i, answer in zip(rows, solve_block(problems, template.config,
-                                           cheapest=[dmins[i] for i in rows])):
+    delta_add and from its cheapest point, for every cell in one
+    solve_block call: all descents run in lock step.  cells are pairs
+    (template, dmins), templates that differ at most in delta_add and the
+    belief's radii, each with its _delta_mins of instances.  Returns per
+    cell (results, errors) as in generate_recourses, a failed delta_min
+    passing through as the error."""
+    out, problems, cheapest, slots = [], [], [], []
+    for c, (template, dmins) in enumerate(cells):
+        out.append(([None] * len(instances), [d if isinstance(d, str) else None for d in dmins]))
+        for i, d in enumerate(dmins):
+            if not isinstance(d, str):
+                problems.append(template.problem_for(instances[i], d[0] + template.delta_add))
+                cheapest.append(d)
+                slots.append((c, i))
+    for (c, i), answer in zip(slots, solve_block(problems, cells[0][0].config, cheapest=cheapest)):
+        results, errors = out[c]
         if isinstance(answer, RecourseError):
             errors[i] = _describe(answer)
         else:
             results[i] = answer
-    return results, errors
+    return out
 
 
 def generate_recourses(template: ProblemTemplate, instances, workers: int = 1):
@@ -422,7 +430,7 @@ def generate_recourses(template: ProblemTemplate, instances, workers: int = 1):
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(generate_recourses, [template] * workers, chunks))
         return [r for res, _ in parts for r in res], [e for _, err in parts for e in err]
-    return _solve_all(template, instances, _delta_mins(template, instances))
+    return _solve_all([(template, _delta_mins(template, instances))], instances)[0]
 
 
 @dataclass(frozen=True)
@@ -443,9 +451,13 @@ def sweep_frontier(
     deltas_add,
     rhos,
 ):
-    """One row per (delta_add, rho) grid point: mean l1 cost and m2 validity
-    of the recourses generated at that setting.  Per-cell failures are
-    recorded in the row and the sweep continues."""
+    """One row per (delta_add, rho) grid point, rho-major: mean l1 cost and
+    m2 validity of the recourses generated at that setting.  delta_min is
+    computed once per rho and instance; then every (rho, delta_add,
+    instance) problem of the grid is solved in one solve_block call, so
+    the whole grid descends in lock step, each row giving the bytes of its
+    lone solve.  Per-cell failures are recorded in the row and the sweep
+    continues."""
     instances = list(instances)
     if not instances:
         raise EmptyInput("sweep needs at least one instance")
@@ -453,35 +465,37 @@ def sweep_frontier(
     rhos = list(rhos)
     if not deltas_add or not rhos:
         raise EmptyInput("sweep grids must be nonempty")
-    thetas_t = ensemble.matrix().T  # (d, trials), the same for every cell
-    rows = []
+    cells = []
     for rho in rhos:
         tmpl_r = replace(template, belief=template.belief.with_radius(rho))
         # delta_min depends on rho but not on delta_add: compute once per instance
         dmins = _delta_mins(tmpl_r, instances)
-        for delta_add in deltas_add:
-            results, errors = _solve_all(replace(tmpl_r, delta_add=delta_add), instances, dmins)
-            solved = [(r.action, x0) for r, x0 in zip(results, instances) if r is not None]
-            notes = [e for e in errors if e is not None]
-            if solved:
-                Xr = np.array([r.values for r, _ in solved])
-                X0 = np.array([x0.values for _, x0 in solved])
-                l1 = float(np.abs(Xr[:, :-1] - X0[:, :-1]).sum(axis=1).mean())
-                m2 = float((Xr @ thetas_t >= 0.0).mean())
-            else:
-                l1 = math.nan
-                m2 = math.nan
-            rows.append(
-                FrontierRow(
-                    delta_add=float(delta_add),
-                    rho=float(rho),
-                    mean_l1_cost=l1,
-                    m2_validity=m2,
-                    n_solved=len(solved),
-                    n_failed=len(notes),
-                    note="; ".join(sorted(set(notes)))[:200],
-                )
+        cells += [(replace(tmpl_r, delta_add=delta_add), dmins) for delta_add in deltas_add]
+    grid = [(float(rho), float(delta_add)) for rho in rhos for delta_add in deltas_add]
+    thetas_t = ensemble.matrix().T  # (d, trials), the same for every cell
+    rows = []
+    for (rho, delta_add), (results, errors) in zip(grid, _solve_all(cells, instances)):
+        solved = [(r.action, x0) for r, x0 in zip(results, instances) if r is not None]
+        notes = [e for e in errors if e is not None]
+        if solved:
+            Xr = np.array([r.values for r, _ in solved])
+            X0 = np.array([x0.values for _, x0 in solved])
+            l1 = float(np.abs(Xr[:, :-1] - X0[:, :-1]).sum(axis=1).mean())
+            m2 = float((Xr @ thetas_t >= 0.0).mean())
+        else:
+            l1 = math.nan
+            m2 = math.nan
+        rows.append(
+            FrontierRow(
+                delta_add=delta_add,
+                rho=rho,
+                mean_l1_cost=l1,
+                m2_validity=m2,
+                n_solved=len(solved),
+                n_failed=len(notes),
+                note="; ".join(sorted(set(notes)))[:200],
             )
+        )
     return rows
 
 

@@ -37,9 +37,17 @@ class ObjectiveEval:
     inner_dual: tuple | None = None
 
 
-def _component_stats(X, belief: MixtureBelief, gaussian: bool):
+def moments(belief: MixtureBelief):
+    """The component means, covariances and ambiguity radii of belief as
+    arrays, (K, d), (K, d, d) and (K,)."""
+    return tuple(np.array([getattr(c, a) for c in belief.components])
+                 for a in ("mean", "cov", "radius"))
+
+
+def _component_stats(X, means, covs, radii, gaussian: bool):
     """Per-component worst-case probabilities and their gradients at the
-    rows of X, (N, d).
+    rows of X, (N, d), under the components' means and covariances, row i
+    with the ambiguity radii radii[i], (N, K).
 
     The closed forms come from worst_case.closed_form; only the chain rule
     through a = -m^T x, b = sqrt(x^T S x) and c = rho*||x|| lives here.
@@ -48,8 +56,6 @@ def _component_stats(X, belief: MixtureBelief, gaussian: bool):
     (N, K, d) and (N, K); bad marks where the robust margin theta^T x -
     rho*||x|| is not positive, and the values there mean nothing.
     """
-    means, covs, radii = (np.array([getattr(c, a) for c in belief.components])
-                          for a in ("mean", "cov", "radius"))
     a = -(X[:, None, :] * means).sum(-1)
     Sx = (covs * X[:, None, None, :]).sum(-1)
     b = np.sqrt(np.maximum((X[:, None, :] * Sx).sum(-1), 0.0))
@@ -65,10 +71,12 @@ def _component_stats(X, belief: MixtureBelief, gaussian: bool):
     return values, grads, bad
 
 
-def evaluate(X, belief: MixtureBelief, mode: Mode, weight_budget: float = 0.0,
+def evaluate(X, means, covs, radii, weights, mode: Mode, weight_budget: float = 0.0,
              divergence: Divergence = Divergence.KL):
-    """The objective of mode at the rows of X: (values, grads, component
-    values, errors, inner duals).  errors maps a row to its RecourseError
+    """The objective of mode at the rows of X, for the belief of the given
+    component means, covariances and mixture weights, row i with the
+    ambiguity radii radii[i], (N, K): (values, grads, component values,
+    errors, inner duals).  errors maps a row to its RecourseError
     (ZeroAction at x = 0, else InfeasibleMargin, else DualSolveFailed);
     the inner duals are (lam, eta) per row where a weight dual ran (once
     per row), else None."""
@@ -76,13 +84,12 @@ def evaluate(X, belief: MixtureBelief, mode: Mode, weight_budget: float = 0.0,
     if weight_budget < 0.0:
         raise DualSolveFailed(f"weight budget must be >= 0, got {weight_budget}")
     gaussian = mode.value.startswith("gaussian")
-    v, g, bad = _component_stats(X, belief, gaussian)
+    v, g, bad = _component_stats(X, means, covs, radii, gaussian)
     errors = {i: ZeroAction("objective undefined at x = 0")
               for i in np.flatnonzero(~X.any(-1)).tolist()}
     for i in np.flatnonzero(bad.any(-1)).tolist():
         errors.setdefault(i, InfeasibleMargin(np.flatnonzero(bad[i]).tolist()))
-    duals = [None] * len(X)
-    p = belief.weights
+    duals, p = [None] * len(X), weights
     if mode in (Mode.WORST_COMPONENT, Mode.GAUSSIAN_WORST_COMPONENT):
         # the attaining component's gradient, lowest index on ties
         k, rows = np.argmax(v, -1), np.arange(len(X))
@@ -105,8 +112,10 @@ def evaluate(X, belief: MixtureBelief, mode: Mode, weight_budget: float = 0.0,
 
 def _one(x, belief, mode, weight_budget=0.0, divergence=Divergence.KL) -> ObjectiveEval:
     """evaluate at the single point x; raises the row's error."""
-    values, grads, v, errors, duals = evaluate(
-        np.asarray(x, dtype=float)[None], belief, mode, weight_budget, divergence)
+    means, covs, radii = moments(belief)
+    values, grads, v, errors, duals = evaluate(np.asarray(x, dtype=float)[None], means, covs,
+                                               radii[None], belief.weights, mode, weight_budget,
+                                               divergence)
     if errors:
         raise errors[0]
     return ObjectiveEval(float(values[0]), grads[0], v[0], duals[0])

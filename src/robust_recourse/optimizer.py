@@ -94,18 +94,22 @@ def make_objective(problem: RecourseProblem):
     }[problem.mode]
 
 
-def _rows_objective(problem: RecourseProblem, config: SolverConfig):
-    """X -> (values, grads, component values, errors) of problem's objective
-    at the rows of X; with config.finite_diff the gradient is by central
-    differences, an error at a shifted point counting as the row's."""
-    def fn(X):
-        return objective.evaluate(X, problem.belief, problem.mode, problem.weight_budget,
-                                  problem.divergence)[:4]
+def _rows_objective(problem: RecourseProblem, radii, config: SolverConfig):
+    """(X, rows) -> (values, grads, component values, errors) of problem's
+    objective at the rows of X, row i with the ambiguity radii
+    radii[rows[i]]; the belief's arrays are built once, here.  With
+    config.finite_diff the gradient is by central differences, an error
+    at a shifted point counting as the row's."""
+    means, covs, _ = objective.moments(problem.belief)
 
-    def with_finite_diff(X, step=1e-6):
-        values, grads, comps, errors = fn(X)
+    def fn(X, rows):
+        return objective.evaluate(X, means, covs, radii[rows], problem.belief.weights,
+                                  problem.mode, problem.weight_budget, problem.divergence)[:4]
+
+    def with_finite_diff(X, rows, step=1e-6):
+        values, grads, comps, errors = fn(X, rows)
         for i, e in enumerate(np.eye(X.shape[1]) * step):
-            (up, _, _, up_err), (down, _, _, down_err) = fn(X + e), fn(X - e)
+            (up, _, _, up_err), (down, _, _, down_err) = fn(X + e, rows), fn(X - e, rows)
             grads[:, i] = (up - down) / (2.0 * step)
             errors = {**down_err, **up_err, **errors}
         return values, grads, comps, errors
@@ -126,23 +130,24 @@ def _spectral_step(s, y, grad, budget):
 
 def _descend(fn, proj, config: SolverConfig, X, budget, callback=None, skip=None):
     """The descent from every row of X, a point of its feasible set, in
-    lock step; rows in skip are only evaluated.  fn(X) -> (values, grads,
-    aux, errors) evaluates the objective at rows, aux any per-row array
-    kept with the accepted points; proj(Y, rows) -> (points, errors)
-    projects Y onto the sets of the given rows; errors map a position in
-    the call to its RecourseError.  A round calls each once: rows that
-    start an iteration project x - zeta*grad to measure stationarity, with
-    their trial if it is not zeta, and rows still searching evaluate their
-    candidates.  InfeasibleMargin rejects a candidate, any other error
-    retires its row.  budget (inf for none) caps each row's trial steps.
-    callback(iteration, x, value) fires on each start and accepted step.
+    lock step; rows in skip are only evaluated.  fn(X, rows) -> (values,
+    grads, aux, errors) evaluates the objectives of the given rows at the
+    rows of X, aux any per-row array kept with the accepted points;
+    proj(Y, rows) -> (points, errors) projects Y onto the sets of the
+    given rows; errors map a position in the call to its RecourseError.
+    A round calls each once: rows that start an iteration project x -
+    zeta*grad to measure stationarity, with their trial if it is not zeta,
+    and rows still searching evaluate their candidates.  InfeasibleMargin
+    rejects a candidate, any other error retires its row.  budget (inf for
+    none) caps each row's trial steps.  callback(iteration, x, value)
+    fires on each start and accepted step.
 
     Returns (X, values, aux, iterations, converged, stationarity, errors).
     """
     X = np.array(X, dtype=float)
     N, zeta, tol = len(X), config.zeta, config.station_tol
     powers = np.array([config.lambda_ls**i for i in range(config.max_backtracks + 1)])
-    values, G, aux, errors = fn(X)
+    values, G, aux, errors = fn(X, np.arange(N))
     errors = dict(errors)
     iterations, backtracks = np.zeros(N, int), np.zeros(N, int)
     station, trial, converged = np.zeros(N), np.full(N, zeta), np.zeros(N, bool)
@@ -177,7 +182,7 @@ def _descend(fn, proj, config: SolverConfig, X, budget, callback=None, skip=None
         if not rows.size:
             continue
         cand, step = C[rows], trial[rows] * powers[backtracks[rows]]
-        cand_values, cand_G, cand_aux, errs = fn(cand)
+        cand_values, cand_G, cand_aux, errs = fn(cand, rows)
         ok = np.ones(rows.size, bool)
         for j, exc in errs.items():
             ok[j] = False
@@ -204,7 +209,7 @@ def pgd_minimize(fn, proj, config: SolverConfig, x_start, callback=None, *, budg
     again; fn(x) -> object with .value/.gradient, proj(y) -> projection,
     budget (the cost budget delta) caps the trial steps.  Returns (x,
     value, eval, iterations, converged, stationarity)."""
-    def rows_fn(X):
+    def rows_fn(X, _):
         aux = np.empty(1, dtype=object)
         try:
             aux[0] = ev = fn(X[0])
@@ -222,9 +227,11 @@ def pgd_minimize(fn, proj, config: SolverConfig, x_start, callback=None, *, budg
 
 
 def solve_block(problems, config: SolverConfig | None = None, *, cheapest=None, callback=None):
-    """Solve the problems of one template, which differ only in x0, delta
-    and actionability, in lock step: per problem, its RecourseResult or
-    the RecourseError that solving it raised.  A budget that passes the
+    """Solve the problems of one template, which differ only in x0, delta,
+    actionability and ambiguity radii, in lock step: per problem, its
+    RecourseResult or the RecourseError that solving it raised.  The
+    belief's means and covariances come from the first problem to
+    descend, each row's radii from its own problem.  A budget that passes the
     check against delta_min makes the point that attains delta_min
     feasible; the descent starts there, and a budget pinned at delta_min
     (fz.budget_pinned) makes it the answer.  With restarts > 1, each other
@@ -269,7 +276,7 @@ def solve_block(problems, config: SolverConfig | None = None, *, cheapest=None, 
         skip[list(failed)] = True
         starts[n:][~skip[n:]] = P[~skip[n:]]
     X, values, comps, iterations, converged, station, errors = _descend(
-        _rows_objective(problems[todo[0]], config), proj, config, starts,
+        _rows_objective(problems[todo[0]], proj.radii, config), proj, config, starts,
         np.array([problems[i].delta for i in rows]), callback, skip)
     converged[:n] |= pinned
     errors.update(failed)

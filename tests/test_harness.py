@@ -1,5 +1,5 @@
 import csv
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -20,6 +20,7 @@ from robust_recourse.estimation import (
     train_logistic,
 )
 from robust_recourse.harness import (
+    FrontierRow,
     ProblemTemplate,
     ShiftEnsemble,
     ShiftKind,
@@ -589,6 +590,52 @@ class TestSweep:
             parsed = list(csv.DictReader(fh))
         assert len(parsed) == 4
         assert float(parsed[1]["delta_add"]) == 1.0
+
+    @staticmethod
+    def cell_row(template, instances, ens, delta_add, rho):
+        """The frontier row of one cell, from its own generate_recourses call."""
+        tmpl = replace(template, belief=template.belief.with_radius(rho), delta_add=delta_add)
+        results, errors = generate_recourses(tmpl, instances)
+        solved = [(r.action.values, x0.values) for r, x0 in zip(results, instances) if r]
+        notes = [e for e in errors if e is not None]
+        Xr, X0 = (np.array([pair[k] for pair in solved]) for k in (0, 1))
+        return FrontierRow(delta_add, rho, float(np.abs(Xr - X0)[:, :-1].sum(axis=1).mean()),
+                           float((Xr @ ens.matrix().T >= 0.0).mean()), len(solved), len(notes),
+                           "; ".join(sorted(set(notes)))[:200])
+
+    @pytest.mark.parametrize("restarts", [1, 2])
+    @pytest.mark.parametrize("unattainable", [False, True])
+    def test_grid_rows_match_per_cell_generate(self, rng, monkeypatch, restarts, unattainable):
+        _, shifted, _, belief, negatives = tiny_pipeline(rng)
+        ens = build_shift_ensemble(shifted, trials=6, seed=2)
+        template = ProblemTemplate(belief=belief, config=SolverConfig(restarts=restarts, seed=3))
+        instances = negatives[:3]
+        if unattainable:
+            # feature 0 is immutable and theta_1 = 0.05 < rho = 0.1: at rho
+            # 0.1 the margin set is out of reach from x0_0 = -1, not from 0.5
+            belief = MixtureBelief((ComponentMoments([1.0, 0.05, 0.0], 0.01 * np.eye(3), 0.0),),
+                                   [1.0])
+            template = replace(template, belief=belief,
+                               actionability=ActionabilitySpec(immutable={0}))
+            instances = [FeatureVector.from_features(x) for x in ([0.5, -10.0], [-1.0, -1.0])]
+        calls = []
+        block = harness.solve_block
+
+        def counted(*args, **kw):
+            calls.append(1)
+            return block(*args, **kw)
+
+        monkeypatch.setattr(harness, "solve_block", counted)
+        rows = sweep_frontier(template, instances, ens, [0.0, 1.0], [0.0, 0.1])
+        assert len(calls) == 1
+        monkeypatch.setattr(harness, "solve_block", block)
+        expected = [self.cell_row(template, instances, ens, d, rho)
+                    for rho in (0.0, 0.1) for d in (0.0, 1.0)]
+        bits = lambda row: [v.hex() if isinstance(v, float) else v for v in astuple(row)]
+        assert [bits(r) for r in rows] == [bits(r) for r in expected]
+        if unattainable:
+            assert [r.n_failed for r in rows] == [0, 0, 1, 1]
+            assert all(r.note.startswith("Unattainable") for r in rows[2:])
 
     def test_empty_grid_rejected(self, rng):
         original, shifted, theta0, belief, negatives = tiny_pipeline(rng)

@@ -446,6 +446,20 @@ class TestBlock:
         for block, alone in zip(results, self.lone(template, results)):
             assert_same_answer(block, alone)
 
+    @pytest.mark.parametrize("cost", list(Cost))
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_two_radii_in_one_block(self, mode, cost):
+        # the rows differ in ambiguity radius as well as in x0
+        problems = []
+        for rho in (0.0, 0.1):
+            template = ProblemTemplate(belief=self.beliefs[3].with_radius(rho), cost=cost,
+                                       mode=mode, weight_budget=0.1)
+            for x0 in self.instances:
+                spec = fz.FeasibleSetSpec.from_problem(template.problem_for(x0, 0.0))
+                problems.append(template.problem_for(x0, fz.delta_min(spec) + 1.0))
+        for block, problem in zip(solve_block(problems, SolverConfig()), problems):
+            assert_same_answer(block, solve(problem, SolverConfig()))
+
     @pytest.mark.parametrize("mode", [Mode.NONPARAMETRIC, Mode.WEIGHT_ROBUST])
     def test_restarts_match_lone_solves(self, mode):
         template = ProblemTemplate(belief=self.beliefs[3], mode=mode, weight_budget=0.1,
