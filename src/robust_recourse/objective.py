@@ -10,7 +10,9 @@ outcome under the belief about future model parameters:
                     exactly from its KKT conditions: for KL, w is the tilt
                     p exp(f/lam) normalized, with lam the root of
                     KL(w||p) = eps; for chi-square, w = p (1 + (f - eta)/(2 lam))
-                    on a sorted active set, in closed form (_weight_dual)
+                    on a sorted active set, in closed form (_weight_dual), on a
+                    row's K values as Python floats: at a few components a
+                    NumPy call costs more than its arithmetic
 
 each in a nonparametric and a gaussian flavor.  Gradients are assembled
 analytically by the chain rule over the scalars (a, b, c); the weight-robust
@@ -19,6 +21,9 @@ gradient is w^T grad f at the worst-case weights (envelope theorem).
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from itertools import accumulate
+from operator import add, mul
 
 import numpy as np
 
@@ -99,11 +104,11 @@ def evaluate(X, means, covs, radii, weights, mode: Mode, weight_budget: float = 
         # weights with p_k = 0 can never receive mass (infinite divergence);
         # restrict the dual to the support
         support = p > 0.0
-        W = np.zeros_like(v)
+        vs, ps, W = v[:, support], p[support], np.zeros_like(v)
         for i in (i for i in range(len(X)) if i not in errors):
             try:
-                value, lam, eta, W[i, support] = _weight_dual(
-                    v[i, support], p[support], weight_budget, divergence)
+                value, lam, eta, W[i, support] = _weight_dual(vs[i], ps, weight_budget,
+                                                              divergence)
                 values[i], duals[i] = min(value, 1.0), (lam, eta)
             except DualSolveFailed as exc:
                 errors[i] = exc
@@ -139,25 +144,30 @@ def eval_worst_component(x, belief: MixtureBelief, gaussian: bool = False) -> Ob
     return _one(x, belief, Mode.GAUSSIAN_WORST_COMPONENT if gaussian else Mode.WORST_COMPONENT)
 
 
-def _kl_weights(h: np.ndarray, p: np.ndarray, eps: float):
+def _dot(x, y):
+    """sum_k x_k y_k, added left to right (the builtin sum() compensates from 3.12 on)."""
+    return reduce(add, map(mul, x, y))
+
+
+def _kl_weights(h, p, eps):
     """(lam, eta, unnormalized w) for KL at f = h, max h = 0; see _weight_dual."""
-    top = h == 0.0
-    total = p.sum()
-    if eps >= -math.log(p[top].sum() / total):
-        return 0.0, 0.0, np.where(top, p, 0.0)
-    beta = math.sqrt(2.0 * eps / float(p @ (h - p @ h) ** 2))  # KL ~ beta^2 Var_p(h) / 2
+    total, top = reduce(add, p), [pk if hk == 0.0 else 0.0 for hk, pk in zip(h, p)]
+    if eps >= -math.log(reduce(add, top) / total):
+        return 0.0, 0.0, top
+    mean = _dot(p, h)  # KL ~ beta^2 Var_p(h) / 2 at small beta
+    beta = math.sqrt(2.0 * eps / _dot(p, [(hk - mean) * (hk - mean) for hk in h]))
     lo, hi = 0.0, math.inf
     for _ in range(100):  # safeguard; converges in about ten steps
-        e = p * np.exp(beta * h)
-        z = float(e.sum())
-        w = e / z
-        mean = float(w @ h)
+        e = [pk * math.exp(beta * hk) for hk, pk in zip(h, p)]
+        z = reduce(add, e)
+        w = [ek / z for ek in e]
+        mean = _dot(w, h)
         # KL(w||p) - eps, term by term: the closed form beta*mean - log(z/total)
         # cancels to below its own rounding when eps is tiny
-        nz = w > 0.0
-        excess = float(w[nz] @ np.log(w[nz] * total / p[nz])) - eps
+        excess = reduce(add, [wk * math.log(wk * total / pk)
+                              for wk, pk in zip(w, p) if wk > 0.0]) - eps
         lo, hi = (beta, hi) if excess < 0.0 else (lo, beta)
-        slope = beta * float(w @ (h - mean) ** 2)
+        slope = beta * _dot(w, [(hk - mean) * (hk - mean) for hk in h])
         step = beta - excess / slope if slope > 0.0 else math.nan
         if abs(step - beta) <= 1e-15 * beta or hi - lo <= 1e-15 * lo:
             break
@@ -168,29 +178,29 @@ def _kl_weights(h: np.ndarray, p: np.ndarray, eps: float):
     return 1.0 / beta, math.log(z) / beta, w
 
 
-def _chi2_weights(h: np.ndarray, p: np.ndarray, eps: float):
+def _chi2_weights(h, p, eps):
     """(lam, eta, unnormalized w) for chi2 at f = h, max h = 0; see _weight_dual."""
-    order = np.argsort(-h, kind="stable")
-    hs, ps = h[order], p[order]
-    mass = np.cumsum(ps)
-    w = np.zeros_like(p)
-    for e in [*(np.flatnonzero(np.diff(hs)) + 1), hs.size]:  # tie groups end at e
+    K = len(h)
+    order = sorted(range(K), key=h.__getitem__, reverse=True)  # stable
+    hs, ps = [h[k] for k in order], [p[k] for k in order]
+    mass, w = list(accumulate(ps)), [0.0] * K
+    for e in [*(e for e in range(1, K) if hs[e] != hs[e - 1]), K]:  # tie groups end at e
         # c_S; the total mass stands for 1, so c = 0 at S = all
         c = (mass[-1] - mass[e - 1]) / mass[e - 1]
         if c > eps:
             continue
         if hs[e - 1] == 0.0:  # the top tie group alone
-            w[order[:e]] = ps[:e]
-            return 0.0, 0.0, w
+            return 0.0, 0.0, [pk if hk == 0.0 else 0.0 for hk, pk in zip(h, p)]
         h_s, p_s = hs[:e], ps[:e]
         # h_k - m_S from pairwise gaps, which keeps it exact at the ends of S
-        dev = (h_s[:, None] - h_s) @ p_s / mass[e - 1]
+        dev = [_dot([hk - hj for hj in h_s], p_s) / mass[e - 1] for hk in h_s]
         m_s = h_s[0] - dev[0]
-        u = math.sqrt((eps - c) / float(p_s @ dev**2))
+        u = math.sqrt((eps - c) / _dot(p_s, [d * d for d in dev]))
         # w_k / p_k = 1 + u (h_k - eta) = 1 + c + u (h_k - m_s)
-        if e == hs.size or 1.0 + c + u * (hs[e] - m_s) <= 0.0:
+        if e == K or 1.0 + c + u * (hs[e] - m_s) <= 0.0:
             break
-    w[order[:e]] = np.maximum(p_s * (1.0 + c + u * dev), 0.0)
+    for k, pk, d in zip(order, p_s, dev):
+        w[k] = max(pk * (1.0 + c + u * d), 0.0)
     return 0.5 / u, m_s - c / u, w
 
 
@@ -212,20 +222,24 @@ def _weight_dual(f: np.ndarray, p: np.ndarray, eps: float, divergence: Divergenc
           weight; the top tie group alone (V_S = 0) with c_S <= eps gives
           lam = 0.
     Both run on (f - max f)/range(f), so near-tie gaps neither round nor
-    underflow.  The value is w.f; it is max f exactly when lam = 0.
+    underflow.  The value is w.f, max f exactly when lam = 0; f must be finite.
     """
-    m = float(f.max())
-    h = f - m
-    scale = -float(h.min()) or 1.0
+    f, p = f.tolist(), p.tolist()
+    if not all(map(math.isfinite, f)):
+        raise DualSolveFailed(f"component values {f} are not all finite")
+    m = max(f)
+    h = [fk - m for fk in f]
+    scale = -min(h) or 1.0
     solve = _kl_weights if divergence is Divergence.KL else _chi2_weights
-    lam, eta, w = solve(h / scale, p, eps)
-    w = w / w.sum()
-    value = m + float(w @ h)
-    if not np.isfinite(value):
+    lam, eta, w = solve([hk / scale for hk in h], p, eps)
+    total = reduce(add, w)
+    w = [wk / total for wk in w]
+    value, nominal = m + _dot(w, h), _dot(p, f)
+    if not math.isfinite(value):
         raise DualSolveFailed("inner weight-robust maximization returned no usable optimum")
-    if value < float(p @ f) - 1e-8:
-        raise DualSolveFailed(f"dual value {value} fell below the nominal mixture value {p @ f}")
-    return value, scale * lam, m + scale * eta, w
+    if value < nominal - 1e-8:
+        raise DualSolveFailed(f"dual value {value} fell below the nominal mixture value {nominal}")
+    return value, scale * lam, m + scale * eta, np.array(w)
 
 
 def eval_weight_robust(

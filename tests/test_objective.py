@@ -8,13 +8,16 @@ from hypothesis import strategies as st
 from conftest import random_feasible_instance
 from oracles import fd_gradient, weight_robust_grid
 from robust_recourse.errors import DualSolveFailed, InfeasibleMargin, ZeroAction
-from robust_recourse.model import ComponentMoments, Divergence, MixtureBelief
+from robust_recourse.model import ComponentMoments, Divergence, MixtureBelief, Mode
 from robust_recourse.objective import (
+    _component_stats,
     _weight_dual,
     eval_gaussian,
     eval_nonparametric,
     eval_weight_robust,
     eval_worst_component,
+    evaluate,
+    moments,
 )
 from robust_recourse.worst_case import wc_prob_gaussian, wc_prob_nonparametric
 
@@ -160,8 +163,9 @@ class TestWeightRobust:
         assert lam >= 0.0
 
     def test_bracket_extends_past_initial_edge(self):
-        # a tiny KL budget puts the dual minimizer at lam ~ 82.9, beyond the
-        # initial bracket edge e^4, so the search must extend to the right
+        # a tiny KL budget puts the root at lam ~ 82.9, above e^4: the Newton
+        # search on beta = 1/lam keeps a bracket that starts as (0, inf), so
+        # no fixed edge may cap lam from above
         f = np.array([0.2, 0.35, 0.5])
         p = np.array([0.5, 0.3, 0.2])
         eps = 1e-6
@@ -170,6 +174,38 @@ class TestWeightRobust:
         assert abs(float(w @ f) - value) <= 1e-9
         kl = float(np.sum(w * np.log(w / p)))
         assert abs(kl / eps - 1.0) <= 1e-3
+
+    @pytest.mark.parametrize("divergence", [Divergence.KL, Divergence.CHI2])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_component_value_is_rejected(self, divergence, bad):
+        # evaluate turns only DualSolveFailed into a row error: any other
+        # exception would end the whole block
+        f, p = np.array([bad, 0.5, 0.2]), np.array([0.2, 0.5, 0.3])
+        with pytest.raises(DualSolveFailed, match="not all finite"):
+            _weight_dual(f, p, 0.1, divergence)
+
+    @pytest.mark.parametrize("divergence", [Divergence.KL, Divergence.CHI2])
+    def test_zero_weight_component_is_left_out(self, divergence, rng):
+        belief, x = random_feasible_instance(rng, 3, 3)
+        X = np.stack([x, 1.5 * x])
+        # the zero-weight component is the worst one at both rows, so any
+        # mass it received would raise the value
+        order = np.argsort(eval_worst_component(x, belief).component_values, kind="stable")
+        belief = MixtureBelief(tuple(belief.components[k] for k in order), [0.5, 0.5, 0.0])
+        means, covs, radii = moments(belief)
+        args = (means, covs, radii[None], belief.weights, Mode.WEIGHT_ROBUST, 0.2, divergence)
+        values, grads, v, errors, _ = evaluate(X, *args)
+        g = _component_stats(X, means, covs, radii[None], False)[1]
+        assert not errors
+        for i in range(2):
+            value, _, _, w = _weight_dual(v[i, :2], belief.weights[:2], 0.2, divergence)
+            assert values[i] == min(value, 1.0) < v[i, 2]
+            # the gradient is sum_k w_k grad f_k: nothing of the third
+            assert np.all(g[i, 2] != 0.0)
+            assert grads[i].tobytes() == (w[0] * g[i, 0] + w[1] * g[i, 1]).tobytes()
+            alone = evaluate(X[i:i + 1], *args)
+            assert alone[0].tobytes() == values[i:i + 1].tobytes()
+            assert alone[1].tobytes() == grads[i:i + 1].tobytes()
 
     def test_negative_budget_is_rejected(self, rng):
         belief, x = random_feasible_instance(rng, 3, 2)
@@ -253,9 +289,9 @@ def dual_bound(f, p, eps, lam, eta, divergence):
 
 @st.composite
 def dual_inputs(draw):
-    """K in 2..5, f in [0, 1], p ~ Dirichlet(1, ..., 1) as normalized
+    """K in 1..8, f in [0, 1], p ~ Dirichlet(1, ..., 1) as normalized
     Exp(1) draws, eps log-uniform in [1e-6, 30]."""
-    K = draw(st.integers(2, 5))
+    K = draw(st.integers(1, 8))
     f = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=K, max_size=K)))
     u = np.array(draw(st.lists(st.floats(1e-12, 1.0, exclude_max=True),
                                min_size=K, max_size=K)))
