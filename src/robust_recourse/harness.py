@@ -10,7 +10,6 @@ original classifier (m1) and the move's l1/l2 cost.
 import csv
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -238,13 +237,13 @@ def load_csv(path, label_column: str, normalize: bool = False):
     return replace(data, features=norm.apply(data.features)), feat_names, norm
 
 
-def save_dataset_csv(path, dataset: LabeledDataset, feat_names=None, label_column="label"):
-    names = feat_names or [f"f{i}" for i in range(dataset.features.shape[1])]
+def save_dataset_csv(path, dataset: LabeledDataset):
+    """Header f0,...,f{d-1},label, then per row each feature's shortest round-trip repr (exact
+    on read), the 0/1 label, \\r\\n; no quoting: float reprs hold no comma, quote or newline."""
+    header = ",".join([*(f"f{i}" for i in range(dataset.features.shape[1])), "label"])
+    rows = zip(dataset.features.tolist(), dataset.labels.tolist())
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([*names, label_column])
-        for row, lab in zip(dataset.features, dataset.labels):
-            writer.writerow([*(repr(float(v)) for v in row), int(lab)])
+        fh.write("\r\n".join([header, *(",".join([*map(repr, r), str(y)]) for r, y in rows), ""]))
 
 
 # --- shift-replay evaluation ---------------------------------------------------
@@ -427,6 +426,7 @@ def generate_recourses(template: ProblemTemplate, instances, workers: int = 1):
     n, workers = len(instances), min(workers, len(instances))
     if workers > 1:
         chunks = [instances[k * n // workers : (k + 1) * n // workers] for k in range(workers)]
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: only here
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(generate_recourses, [template] * workers, chunks))
         return [r for res, _ in parts for r in res], [e for _, err in parts for e in err]

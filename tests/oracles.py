@@ -3,8 +3,8 @@
 Everything here recomputes expected values by a route different from the
 library code: the worst-case value-at-risk curves and root bisection on
 them, dense grid search for projections and minimum budgets, and simplex
-enumeration for the weight-robust objective, and a cell-by-cell CSV
-reader.
+enumeration for the weight-robust objective, a cell-by-cell CSV reader
+and a row-by-row csv.writer dataset writer.
 """
 
 import csv
@@ -332,3 +332,13 @@ def load_csv_cellwise(path, label_column):
     X = np.array([[float(c) for i, c in enumerate(row) if i != label_idx] for row in rows[1:]])
     y = np.array([1 if float(row[label_idx]) > 0.5 else 0 for row in rows[1:]])
     return X, y
+
+
+def save_dataset_csv_rowwise(path, dataset):
+    """Write a dataset CSV with one csv.writer row per sample: header
+    f0,...,f{d-1},label, then repr(float(v)) per feature and int(label)."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([*(f"f{i}" for i in range(dataset.features.shape[1])), "label"])
+        for row, lab in zip(dataset.features, dataset.labels):
+            writer.writerow([*(repr(float(v)) for v in row), int(lab)])

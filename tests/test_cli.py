@@ -413,11 +413,15 @@ def _tiny_pipeline(base):
     ]
 
 
+def _src_env():
+    """The environment with this checkout's package first on PYTHONPATH."""
+    src = str(Path(robust_recourse.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
 def test_pipeline_runs_without_scipy(tmp_path):
     # scipy is a test dependency only: every stage runs with it unimportable
-    src = str(Path(robust_recourse.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     code = (
         "import json, sys\n"
         "sys.modules['scipy'] = None\n"
@@ -425,10 +429,19 @@ def test_pipeline_runs_without_scipy(tmp_path):
         "print(json.dumps([cli_main(argv) for argv in json.loads(sys.argv[1])]))\n"
     )
     stages = json.dumps(_tiny_pipeline(tmp_path))
-    proc = subprocess.run([sys.executable, "-c", code, stages], env=env,
+    proc = subprocess.run([sys.executable, "-c", code, stages], env=_src_env(),
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.strip().splitlines()[-1]) == [0] * 5, proc.stderr
+
+
+def test_cli_import_leaves_worker_pool_unloaded():
+    # the pool (multiprocessing, socket, logging) loads only for --workers > 1
+    code = "import sys, robust_recourse.cli; print('concurrent.futures.process' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 @pytest.fixture(scope="module")

@@ -144,8 +144,29 @@ class TestLoadCsv:
         data, names, norm = load_csv(path, "label")
         assert data.n == 12
         assert names == ["f0", "f1", "f2"]
-        assert np.allclose(data.features, X)
+        assert np.array_equal(data.features, X)
         assert np.array_equal(data.labels, y)
+
+    # edge values of repr: signed zero, subnormal, extremes, exponent switch,
+    # a long shortest round-trip, integral floats
+    EDGE_VALUES = [-0.0, 5e-324, 1e-300, 1e300, 1e16, 0.1 + 0.2, 3.0, -2.0, 0.0, -1e16]
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    @pytest.mark.parametrize("label_dtype", [int, bool])
+    def test_save_writes_the_bytes_of_a_rowwise_csv_writer(self, tmp_path, rng, d, label_dtype):
+        n = 12
+        X = rng.choice(self.EDGE_VALUES, size=(n, d))
+        X[:, 0] = self.EDGE_VALUES + rng.normal(size=n - len(self.EDGE_VALUES)).tolist()
+        y = np.array([0, 1] * (n // 2), dtype=label_dtype)
+        data = LabeledDataset(X, y)
+        save_dataset_csv(tmp_path / "got.csv", data)
+        oracles.save_dataset_csv_rowwise(tmp_path / "want.csv", data)
+        got = (tmp_path / "got.csv").read_bytes()
+        assert got == (tmp_path / "want.csv").read_bytes()
+        back, names, _ = load_csv(tmp_path / "got.csv", "label")
+        assert names == [f"f{i}" for i in range(d)]
+        assert np.array_equal(back.features, X)
+        assert np.array_equal(np.signbit(back.features), np.signbit(X))
 
     def test_three_row_toy(self, tmp_path):
         path = tmp_path / "t.csv"
