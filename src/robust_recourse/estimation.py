@@ -34,7 +34,10 @@ class LabeledDataset:
 
     def __post_init__(self):
         X = np.array(self.features, dtype=float)
-        y = np.array(self.labels, dtype=int)
+        y = np.asarray(self.labels)
+        if y.dtype.kind not in "biu":  # a label not exactly 0 or 1 (0.7, NaN, "1") fails as 2
+            y = np.where((y == 0) | (y == 1), y == 1, 2)
+        y = y.astype(int)
         if X.ndim != 2:
             raise DimensionMismatch(f"features must be 2-d, got shape {X.shape}")
         if y.shape != (X.shape[0],):
@@ -43,9 +46,10 @@ class LabeledDataset:
             raise DimensionMismatch(f"need at least 10 samples, got {X.shape[0]}")
         if not np.all(np.isfinite(X)):
             raise DimensionMismatch("features contain non-finite entries")
-        if not set(np.unique(y)) <= {0, 1}:
+        lo, hi = y.min(), y.max()
+        if lo < 0 or hi > 1:
             raise DimensionMismatch("labels must be 0/1")
-        if len(np.unique(y)) < 2:
+        if lo == hi:
             raise DimensionMismatch("both classes must be present")
         X.setflags(write=False)
         y.setflags(write=False)
@@ -152,7 +156,8 @@ def _fit_logistic(X, y, l2_reg, max_iter):
 def _subsample_indices(rng, n, size, labels, max_tries=50):
     for _ in range(max_tries):
         idx = rng.choice(n, size=size, replace=False)
-        if len(np.unique(labels[idx])) == 2:
+        drawn = labels[idx]
+        if drawn.min() != drawn.max():  # labels are 0/1: both classes
             return idx
     raise TooFewSamples("could not draw a subsample containing both classes")
 

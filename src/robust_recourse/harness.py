@@ -10,6 +10,7 @@ original classifier (m1) and the move's l1/l2 cost.
 import csv
 import math
 import time
+import warnings
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -189,19 +190,44 @@ def _blank_line_is_row(path, line_no: int, line: str) -> bool:
 
 def _table(rows, width: int, label_idx: int) -> np.ndarray:
     """The rows as an (n, width) array; ValueError unless all are numbers, labels finite."""
-    table = np.loadtxt(rows, delimiter=",", comments=None, quotechar='"', ndmin=2, dtype=np.float64)
+    with warnings.catch_warnings():  # rows that hold no data fail the shape test, unwarned
+        warnings.simplefilter("ignore", UserWarning)
+        table = np.loadtxt(rows, delimiter=",", comments=None, quotechar='"', ndmin=2,
+                           dtype=np.float64)
     if table.shape[1] != width or not np.isfinite(table[:, label_idx]).all():
         raise ValueError("not a table of numbers with finite labels")
     return table
 
 
+def _table_without_blank_rows(path, lines, width: int, label_idx: int) -> np.ndarray:
+    """_table over the lines after the header that are rows; else the first bad row as an error."""
+    rows = [(n, line) for n, line in enumerate(lines[1:], start=2)
+            if line.strip(_BLANK) or _blank_line_is_row(path, n, line)]
+    if not rows:
+        return np.empty((0, width))
+    try:
+        return _table([line for _, line in rows], width, label_idx)
+    except ValueError:  # name the first row that is rejected on its own
+        for line_no, line in rows:
+            try:
+                _table([line], width, label_idx)
+            except ValueError:
+                cells = _cells(path, line_no, line)
+                kind = NonNumeric if len(cells) == width else ParseError
+                raise kind(f"{path}:{line_no}: not {width} numbers with a finite label: {cells}")
+        raise ParseError(f"{path}: a quoted cell runs across lines")
+
+
 def load_csv(path, label_column: str, normalize: bool = False):
     """Read a dataset CSV: comma-delimited, one header row, cells may be
     double-quoted, rows whose cells are all blank are skipped, labels must
-    be finite and are binarized as value > 0.5.  A malformed row raises
-    ParseError or NonNumeric naming path:line.  With normalize, features
-    are min-max scaled to [0, 1] per column (constant columns map to zero)
-    and the returned Normalization inverts the scaling.
+    be finite and are binarized as value > 0.5.  All rows after the header
+    go to one loadtxt parse; only when it fails are the blank rows dropped
+    and the rest parsed again, and when that fails too the first row that
+    fails on its own raises ParseError or NonNumeric naming path:line.
+    With normalize, features are min-max scaled to [0, 1] per column
+    (constant columns map to zero) and the returned Normalization inverts
+    the scaling.
     Returns (dataset, feature_names, normalization).
     """
     with open(path, errors="replace") as fh:  # a byte that is not text fails as a cell
@@ -214,20 +240,10 @@ def load_csv(path, label_column: str, normalize: bool = False):
     label_idx = header.index(label_column)
     feat_names = [h for i, h in enumerate(header) if i != label_idx]
     width = len(header)
-    rows = [line for n, line in enumerate(lines[1:], start=2)
-            if line.strip(_BLANK) or _blank_line_is_row(path, n, line)]
-    try:
-        table = _table(rows, width, label_idx) if rows else np.empty((0, width))
-    except ValueError:  # name the first row that is rejected on its own
-        for line_no, line in enumerate(lines[1:], start=2):
-            try:
-                if line.strip(_BLANK) or _blank_line_is_row(path, line_no, line):
-                    _table([line], width, label_idx)
-            except ValueError:
-                cells = _cells(path, line_no, line)
-                kind = NonNumeric if len(cells) == width else ParseError
-                raise kind(f"{path}:{line_no}: not {width} numbers with a finite label: {cells}")
-        raise ParseError(f"{path}: a quoted cell runs across lines")
+    try:  # loadtxt skips empty lines and rejects every other blank row
+        table = _table(lines[1:], width, label_idx)
+    except ValueError:
+        table = _table_without_blank_rows(path, lines, width, label_idx)
     data = LabeledDataset(np.delete(table, label_idx, axis=1), table[:, label_idx] > 0.5)
     if not normalize:
         return data, feat_names, Normalization(np.zeros(width - 1), np.ones(width - 1))

@@ -3,8 +3,9 @@
 Everything here recomputes expected values by a route different from the
 library code: the worst-case value-at-risk curves and root bisection on
 them, dense grid search for projections and minimum budgets, and simplex
-enumeration for the weight-robust objective, a cell-by-cell CSV reader
-and a row-by-row csv.writer dataset writer.
+enumeration for the weight-robust objective, a cell-by-cell CSV reader,
+a filter-first dataset CSV reader and a row-by-row csv.writer dataset
+writer.
 """
 
 import csv
@@ -13,7 +14,8 @@ import math
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from robust_recourse.errors import RecourseError
+from robust_recourse.errors import MissingLabel, NonNumeric, ParseError, RecourseError
+from robust_recourse.estimation import LabeledDataset
 from robust_recourse.model import Cost
 
 
@@ -332,6 +334,60 @@ def load_csv_cellwise(path, label_column):
     X = np.array([[float(c) for i, c in enumerate(row) if i != label_idx] for row in rows[1:]])
     y = np.array([1 if float(row[label_idx]) > 0.5 else 0 for row in rows[1:]])
     return X, y
+
+
+# every character that str.isspace() accepts lies below U+3001
+_BLANK = "".join(c for c in map(chr, range(0x3001)) if c.isspace()) + ',"'
+
+
+def load_csv_filter_first(path, label_column):
+    """(dataset, feature names) of a dataset CSV, blank rows dropped first:
+    every line after the header that strip(_BLANK) empties is skipped
+    unless it holds an odd number of quotes or a non-blank cell, and the
+    rest go to one loadtxt call.  When that fails, the first row that fails
+    on its own raises NonNumeric or ParseError naming path:line.  Raises
+    the errors harness.load_csv raises, with the same messages."""
+
+    def cells(line_no, line):
+        try:
+            return next(csv.reader([line]))
+        except csv.Error as exc:
+            raise ParseError(f"{path}:{line_no}: {exc}") from None
+
+    def is_row(line_no, line):
+        return bool(line.strip(_BLANK)) or line.count('"') % 2 == 1 or any(
+            cell.strip() for cell in cells(line_no, line))
+
+    def table(rows):
+        t = np.loadtxt(rows, delimiter=",", comments=None, quotechar='"', ndmin=2, dtype=np.float64)
+        if t.shape[1] != width or not np.isfinite(t[:, label_idx]).all():
+            raise ValueError("not a table of numbers with finite labels")
+        return t
+
+    with open(path, errors="replace") as fh:
+        lines = fh.readlines()
+    if not lines:
+        raise ParseError(f"{path}: empty file")
+    header = [h.strip() for h in cells(1, lines[0])]
+    if label_column not in header:
+        raise MissingLabel(f"{path}: no column named {label_column!r} in header")
+    label_idx = header.index(label_column)
+    width = len(header)
+    rows = [line for n, line in enumerate(lines[1:], start=2) if is_row(n, line)]
+    try:
+        t = table(rows) if rows else np.empty((0, width))
+    except ValueError:
+        for line_no, line in enumerate(lines[1:], start=2):
+            try:
+                if is_row(line_no, line):
+                    table([line])
+            except ValueError:
+                row = cells(line_no, line)
+                kind = NonNumeric if len(row) == width else ParseError
+                raise kind(f"{path}:{line_no}: not {width} numbers with a finite label: {row}")
+        raise ParseError(f"{path}: a quoted cell runs across lines")
+    data = LabeledDataset(np.delete(t, label_idx, axis=1), t[:, label_idx] > 0.5)
+    return data, [h for i, h in enumerate(header) if i != label_idx]
 
 
 def save_dataset_csv_rowwise(path, dataset):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -45,11 +47,68 @@ class TestLabeledDataset:
         with pytest.raises(DimensionMismatch):
             LabeledDataset(np.zeros((5, 2)), np.array([0, 1, 0, 1, 0]))
 
+    @pytest.mark.parametrize("labels, message", [
+        ([0, 2] * 6, "labels must be 0/1"),
+        ([-1, 0, 1] * 4, "labels must be 0/1"),
+        ([1] * 12, "both classes must be present"),
+        ([2] * 12, "labels must be 0/1"),  # the 0/1 test comes before the two-class test
+        ([0, np.nan] * 6, "labels must be 0/1"),
+        ([0, 0.7, 1] * 4, "labels must be 0/1"),  # not truncated to class 0
+        ([0, 0.7] * 3, "labels must align with feature rows"),
+    ], ids=["0-2", "-1-0-1", "one-class", "one-class-of-2", "nan", "0.7", "misaligned"])
+    def test_label_messages_in_order(self, labels, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # NaN fails before any cast that warns
+            with pytest.raises(DimensionMismatch, match=f"^{message}$"):
+                LabeledDataset(np.zeros((12, 2)), labels)
+
+    def test_feature_checks_precede_label_checks(self):
+        with pytest.raises(DimensionMismatch, match="at least 10 samples, got 4"):
+            LabeledDataset(np.zeros((4, 2)), [0, 0.7, 2, np.nan])
+        with pytest.raises(DimensionMismatch, match="non-finite"):
+            LabeledDataset(np.full((12, 2), np.nan), [0, 0.7] * 6)
+
+    @pytest.mark.parametrize("labels", [
+        np.array([0, 1] * 6), np.array([0, 1] * 6, np.int8), np.array([False, True] * 6),
+        np.array([0.0, 1.0] * 6), [0, 1] * 6,
+    ], ids=["int64", "int8", "bool", "float", "list"])
+    def test_accepts_int_bool_and_exact_labels(self, labels):
+        data = LabeledDataset(np.zeros((12, 2)), labels)
+        assert data.labels.dtype == int and data.labels.tolist() == [0, 1] * 6
+        assert not data.labels.flags.writeable
+
     def test_augmented_bias_column(self, rng):
         data = blobs(rng, n=20)
         aug = data.augmented()
         assert aug.shape == (40, 3)
         assert np.all(aug[:, -1] == 1.0)
+
+
+class TestSubsampleIndices:
+    def test_redraws_until_both_classes_appear(self):
+        labels = np.array([1] + [0] * 19)  # a 10-row draw holds the positive half the time
+        redrawn = 0
+        for seed in range(20):
+            replay = np.random.default_rng(seed)
+            draws = [replay.choice(20, size=10, replace=False) for _ in range(50)]
+            first = next(i for i, d in enumerate(draws) if 0 in d)
+            redrawn += first > 0
+            idx = _subsample_indices(np.random.default_rng(seed), 20, 10, labels)
+            assert np.array_equal(idx, draws[first])
+        assert redrawn  # some seed's first draw held one class only
+
+    def test_one_positive_row_gives_up_after_50_draws(self):
+        class MissesRowZero:
+            calls = 0
+
+            def choice(self, n, size, replace):
+                self.calls += 1
+                return np.arange(1, size + 1)
+
+        rng = MissesRowZero()
+        with pytest.raises(TooFewSamples, match="both classes"):
+            _subsample_indices(rng, 20, 10, np.array([1] + [0] * 19))
+        assert rng.calls == 50
 
 
 class TestTrainLogistic:

@@ -1,8 +1,11 @@
 import csv
+import warnings
 from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from robust_recourse.errors import (
@@ -334,6 +337,49 @@ class TestLoadCsv:
             data, _, _ = load_csv(path, "label")
             X, y = oracles.load_csv_cellwise(path, "label")
             assert np.array_equal(data.features, X) and np.array_equal(data.labels, y), path
+
+
+# rows that strip(harness._BLANK) empties; only the first is a line loadtxt skips
+_BLANKISH = ["", "  ", ",,", " , ", '""', "\t", "\x0c", "　"]
+
+
+@st.composite
+def _mixed_csvs(draw):
+    """A CSV text: numeric rows (cells quoted at random) with blank-ish rows
+    between them, maybe a lone quote or a bad row, LF or CRLF line ends and
+    trailing empty lines."""
+    numbers = st.floats(-1e6, 1e6, allow_subnormal=False)
+    lines = []
+    for i in range(draw(st.integers(0, 12))):
+        cells = [repr(draw(numbers)), repr(draw(numbers)), str(i % 2)]
+        quoted = draw(st.lists(st.booleans(), min_size=3, max_size=3))
+        lines.append(",".join(f'"{c}"' if q else c for c, q in zip(cells, quoted)))
+    odd = draw(st.sampled_from(['"', "x,1,0", "1,2", "1,2,nan"]))
+    for line in draw(st.lists(st.sampled_from(_BLANKISH + [odd]), max_size=6)):
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(["a,b,label", *lines]) + eol * draw(st.integers(0, 3))
+
+
+def _outcome(read, path):
+    """What reading path gives: its features, labels and names, or the
+    type and message of what it raised; a warning counts as raised."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            data, names = read(path)[:2]
+    except Exception as exc:  # noqa: BLE001  any difference must show
+        return type(exc), str(exc)
+    return data.features.tolist(), data.labels.tolist(), names
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_mixed_csvs())
+def test_load_csv_matches_filter_first_parse(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "mixed.csv"
+    path.write_bytes(text.encode())
+    assert _outcome(lambda p: load_csv(p, "label"), path) == _outcome(
+        lambda p: oracles.load_csv_filter_first(p, "label"), path)
 
 
 def tiny_pipeline(rng, n_shifts=6, n_per_class=120, rho=0.1):
