@@ -55,32 +55,47 @@ class FeasibleSetSpec:
 
     @classmethod
     def from_problem(cls, problem: RecourseProblem) -> "FeasibleSetSpec":
-        x0 = np.array(problem.x0.values, dtype=float)
-        d = x0.size
-        act = problem.actionability
-        lower = np.full(d, -np.inf)
-        upper = np.full(d, np.inf)
-        if act.box is not None:
-            lower = np.maximum(lower, act.box[:, 0])
-            upper = np.minimum(upper, act.box[:, 1])
-        for i in act.non_decreasing:
-            lower[i] = max(lower[i], x0[i])
-        for i in act.immutable:
-            lower[i] = upper[i] = x0[i]
-        if np.any(lower > upper):
-            raise EmptyFeasibleSet("actionability bounds exclude the input point")
-        thetas = np.array([c.mean for c in problem.belief.components], dtype=float)
-        radii = np.array([c.radius for c in problem.belief.components], dtype=float)
-        return cls(
-            x0=x0,
-            delta=float(problem.delta),
-            cost=problem.cost,
-            margin=float(problem.margin),
-            thetas=thetas,
-            radii=radii,
-            lower=lower,
-            upper=upper,
-        )
+        """The spec of problem's feasible set: the one-row block."""
+        [spec] = cls.block(problem.x0.values[None], problem.belief, problem.actionability,
+                           problem.cost, problem.margin, problem.delta)
+        if isinstance(spec, RecourseError):
+            raise spec
+        return spec
+
+    @classmethod
+    def block(cls, X0, belief, actionability, cost, margin: float,
+              delta: float | None = None) -> list:
+        """Per row x0 of X0, (N, d), the spec of its feasible set, or the
+        EmptyFeasibleSet its actionability bounds raise: the bounds are
+        built for all rows at once, and the belief's arrays and the cached
+        invariants that depend on them alone (tts, l1, defect) once, shared
+        by every row.  actionability is taken as given: a problem's pins
+        the bias."""
+        X0 = np.array(X0, dtype=float)
+        lower, upper = np.full(X0.shape, -np.inf), np.full(X0.shape, np.inf)
+        if actionability.box is not None:
+            lower = np.maximum(lower, actionability.box[:, 0])
+            upper = np.minimum(upper, actionability.box[:, 1])
+        up = sorted(actionability.non_decreasing)
+        lower[:, up] = np.where(X0[:, up] > lower[:, up], X0[:, up], lower[:, up])
+        pinned = sorted(actionability.immutable)
+        lower[:, pinned] = upper[:, pinned] = X0[:, pinned]
+        thetas = np.array([c.mean for c in belief.components], dtype=float)
+        radii = np.array([c.radius for c in belief.components], dtype=float)
+        cost, margin = Cost(cost), float(margin)
+        delta = None if delta is None else float(delta)
+        shared = None
+        out = []
+        for x0, lo, hi, empty in zip(X0, lower, upper, (lower > upper).any(-1).tolist()):
+            if empty:
+                out.append(EmptyFeasibleSet("actionability bounds exclude the input point"))
+                continue
+            spec = cls(x0, delta, cost, margin, thetas, radii, lo, hi)
+            if shared is None:
+                shared = {k: getattr(spec, k) for k in ("tts", "l1", "defect")}
+            spec.__dict__.update(shared)
+            out.append(spec)
+        return out
 
     @cached_property
     def tts(self) -> np.ndarray:
@@ -126,7 +141,7 @@ class FeasibleSetSpec:
         return np.nonzero((self.radii > 0.0) & (self.radii**2 >= self.tts))[0].tolist()
 
     def without_delta(self) -> "FeasibleSetSpec":
-        return replace(self, delta=None)
+        return self if self.delta is None else replace(self, delta=None)
 
 
 def _cost(diff: np.ndarray, l1: bool) -> float:
@@ -204,18 +219,22 @@ def _project_cone_known(xp, theta, rho: float, tt: float, margin: float) -> np.n
 
 
 def _project_l1_ball(v: np.ndarray, radius) -> np.ndarray:
-    """Euclidean projection of each row of v (its last axis) onto {w :
-    ||w||_1 <= radius}, radius a scalar or one per row, by the sort-based
-    soft threshold (Duchi et al., ICML 2008), exact; a row the ball holds
-    comes back unchanged.  The running sum adds in np.cumsum's order."""
+    """Euclidean projection of v, (d,), or of each row of v, (N, d), onto
+    {w : ||w||_1 <= radius}, radius a scalar or one per row, by the
+    sort-based soft threshold (Duchi et al., ICML 2008), exact; a row the
+    ball holds comes back unchanged.  The running sum adds in np.cumsum's
+    order."""
     a = np.abs(v)
     radius = np.asarray(radius, dtype=float)[..., None]
     u = -np.sort(-a, axis=-1)
     excess = np.cumsum(u, axis=-1) - radius
     passes = u * np.arange(1, u.shape[-1] + 1) > excess
-    j = u.shape[-1] - np.argmax(passes[..., ::-1], axis=-1)[..., None]  # the last j that passes
-    tau = np.take_along_axis(excess, j - 1, -1) / j
-    inside, empty = a.sum(-1, keepdims=True) <= radius, radius <= 0.0
+    j = u.shape[-1] - np.argmax(passes[..., ::-1], axis=-1)  # the last j that passes
+    if v.ndim == 1:
+        tau = excess[j - 1] / j
+    else:
+        tau = (excess[np.arange(len(j)), j - 1] / j)[:, None]
+    inside, empty = np.add.reduce(a, -1, keepdims=True) <= radius, radius <= 0.0
     return np.where(inside, v, np.where(empty, 0.0, np.sign(v) * np.maximum(a - tau, 0.0)))
 
 
@@ -237,41 +256,51 @@ def _pinned_ball(xp, x0, pins, delta, l1: bool) -> np.ndarray:
 
 
 class RowProjection:
-    """Projections of rows, row i onto the set of specs[i]: specs with cost
-    balls that share thetas, margin and cost, as one template's do, each
-    with its own radii.
+    """Projections of rows, row i onto the set of specs[i] with the cost
+    budget deltas[i]: specs that share thetas, margin and cost, as one
+    template's do, each with its own radii; their own deltas are not read.
     A call projects Y onto the sets of the given rows: (points, errors),
     errors mapping a position to its RecourseError."""
 
-    def __init__(self, specs, max_iter: int, tol: float):
+    def __init__(self, specs, deltas, max_iter: int, tol: float):
         self.specs, self.max_iter, self.tol = specs, max_iter, tol
-        self.x0, self.lower, self.upper, self.delta, self.radii = (
+        self.delta = np.array(deltas, dtype=float)
+        self.x0, self.lower, self.upper, self.radii = (
             np.array([getattr(s, a) for s in specs], dtype=float)
-            for a in ("x0", "lower", "upper", "delta", "radii"))
+            for a in ("x0", "lower", "upper", "radii"))
         self.pins = (self.lower == self.upper) & (self.lower == self.x0)
+        # the ball keeps the pins at x0, so only a finite bound elsewhere can
+        # fail the box test; a NaN row fails the cone test as well
+        self.boxed = ((np.isfinite(self.lower) | np.isfinite(self.upper)) & ~self.pins).any()
+        s0 = specs[0]
+        self.l1, self.thetas, self.floor = s0.l1, s0.thetas, -s0.margin
 
     def __call__(self, Y, rows):
         """Dykstra's first cycle in lock step: the cost ball with the pins,
         then a membership test against every margin cone and the box.  A
         row that passes is project_feasible's answer after one cycle that
         moves no other set; project_feasible answers the rest."""
-        s0, x0, delta = self.specs[0], self.x0[rows], self.delta[rows]
+        x0, delta = self.x0[rows], self.delta[rows]
         X = np.where(self.pins[rows], x0, Y)
         D = X - x0
-        if s0.l1:
+        if self.l1:
             X = x0 + _project_l1_ball(D, delta)
         else:
-            n = np.sqrt((D * D).sum(-1))
+            n = np.sqrt(np.add.reduce(D * D, -1))
             with np.errstate(divide="ignore", invalid="ignore"):
                 X = np.where((n <= delta)[:, None], X, x0 + (delta / n)[:, None] * D)
-        cones = (self.radii[rows] * np.sqrt((X * X).sum(-1))[:, None]
-                 - (X[:, None, :] * s0.thetas).sum(-1))
-        closed = ((cones <= -s0.margin).all(-1)
-                  & ((X >= self.lower[rows]) & (X <= self.upper[rows])).all(-1))
+        cones = (self.radii[rows] * np.sqrt(np.add.reduce(X * X, -1))[:, None]
+                 - np.add.reduce(X[:, None, :] * self.thetas, -1))
+        closed = np.logical_and.reduce(cones <= self.floor, -1)
+        if self.boxed:
+            closed &= np.logical_and.reduce((X >= self.lower[rows]) & (X <= self.upper[rows]), -1)
         errors = {}
-        for i in np.flatnonzero(~closed).tolist():
+        if closed.all():
+            return X, errors
+        for i in (~closed).nonzero()[0].tolist():
+            spec = replace(self.specs[rows[i]], delta=float(self.delta[rows[i]]))
             try:
-                X[i] = project_feasible(Y[i], self.specs[rows[i]], self.max_iter, self.tol)
+                X[i] = project_feasible(Y[i], spec, self.max_iter, self.tol)
             except RecourseError as exc:
                 errors[i] = exc
         return X, errors
@@ -615,7 +644,7 @@ def min_cost_point(specs, proj_tol: float = 1e-8) -> list:
     specs = [spec.without_delta() for spec in specs]
     out, todo = [None] * len(specs), []
     for i, spec in enumerate(specs):
-        if spec.empty_margin_sets():
+        if spec.defect and spec.empty_margin_sets():  # an empty margin set is a defect
             out[i] = Unattainable("some ambiguity radius is at least the direction norm")
         elif is_feasible(spec.x0, spec, proj_tol):
             out[i] = (0.0, spec.x0.copy())
@@ -649,7 +678,13 @@ def delta_min(spec: FeasibleSetSpec, proj_tol: float = 1e-8, with_point: bool = 
     return best if with_point else best[0]
 
 
+def budget_slack(dmin: float) -> float:
+    """How far a budget may lie from delta_min and still count as
+    delta_min: max(1e-9, 1e-12*dmin), the rounding of a computed distance."""
+    return max(1e-9, 1e-12 * dmin)
+
+
 def budget_pinned(delta: float, dmin: float) -> bool:
-    """Whether delta, within max(1e-9, 1e-12*dmin) of delta_min, pins the
-    feasible set to the cost-argmin set, leaving a descent no room."""
-    return delta - dmin <= max(1e-9, 1e-12 * dmin)
+    """Whether delta, within budget_slack of delta_min, pins the feasible
+    set to the cost-argmin set, leaving a descent no room."""
+    return delta - dmin <= budget_slack(dmin)

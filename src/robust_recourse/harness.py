@@ -364,6 +364,12 @@ class ProblemTemplate:
     actionability: ActionabilitySpec = field(default_factory=ActionabilitySpec)
     config: SolverConfig = field(default_factory=SolverConfig)
 
+    def __post_init__(self):
+        # pin the bias here once, not in each problem: the problems of the
+        # belief's dimension then share this actionability
+        object.__setattr__(self, "actionability",
+                           self.actionability.with_bias_pinned(self.belief.dim))
+
     def problem_for(self, x0: FeatureVector, delta: float) -> RecourseProblem:
         return RecourseProblem(
             x0=x0,
@@ -382,43 +388,45 @@ def _describe(exc: RecourseError) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _delta_mins(template: ProblemTemplate, instances) -> list:
-    """Per instance, the pair (delta_min, the cheapest point) or the
-    stringified failure; the distance programs run as one block
-    (fz.min_cost_point).  Raises DimensionMismatch, before any spec is
+def _delta_mins(template: ProblemTemplate, instances) -> tuple:
+    """(specs, dmins): per instance, the FeasibleSetSpec of its feasible set
+    without the cost ball (fz.FeasibleSetSpec.block, one call), or the
+    RecourseError its bounds raise, and the pair (delta_min, the cheapest
+    point) or the stringified failure; the distance programs run as one
+    block (fz.min_cost_point).  Raises DimensionMismatch, before any spec is
     built, when the template does not fit the instances' dimension."""
     for x0 in {x0.dim: x0 for x0 in instances}.values():
         validate_problem(template.problem_for(x0, 0.0))
-    out = [None] * len(instances)
-    specs, rows = [], []
-    for i, x0 in enumerate(instances):
-        try:
-            specs.append(fz.FeasibleSetSpec.from_problem(template.problem_for(x0, 0.0)))
-            rows.append(i)
-        except RecourseError as exc:
-            out[i] = _describe(exc)
-    for i, best in zip(rows, fz.min_cost_point(specs, template.config.proj_tol)):
+    if not instances:
+        return [], []
+    specs = fz.FeasibleSetSpec.block([x0.values for x0 in instances], template.belief,
+                                     template.actionability, template.cost, template.margin)
+    out = [_describe(s) if isinstance(s, RecourseError) else None for s in specs]
+    rows = [i for i, d in enumerate(out) if d is None]
+    for i, best in zip(rows, fz.min_cost_point([specs[i] for i in rows], template.config.proj_tol)):
         out[i] = _describe(best) if isinstance(best, RecourseError) else best
-    return out
+    return specs, out
 
 
 def _solve_all(cells, instances):
     """Solve every instance whose delta_min is known, at delta_min +
     delta_add and from its cheapest point, for every cell in one
-    solve_block call: all descents run in lock step.  cells are pairs
-    (template, dmins), templates that differ at most in delta_add and the
-    belief's radii, each with its _delta_mins of instances.  Returns per
-    cell (results, errors) as in generate_recourses, a failed delta_min
-    passing through as the error."""
-    out, problems, cheapest, slots = [], [], [], []
-    for c, (template, dmins) in enumerate(cells):
+    solve_block call: all descents run in lock step.  cells are triples
+    (template, specs, dmins), templates that differ at most in delta_add
+    and the belief's radii, each with its _delta_mins of instances.
+    Returns per cell (results, errors) as in generate_recourses, a failed
+    delta_min passing through as the error."""
+    out, problems, specs, cheapest, slots = [], [], [], [], []
+    for c, (template, cell_specs, dmins) in enumerate(cells):
         out.append(([None] * len(instances), [d if isinstance(d, str) else None for d in dmins]))
         for i, d in enumerate(dmins):
             if not isinstance(d, str):
                 problems.append(template.problem_for(instances[i], d[0] + template.delta_add))
+                specs.append(cell_specs[i])
                 cheapest.append(d)
                 slots.append((c, i))
-    for (c, i), answer in zip(slots, solve_block(problems, cells[0][0].config, cheapest=cheapest)):
+    answers = solve_block(problems, cells[0][0].config, cheapest=cheapest, specs=specs)
+    for (c, i), answer in zip(slots, answers):
         results, errors = out[c]
         if isinstance(answer, RecourseError):
             errors[i] = _describe(answer)
@@ -446,7 +454,7 @@ def generate_recourses(template: ProblemTemplate, instances, workers: int = 1):
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(generate_recourses, [template] * workers, chunks))
         return [r for res, _ in parts for r in res], [e for _, err in parts for e in err]
-    return _solve_all([(template, _delta_mins(template, instances))], instances)[0]
+    return _solve_all([(template, *_delta_mins(template, instances))], instances)[0]
 
 
 @dataclass(frozen=True)
@@ -485,8 +493,8 @@ def sweep_frontier(
     for rho in rhos:
         tmpl_r = replace(template, belief=template.belief.with_radius(rho))
         # delta_min depends on rho but not on delta_add: compute once per instance
-        dmins = _delta_mins(tmpl_r, instances)
-        cells += [(replace(tmpl_r, delta_add=delta_add), dmins) for delta_add in deltas_add]
+        specs, dmins = _delta_mins(tmpl_r, instances)
+        cells += [(replace(tmpl_r, delta_add=delta_add), specs, dmins) for delta_add in deltas_add]
     grid = [(float(rho), float(delta_add)) for rho in rhos for delta_add in deltas_add]
     thetas_t = ensemble.matrix().T  # (d, trials), the same for every cell
     rows = []

@@ -61,10 +61,11 @@ def _component_stats(X, means, covs, radii, gaussian: bool):
     (N, K, d) and (N, K); bad marks where the robust margin theta^T x -
     rho*||x|| is not positive, and the values there mean nothing.
     """
-    a = -(X[:, None, :] * means).sum(-1)
-    Sx = (covs * X[:, None, None, :]).sum(-1)
-    b = np.sqrt(np.maximum((X[:, None, :] * Sx).sum(-1), 0.0))
-    nx = np.sqrt((X * X).sum(-1))[:, None]
+    Xk = X[:, None, :]
+    a = -np.add.reduce(Xk * means, -1)
+    Sx = np.add.reduce(covs * Xk[:, None], -1)
+    b = np.sqrt(np.maximum(np.add.reduce(Xk * Sx, -1), 0.0))
+    nx = np.sqrt(np.add.reduce(X * X, -1))[:, None]
     c = radii * nx
     bad = a + c >= 0.0
     with np.errstate(all="ignore"):
@@ -81,25 +82,26 @@ def evaluate(X, means, covs, radii, weights, mode: Mode, weight_budget: float = 
     """The objective of mode at the rows of X, for the belief of the given
     component means, covariances and mixture weights, row i with the
     ambiguity radii radii[i], (N, K): (values, grads, component values,
-    errors, inner duals).  errors maps a row to its RecourseError
-    (ZeroAction at x = 0, else InfeasibleMargin, else DualSolveFailed);
-    the inner duals are (lam, eta) per row where a weight dual ran (once
-    per row), else None."""
-    mode, divergence = Mode(mode), Divergence(divergence)
+    errors, inner duals); mode and divergence are members of their enums.
+    errors maps a row to its RecourseError (ZeroAction at x = 0, else
+    InfeasibleMargin, else DualSolveFailed); the inner duals are (lam, eta)
+    per row where a weight dual ran (once per row), else None."""
     if weight_budget < 0.0:
         raise DualSolveFailed(f"weight budget must be >= 0, got {weight_budget}")
-    gaussian = mode.value.startswith("gaussian")
+    gaussian = mode in (Mode.GAUSSIAN, Mode.GAUSSIAN_WEIGHT_ROBUST, Mode.GAUSSIAN_WORST_COMPONENT)
     v, g, bad = _component_stats(X, means, covs, radii, gaussian)
-    errors = {i: ZeroAction("objective undefined at x = 0")
-              for i in np.flatnonzero(~X.any(-1)).tolist()}
-    for i in np.flatnonzero(bad.any(-1)).tolist():
-        errors.setdefault(i, InfeasibleMargin(np.flatnonzero(bad[i]).tolist()))
+    errors = {}
+    if bad.any():  # x = 0 has a + c = 0: every component is bad there
+        errors = {i: ZeroAction("objective undefined at x = 0")
+                  for i in (~X.any(-1)).nonzero()[0].tolist()}
+        for i in bad.any(-1).nonzero()[0].tolist():
+            errors.setdefault(i, InfeasibleMargin(bad[i].nonzero()[0].tolist()))
     duals, p = [None] * len(X), weights
     if mode in (Mode.WORST_COMPONENT, Mode.GAUSSIAN_WORST_COMPONENT):
         # the attaining component's gradient, lowest index on ties
         k, rows = np.argmax(v, -1), np.arange(len(X))
         return v[rows, k], g[rows, k], v, errors, duals
-    values, W = (v * p).sum(-1), np.broadcast_to(p, v.shape)
+    values, W = np.add.reduce(v * p, -1), p
     if weight_budget > 0.0 and mode in (Mode.WEIGHT_ROBUST, Mode.GAUSSIAN_WEIGHT_ROBUST):
         # weights with p_k = 0 can never receive mass (infinite divergence);
         # restrict the dual to the support
@@ -112,15 +114,15 @@ def evaluate(X, means, covs, radii, weights, mode: Mode, weight_budget: float = 
                 values[i], duals[i] = min(value, 1.0), (lam, eta)
             except DualSolveFailed as exc:
                 errors[i] = exc
-    return values, (W[..., None] * g).sum(-2), v, errors, duals
+    return values, np.add.reduce(W[..., None] * g, -2), v, errors, duals
 
 
 def _one(x, belief, mode, weight_budget=0.0, divergence=Divergence.KL) -> ObjectiveEval:
     """evaluate at the single point x; raises the row's error."""
     means, covs, radii = moments(belief)
     values, grads, v, errors, duals = evaluate(np.asarray(x, dtype=float)[None], means, covs,
-                                               radii[None], belief.weights, mode, weight_budget,
-                                               divergence)
+                                               radii[None], belief.weights, Mode(mode),
+                                               weight_budget, Divergence(divergence))
     if errors:
         raise errors[0]
     return ObjectiveEval(float(values[0]), grads[0], v[0], duals[0])

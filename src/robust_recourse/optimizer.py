@@ -120,11 +120,11 @@ def _rows_objective(problem: RecourseProblem, radii, config: SolverConfig):
 def _spectral_step(s, y, grad, budget):
     """Barzilai-Borwein trial steps (s.s)/(s.y) per row, clamped to [STEP_MIN,
     cap], and cap where s.y <= 0: trial*||grad|| <= budget, cap <= STEP_MAX."""
-    gnorm = np.sqrt((grad * grad).sum(-1))
-    sy = (s * y).sum(-1)
+    gnorm = np.sqrt(np.add.reduce(grad * grad, -1))
+    sy = np.add.reduce(s * y, -1)
     with np.errstate(divide="ignore", invalid="ignore"):
         cap = np.where(gnorm == 0.0, STEP_MAX, np.minimum(STEP_MAX, budget / gnorm))
-        spectral = np.minimum((s * s).sum(-1) / sy, cap)
+        spectral = np.minimum(np.add.reduce(s * s, -1) / sy, cap)
     return np.maximum(STEP_MIN, np.where(sy > 0.0, spectral, cap))
 
 
@@ -145,7 +145,7 @@ def _descend(fn, proj, config: SolverConfig, X, budget, callback=None, skip=None
     Returns (X, values, aux, iterations, converged, stationarity, errors).
     """
     X = np.array(X, dtype=float)
-    N, zeta, tol = len(X), config.zeta, config.station_tol
+    N, zeta, tol, max_iter = len(X), config.zeta, config.station_tol, config.max_iter
     powers = np.array([config.lambda_ls**i for i in range(config.max_backtracks + 1)])
     values, G, aux, errors = fn(X, np.arange(N))
     errors = dict(errors)
@@ -153,51 +153,56 @@ def _descend(fn, proj, config: SolverConfig, X, budget, callback=None, skip=None
     station, trial, converged = np.zeros(N), np.full(N, zeta), np.zeros(N, bool)
     alive = np.ones(N, bool) if skip is None else ~skip
     alive[list(errors)] = False
+    live = alive.nonzero()[0]  # the rows still searching, carried from round to round
     if callback is not None:
-        for i in np.flatnonzero(alive).tolist():
+        for i in live.tolist():
             callback(0, X[i].copy(), float(values[i]))
     C = np.empty_like(X)  # each row's candidate
-    while alive.any():
-        live = np.flatnonzero(alive)
-        new = live[backtracks[live] == 0]
-        fresh = live[(backtracks[live] > 0)
-                     | ((trial[live] != zeta) & (iterations[live] < config.max_iter))]
+    while live.size:
+        b = backtracks[live]
+        new = live[b == 0]
+        fresh = live[(b > 0) | ((trial[live] != zeta) & (iterations[live] < max_iter))]
+        step, Xn, m = trial[fresh] * powers[backtracks[fresh]], X[new], new.size
         targets = np.concatenate([new, fresh])
-        step = trial[fresh] * powers[backtracks[fresh]]
-        P, errs = proj(np.concatenate([X[new] - zeta * G[new], X[fresh] - step[:, None] * G[fresh]]),
+        P, errs = proj(np.concatenate([Xn - zeta * G[new], X[fresh] - step[:, None] * G[fresh]]),
                        targets)
-        C[new], C[fresh] = P[: new.size], P[new.size :]
-        diff = X[new] - P[: new.size]
-        station[new] = np.sqrt((diff * diff).sum(-1)) / zeta
-        for j, exc in errs.items():  # a failed measuring projection retires its row
-            if j < new.size:
-                errors[int(targets[j])], alive[targets[j]] = exc, False
+        C[new], C[fresh] = P[:m], P[m:]
+        diff = Xn - P[:m]
+        station[new] = st = np.sqrt(np.add.reduce(diff * diff, -1)) / zeta
         # a row ends at stationarity or at the iteration cap, where it is measured last
-        ends = new[alive[new] & ((station[new] <= tol) | (iterations[new] >= config.max_iter))]
-        converged[ends], alive[ends] = station[ends] <= tol, False
+        ends = (st <= tol) | (iterations[new] >= max_iter)
+        if errs:
+            targets = targets.tolist()
+            for j, exc in errs.items():  # a failed measuring projection retires its row
+                if j < m:
+                    errors[targets[j]], alive[targets[j]] = exc, False
+            ends &= alive[new]
+        ended = new[ends]
+        converged[ended], alive[ended] = st[ends] <= tol, False
         for j, exc in errs.items():  # and a failed trial projection a row still searching
             if alive[targets[j]]:
-                errors[int(targets[j])], alive[targets[j]] = exc, False
+                errors[targets[j]], alive[targets[j]] = exc, False
         rows = live[alive[live]]
         if not rows.size:
-            continue
+            break
         cand, step = C[rows], trial[rows] * powers[backtracks[rows]]
         cand_values, cand_G, cand_aux, errs = fn(cand, rows)
-        ok = np.ones(rows.size, bool)
+        diff = X[rows] - cand
+        ok = cand_values <= values[rows] - np.add.reduce(diff * diff, -1) / (2.0 * step)
         for j, exc in errs.items():
             ok[j] = False
             if not isinstance(exc, InfeasibleMargin):
                 errors[int(rows[j])], alive[rows[j]] = exc, False
-        diff = X[rows] - cand
-        ok &= cand_values <= values[rows] - (diff * diff).sum(-1) / (2.0 * step)
-        a = rows[ok]
-        trial[a] = _spectral_step(cand[ok] - X[a], cand_G[ok] - G[a], cand_G[ok], budget[a])
-        X[a], values[a], G[a], aux[a] = cand[ok], cand_values[ok], cand_G[ok], cand_aux[ok]
-        iterations[a], backtracks[a] = iterations[a] + 1, 0
+        a, ca, cg = rows[ok], cand[ok], cand_G[ok]
+        trial[a] = _spectral_step(ca - X[a], cg - G[a], cg, budget[a])
+        X[a], values[a], G[a], aux[a] = ca, cand_values[ok], cg, cand_aux[ok]
+        iterations[a] += 1
+        backtracks[a] = 0
         # the rest try a shorter step; a row out of trials has stalled and
         # keeps its iterate, unconverged
         backtracks[rows[~ok]] += 1
-        alive[rows[backtracks[rows] > config.max_backtracks]] = False
+        keep = backtracks[rows] <= config.max_backtracks
+        live = rows[keep & alive[rows] if errs else keep]
         if callback is not None:
             for r in a.tolist():
                 callback(int(iterations[r]), X[r].copy(), float(values[r]))
@@ -226,7 +231,8 @@ def pgd_minimize(fn, proj, config: SolverConfig, x_start, callback=None, *, budg
     return X[0], float(values[0]), aux[0], int(iterations[0]), bool(converged[0]), float(station[0])
 
 
-def solve_block(problems, config: SolverConfig | None = None, *, cheapest=None, callback=None):
+def solve_block(problems, config: SolverConfig | None = None, *, cheapest=None, specs=None,
+                callback=None):
     """Solve the problems of one template, which differ only in x0, delta,
     actionability and ambiguity radii, in lock step: per problem, its
     RecourseResult or the RecourseError that solving it raised.  The
@@ -239,24 +245,30 @@ def solve_block(problems, config: SolverConfig | None = None, *, cheapest=None, 
     the same seeds for every problem; the first run of least value wins,
     an error in any run is the problem's.  cheapest, one pair (delta_min,
     the cheapest point) per problem as fz.min_cost_point gives them, skips
-    the distance programs.  callback(iteration, x, value) fires on every
-    run's start and accepted steps.
+    the distance programs; specs, one FeasibleSetSpec per validated problem
+    (its delta is not read), skips building them.  callback(iteration, x,
+    value) fires on every run's start and accepted steps.
     """
     config = config or SolverConfig()
-    out, specs = [None] * len(problems), {}
-    for i, problem in enumerate(problems):
-        try:
-            specs[i] = fz.FeasibleSetSpec.from_problem(validate_problem(problem))
-        except RecourseError as exc:
-            out[i] = exc
+    out = [None] * len(problems)
+    if specs is None:
+        specs = []
+        for problem in problems:
+            try:
+                specs.append(fz.FeasibleSetSpec.from_problem(validate_problem(problem)))
+            except RecourseError as exc:
+                specs.append(exc)
+    good = [i for i, spec in enumerate(specs) if not isinstance(spec, RecourseError)]
     if cheapest is None:
-        cheapest = dict(zip(specs, fz.min_cost_point(list(specs.values()), config.proj_tol)))
-    for i in specs:
-        if isinstance(cheapest[i], RecourseError):
+        cheapest = dict(zip(good, fz.min_cost_point([specs[i] for i in good], config.proj_tol)))
+    for i, spec in enumerate(specs):
+        if isinstance(spec, RecourseError):
+            out[i] = spec
+        elif isinstance(cheapest[i], RecourseError):
             out[i] = cheapest[i]
-        elif problems[i].delta < cheapest[i][0] - 1e-9:
+        elif problems[i].delta < cheapest[i][0] - fz.budget_slack(cheapest[i][0]):
             out[i] = BudgetTooSmall(f"delta={problems[i].delta} is below delta_min={cheapest[i][0]}")
-    todo = [i for i in specs if out[i] is None]
+    todo = [i for i in good if out[i] is None]
     if not todo:
         return out
     pinned = [fz.budget_pinned(problems[i].delta, cheapest[i][0]) for i in todo]
@@ -264,7 +276,8 @@ def solve_block(problems, config: SolverConfig | None = None, *, cheapest=None, 
     # row k < len(todo) starts todo[k] at its cheapest point; the rows after
     # them start the perturbed runs 1, 2, ... of the free problems
     rows, n = todo + free * (config.restarts - 1), len(todo)
-    proj = fz.RowProjection([specs[i] for i in rows], config.proj_max_iter, config.proj_tol)
+    proj = fz.RowProjection([specs[i] for i in rows], [problems[i].delta for i in rows],
+                            config.proj_max_iter, config.proj_tol)
     starts, skip = np.array([cheapest[i][1] for i in rows]), np.zeros(len(rows), bool)
     skip[:n], failed = pinned, {}
     if len(rows) > n:
@@ -277,7 +290,7 @@ def solve_block(problems, config: SolverConfig | None = None, *, cheapest=None, 
         starts[n:][~skip[n:]] = P[~skip[n:]]
     X, values, comps, iterations, converged, station, errors = _descend(
         _rows_objective(problems[todo[0]], proj.radii, config), proj, config, starts,
-        np.array([problems[i].delta for i in rows]), callback, skip)
+        proj.delta, callback, skip)
     converged[:n] |= pinned
     errors.update(failed)
     runs = {}

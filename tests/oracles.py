@@ -309,6 +309,22 @@ def l1_ball_numpy(v, radius):
     return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
 
 
+def actionability_bounds_loop(x0, actionability):
+    """Lower and upper bounds of the feasible set at x0, one coordinate at
+    a time: the box, then max(lower, x0) on each non-decreasing feature,
+    then lower = upper = x0 on each immutable one."""
+    x0 = np.asarray(x0, dtype=float)
+    lower, upper = np.full(x0.size, -np.inf), np.full(x0.size, np.inf)
+    if actionability.box is not None:
+        lower = np.maximum(lower, actionability.box[:, 0])
+        upper = np.minimum(upper, actionability.box[:, 1])
+    for i in actionability.non_decreasing:
+        lower[i] = max(lower[i], x0[i])
+    for i in actionability.immutable:
+        lower[i] = upper[i] = x0[i]
+    return lower, upper
+
+
 def cost_ball_numpy(xp, x0, delta, cost):
     """Euclidean projection onto {x : c(x, x0) <= delta}, the l2 radius by
     np.linalg.norm and the l1 step by l1_ball_numpy."""

@@ -2,8 +2,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
+    actionability_bounds_loop,
     cost_ball_numpy,
     grid_delta_min,
     grid_project,
@@ -19,8 +22,10 @@ from robust_recourse.errors import (
 )
 from robust_recourse.feasibility import (
     FeasibleSetSpec,
+    RowProjection,
     _cost_ball,
     _project_cone_known,
+    _pinned_ball,
     _project_l1_ball,
     cost_of,
     delta_min,
@@ -656,3 +661,97 @@ class TestL1BallMatchesNumpyOracle:
             for cost in Cost:
                 got = project_cost_ball(x0 + v, x0, radius, cost)
                 assert np.array_equal(got, cost_ball_numpy(x0 + v, x0, radius, cost))
+
+
+class TestL1RowGather:
+    """The l1 ball over the rows of a block gathers each row's threshold
+    directly: every row is its lone projection, bit for bit."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 8])
+    def test_rows_match_lone_projections(self, rng, d):
+        # radius 0, rows the ball holds, ties in |v|, and a pinned bias that
+        # moves by nothing
+        V, radii = (np.array(a) for a in zip(*_l1_test_vectors(rng, d)))
+        V[::3, -1] = 0.0
+        got = _project_l1_ball(V, radii)
+        for v, radius, row in zip(V, radii, got):
+            assert row.tobytes() == _project_l1_ball(v, radius).tobytes()
+            assert np.array_equal(row, l1_ball_numpy(v, radius))
+
+    def test_row_projection_matches_the_pinned_ball(self, rng):
+        # the margin set holds every point whose bias is 1 and there is no
+        # other bound, so the first cycle closes every row: each answer is
+        # the pinned l1 ball's, and project_feasible's
+        d = 4
+        lower, upper = np.r_[np.full(d - 1, -np.inf), 1.0], np.r_[np.full(d - 1, np.inf), 1.0]
+        rows = []
+        for v, radius in _l1_test_vectors(rng, d):
+            x0 = np.r_[rng.normal(size=d - 1), 1.0]
+            rows.append((x0, x0 + v, radius))
+        specs = [raw_spec(x0, [0.0] * (d - 1) + [1.0], 0.0, cost=Cost.L1, lower=lower,
+                          upper=upper) for x0, _, _ in rows]
+        Y, deltas = np.array([y for _, y, _ in rows]), [r for _, _, r in rows]
+        got, errors = RowProjection(specs, deltas, 100, 1e-10)(Y, np.arange(len(rows)))
+        assert not errors
+        pins = np.r_[np.zeros(d - 1, bool), True]
+        for (x0, y, radius), spec, row in zip(rows, specs, got):
+            assert row[-1] == 1.0
+            assert row.tobytes() == _pinned_ball(y, x0, pins, radius, True).tobytes()
+            assert row.tobytes() == project_feasible(y, replace(spec, delta=radius)).tobytes()
+
+
+_COORD = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 0.5, 1.0, 2.0]) | st.floats(-3.0, 3.0)
+_BOUND = st.sampled_from([-np.inf, -1.0, -0.0, 0.0, 0.5, 2.0, np.inf])
+
+
+@st.composite
+def _block_cases(draw):
+    """A template's belief and actionability and a block of inputs: box,
+    immutable and non-decreasing features, K = 1-3, radii including 0 and
+    ones that empty a margin set, directions including zero."""
+    d, K, n = draw(st.integers(2, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    X0 = [[draw(_COORD) for _ in range(d - 1)] + [1.0] for _ in range(n)]
+    comps = tuple(ComponentMoments([draw(st.sampled_from([0.0, -0.5, 0.3, 1.0]))
+                                    for _ in range(d)], np.eye(d),
+                                   draw(st.sampled_from([0.0, 0.1, 0.5, 3.0])))
+                  for _ in range(K))
+    box = None
+    if draw(st.booleans()):
+        box = [sorted([draw(_BOUND), draw(_BOUND)]) for _ in range(d)]
+    act = ActionabilitySpec(draw(st.frozensets(st.integers(0, d - 1))),
+                            draw(st.frozensets(st.integers(0, d - 1))), box)
+    return (X0, MixtureBelief(comps, np.full(K, 1.0 / K)), act,
+            draw(st.sampled_from(list(Cost))), draw(st.sampled_from([0.0, 1.5])))
+
+
+def _defect(spec):
+    return None if spec.defect is None else (type(spec.defect()), str(spec.defect()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_block_cases())
+def test_block_rows_match_from_problem(case):
+    """Each row of FeasibleSetSpec.block is from_problem's spec, array for
+    array and bit for bit, with the same cached invariants, or the same
+    error; the bounds are those of the coordinate-by-coordinate loop."""
+    X0, belief, act, cost, delta = case
+    problems = [RecourseProblem(x0=FeatureVector(x0), belief=belief, delta=delta, margin=1e-3,
+                                cost=cost, actionability=act) for x0 in X0]
+    rows = FeasibleSetSpec.block(X0, belief, problems[0].actionability, cost, 1e-3, delta)
+    assert len(rows) == len(problems)
+    for problem, row in zip(problems, rows):
+        lower, upper = actionability_bounds_loop(problem.x0.values, problem.actionability)
+        try:
+            want = FeasibleSetSpec.from_problem(problem)
+        except EmptyFeasibleSet as exc:
+            assert type(row) is EmptyFeasibleSet and str(row) == str(exc)
+            assert np.any(lower > upper)
+            continue
+        assert want.lower.tobytes() == lower.tobytes()
+        assert want.upper.tobytes() == upper.tobytes()
+        for name in ("x0", "thetas", "radii", "lower", "upper", "tts"):
+            a, b = getattr(row, name), getattr(want, name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+        assert (row.delta, row.cost, row.margin, row.l1) == (want.delta, want.cost,
+                                                             want.margin, want.l1)
+        assert _defect(row) == _defect(want)

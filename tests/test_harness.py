@@ -620,6 +620,32 @@ class TestGenerateRecourses:
             assert (a.objective, a.iterations, a.converged) == (b.objective, b.iterations,
                                                                 b.converged)
 
+    def test_rows_excluded_by_their_own_bounds(self, rng):
+        # feature 0 may only grow and stays at most 0: the first and the
+        # third input lie above 0, so those rows, and only those, fail with
+        # their own EmptyFeasibleSet; every other row gets the bytes of its
+        # lone solve
+        _, _, _, belief, negatives = tiny_pipeline(rng)
+        act = ActionabilitySpec(non_decreasing=frozenset({0}),
+                                box=[[-np.inf, 0.0], [-np.inf, np.inf], [-np.inf, np.inf]])
+        template = ProblemTemplate(belief=belief, actionability=act)
+        good = [x0 for x0 in negatives if x0.values[0] < 0.0][:3]
+        outside = [FeatureVector.from_features(x) for x in ([0.5, -3.0], [0.25, -2.0])]
+        instances = [outside[0], good[0], outside[1], *good[1:]]
+        results, errors = generate_recourses(template, instances)
+        for i in (0, 2):
+            assert results[i] is None
+            assert errors[i] == "EmptyFeasibleSet: actionability bounds exclude the input point"
+        for i in (1, 3, 4):
+            [alone], [error] = generate_recourses(template, [instances[i]])
+            assert errors[i] is None and error is None
+            a = results[i]
+            assert a.action.values.tobytes() == alone.action.values.tobytes()
+            assert a.component_probs.tobytes() == alone.component_probs.tobytes()
+            assert (a.objective, a.iterations, a.converged, a.stationarity, a.delta_min) == (
+                alone.objective, alone.iterations, alone.converged, alone.stationarity,
+                alone.delta_min)
+
     @pytest.mark.parametrize("cost", ["l1", "l2"])
     def test_budget_within_rounding_of_delta_min_is_pinned(self, cost):
         # the budget rule is one predicate: delta_add = 1e-12 is pinned in

@@ -89,6 +89,22 @@ class TestSolve:
         with pytest.raises(BudgetTooSmall):
             solve(replace(prob, delta=max(dmin - 0.1, 0.0)), SolverConfig(restarts=1))
 
+    def test_budget_within_the_slack_below_delta_min_is_pinned(self):
+        # far inputs have a delta_min of about 2e4, whose slack,
+        # fz.budget_slack, is above 1e-9: a budget within it below delta_min
+        # counts as delta_min, as fz.budget_pinned says, and is answered by
+        # the cheapest point; a budget below the slack is too small
+        prob, _ = toy_problem()
+        prob = replace(prob, x0=FeatureVector.from_features([-1.2e4, -0.8e4]))
+        dmin, point = cheapest_pair(prob)
+        slack = fz.budget_slack(dmin)
+        assert dmin > 1e4 and slack > 5e-9 and fz.budget_pinned(dmin - 5e-9, dmin)
+        res = solve(replace(prob, delta=dmin - 5e-9), SolverConfig())
+        assert res.iterations == 0 and res.converged
+        assert res.action.values.tobytes() == point.tobytes()
+        with pytest.raises(BudgetTooSmall):
+            solve(replace(prob, delta=dmin - 2.0 * slack), SolverConfig())
+
     def test_delta_min_reported(self):
         prob, dmin = toy_problem()
         res = solve(prob, SolverConfig(restarts=1))
