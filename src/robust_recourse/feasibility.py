@@ -260,7 +260,8 @@ class RowProjection:
     budget deltas[i]: specs that share thetas, margin and cost, as one
     template's do, each with its own radii; their own deltas are not read.
     A call projects Y onto the sets of the given rows: (points, errors),
-    errors mapping a position to its RecourseError."""
+    errors mapping a position to its RecourseError, or to None where a far
+    position is rejected."""
 
     def __init__(self, specs, deltas, max_iter: int, tol: float):
         self.specs, self.max_iter, self.tol = specs, max_iter, tol
@@ -275,11 +276,13 @@ class RowProjection:
         s0 = specs[0]
         self.l1, self.thetas, self.floor = s0.l1, s0.thetas, -s0.margin
 
-    def __call__(self, Y, rows):
+    def __call__(self, Y, rows, far=None):
         """Dykstra's first cycle in lock step: the cost ball with the pins,
         then a membership test against every margin cone and the box.  A
         row that passes is project_feasible's answer after one cycle that
-        moves no other set; project_feasible answers the rest."""
+        moves no other set; project_feasible answers the rest, except the
+        positions where far (None, or a mask over the positions) is True:
+        those are rejected, unprojected."""
         x0, delta = self.x0[rows], self.delta[rows]
         X = np.where(self.pins[rows], x0, Y)
         D = X - x0
@@ -298,6 +301,9 @@ class RowProjection:
         if closed.all():
             return X, errors
         for i in (~closed).nonzero()[0].tolist():
+            if far is not None and far[i]:
+                errors[i] = None
+                continue
             spec = replace(self.specs[rows[i]], delta=float(self.delta[rows[i]]))
             try:
                 X[i] = project_feasible(Y[i], spec, self.max_iter, self.tol)

@@ -10,8 +10,13 @@ lambda_ls^i for the smallest admissible integer i >= 0).  The first trial
 is zeta, each later one the Barzilai-Borwein step of the last accepted
 move: the monotone spectral projected gradient method (Barzilai & Borwein
 1988; Birgin, Martinez & Raydan 2000).  A trial never moves farther than
-the cost budget delta, whose ball holds the feasible set.  Iteration stops
-early once the prox-stationarity measure
+2*delta, the diameter of the cost ball that holds the feasible set, so no
+two feasible points lie farther apart.  A trial beyond the row's reach,
+max(zeta, delta/||grad||), is a candidate only if the projection's
+lock-step first cycle closes it (RowProjection); otherwise it is rejected
+like a failed decrease, unprojected, where a nearer one would go on to
+project_feasible.  Iteration stops early once the prox-stationarity
+measure
 
     ||x - Proj(x - zeta*grad(x))||_2 / zeta
 
@@ -117,15 +122,20 @@ def _rows_objective(problem: RecourseProblem, radii, config: SolverConfig):
     return with_finite_diff if config.finite_diff else fn
 
 
-def _spectral_step(s, y, grad, budget):
+def _spectral_step(s, y, grad, budget, zeta):
     """Barzilai-Borwein trial steps (s.s)/(s.y) per row, clamped to [STEP_MIN,
-    cap], and cap where s.y <= 0: trial*||grad|| <= budget, cap <= STEP_MAX."""
+    cap], and cap where s.y <= 0: trial*||grad|| <= 2*budget, the cost
+    ball's diameter, cap <= STEP_MAX.  Also each row's reach, max(zeta,
+    budget/||grad||): the steps that move at most budget, or zeta."""
     gnorm = np.sqrt(np.add.reduce(grad * grad, -1))
     sy = np.add.reduce(s * y, -1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cap = np.where(gnorm == 0.0, STEP_MAX, np.minimum(STEP_MAX, budget / gnorm))
+    # budget/gnorm is inf at a zero gradient or a huge budget, NaN at 0/0:
+    # fmin and fmax take the other operand there
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        reach = budget / gnorm
+        cap = np.fmin(STEP_MAX, 2.0 * reach)
         spectral = np.minimum(np.add.reduce(s * s, -1) / sy, cap)
-    return np.maximum(STEP_MIN, np.where(sy > 0.0, spectral, cap))
+    return np.maximum(STEP_MIN, np.where(sy > 0.0, spectral, cap)), np.fmax(zeta, reach)
 
 
 def _descend(fn, proj, config: SolverConfig, X, budget, callback=None, skip=None):
@@ -133,14 +143,16 @@ def _descend(fn, proj, config: SolverConfig, X, budget, callback=None, skip=None
     lock step; rows in skip are only evaluated.  fn(X, rows) -> (values,
     grads, aux, errors) evaluates the objectives of the given rows at the
     rows of X, aux any per-row array kept with the accepted points;
-    proj(Y, rows) -> (points, errors) projects Y onto the sets of the
-    given rows; errors map a position in the call to its RecourseError.
-    A round calls each once: rows that start an iteration project x -
-    zeta*grad to measure stationarity, with their trial if it is not zeta,
-    and rows still searching evaluate their candidates.  InfeasibleMargin
-    rejects a candidate, any other error retires its row.  budget (inf for
-    none) caps each row's trial steps.  callback(iteration, x, value)
-    fires on each start and accepted step.
+    proj(Y, rows, far) -> (points, errors) projects Y onto the sets of the
+    given rows; errors map a position in the call to its RecourseError, or
+    to None where proj rejects a far trial (far, None or a mask over the
+    positions, marks the trials beyond their row's reach).  A round calls
+    each once: rows that start an iteration project x - zeta*grad to
+    measure stationarity, with their trial if it is not zeta, and rows
+    still searching evaluate their candidates.  InfeasibleMargin or a
+    rejected far trial rejects a candidate, any other error retires its
+    row.  budget (inf for none) caps each row's trial steps.
+    callback(iteration, x, value) fires on each start and accepted step.
 
     Returns (X, values, aux, iterations, converged, stationarity, errors).
     """
@@ -151,6 +163,7 @@ def _descend(fn, proj, config: SolverConfig, X, budget, callback=None, skip=None
     errors = dict(errors)
     iterations, backtracks = np.zeros(N, int), np.zeros(N, int)
     station, trial, converged = np.zeros(N), np.full(N, zeta), np.zeros(N, bool)
+    reach = np.full(N, zeta)  # a longer trial is far
     alive = np.ones(N, bool) if skip is None else ~skip
     alive[list(errors)] = False
     live = alive.nonzero()[0]  # the rows still searching, carried from round to round
@@ -164,8 +177,9 @@ def _descend(fn, proj, config: SolverConfig, X, budget, callback=None, skip=None
         fresh = live[(b > 0) | ((trial[live] != zeta) & (iterations[live] < max_iter))]
         step, Xn, m = trial[fresh] * powers[backtracks[fresh]], X[new], new.size
         targets = np.concatenate([new, fresh])
+        far = step > reach[fresh]
         P, errs = proj(np.concatenate([Xn - zeta * G[new], X[fresh] - step[:, None] * G[fresh]]),
-                       targets)
+                       targets, np.concatenate([np.zeros(m, bool), far]) if far.any() else None)
         C[new], C[fresh] = P[:m], P[m:]
         diff = Xn - P[:m]
         station[new] = st = np.sqrt(np.add.reduce(diff * diff, -1)) / zeta
@@ -179,28 +193,34 @@ def _descend(fn, proj, config: SolverConfig, X, budget, callback=None, skip=None
             ends &= alive[new]
         ended = new[ends]
         converged[ended], alive[ended] = st[ends] <= tol, False
+        rejected = []
         for j, exc in errs.items():  # and a failed trial projection a row still searching
-            if alive[targets[j]]:
+            if exc is None:
+                rejected.append(targets[j])
+            elif alive[targets[j]]:
                 errors[targets[j]], alive[targets[j]] = exc, False
-        rows = live[alive[live]]
+        rows = tried = live[alive[live]]
         if not rows.size:
             break
-        cand, step = C[rows], trial[rows] * powers[backtracks[rows]]
-        cand_values, cand_G, cand_aux, errs = fn(cand, rows)
-        diff = X[rows] - cand
-        ok = cand_values <= values[rows] - np.add.reduce(diff * diff, -1) / (2.0 * step)
+        if rejected:  # a rejected far trial fails, unevaluated
+            backtracks[rejected] += 1
+            tried = rows[~np.isin(rows, rejected)]
+        cand, step = C[tried], trial[tried] * powers[backtracks[tried]]
+        cand_values, cand_G, cand_aux, errs = fn(cand, tried)
+        diff = X[tried] - cand
+        ok = cand_values <= values[tried] - np.add.reduce(diff * diff, -1) / (2.0 * step)
         for j, exc in errs.items():
             ok[j] = False
             if not isinstance(exc, InfeasibleMargin):
-                errors[int(rows[j])], alive[rows[j]] = exc, False
-        a, ca, cg = rows[ok], cand[ok], cand_G[ok]
-        trial[a] = _spectral_step(ca - X[a], cg - G[a], cg, budget[a])
+                errors[int(tried[j])], alive[tried[j]] = exc, False
+        a, ca, cg = tried[ok], cand[ok], cand_G[ok]
+        trial[a], reach[a] = _spectral_step(ca - X[a], cg - G[a], cg, budget[a], zeta)
         X[a], values[a], G[a], aux[a] = ca, cand_values[ok], cg, cand_aux[ok]
         iterations[a] += 1
         backtracks[a] = 0
         # the rest try a shorter step; a row out of trials has stalled and
         # keeps its iterate, unconverged
-        backtracks[rows[~ok]] += 1
+        backtracks[tried[~ok]] += 1
         keep = backtracks[rows] <= config.max_backtracks
         live = rows[keep & alive[rows] if errs else keep]
         if callback is not None:
@@ -212,7 +232,8 @@ def _descend(fn, proj, config: SolverConfig, X, budget, callback=None, skip=None
 def pgd_minimize(fn, proj, config: SolverConfig, x_start, callback=None, *, budget=None):
     """The one-row _descend from x_start, a feasible point, not projected
     again; fn(x) -> object with .value/.gradient, proj(y) -> projection,
-    budget (the cost budget delta) caps the trial steps.  Returns (x,
+    of far trials too; budget (the cost budget delta) caps the trial
+    steps.  Returns (x,
     value, eval, iterations, converged, stationarity)."""
     def rows_fn(X, _):
         aux = np.empty(1, dtype=object)
@@ -223,7 +244,7 @@ def pgd_minimize(fn, proj, config: SolverConfig, x_start, callback=None, *, budg
         return np.array([ev.value], dtype=float), np.array([ev.gradient], dtype=float), aux, {}
 
     X, values, aux, iterations, converged, station, errors = _descend(
-        rows_fn, lambda Y, rows: (np.array([proj(y) for y in Y], dtype=float), {}), config,
+        rows_fn, lambda Y, rows, far: (np.array([proj(y) for y in Y], dtype=float), {}), config,
         np.asarray(x_start, dtype=float)[None], np.array([math.inf if budget is None else budget]),
         callback)
     if errors:

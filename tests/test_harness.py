@@ -536,9 +536,9 @@ class TestGenerateRecourses:
 
         project = fz.RowProjection.__call__
 
-        def failing(self, Y, rows):
+        def failing(self, Y, rows, far=None):
             # the descent's projections of the third instance run out
-            points, errors = project(self, Y, rows)
+            points, errors = project(self, Y, rows, far)
             for j, r in enumerate(rows.tolist()):
                 if np.array_equal(self.specs[r].x0, instances[2].values):
                     errors[j] = MaxIterExceeded("the projection ran out")

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -156,31 +157,111 @@ class TestSolve:
         res = solve(prob, SolverConfig(restarts=1), cheapest=cheapest_pair(prob))
         assert np.all(res.component_probs < 0.5)
 
-    def test_trial_points_stay_within_the_budget(self, monkeypatch):
-        # every projected point lies within max(zeta*||g||, delta) of the
-        # iterate it steps from, and some trial steps are longer than zeta
-        prob, dmin = toy_problem(rho=0.2, delta_add=2.0)
+    def test_trial_points_stay_within_the_budget(self, monkeypatch, synthetic_beliefs):
+        # every projected point lies within max(zeta*||g||, 2*delta) of the
+        # iterate x it steps from, 2*delta the cost ball's diameter; those
+        # sent to project_feasible within max(zeta*||g||, delta), since a
+        # farther one the first cycle does not close is rejected; and some
+        # accepted trial lies farther than that
+        beliefs, negatives = synthetic_beliefs
         cfg = SolverConfig()
-        fn = make_objective(prob)
-        here = {}
-        moves = []
-        original = fz.RowProjection.__call__
+        box = ActionabilitySpec(box=[[-np.inf, -2.5], [-np.inf, np.inf], [-np.inf, np.inf]])
+        here, targets, fallback, accepted = {}, [], [], []
+        row_projection, project = fz.RowProjection.__call__, fz.project_feasible
 
-        def recording(self, Y, rows):
+        def reach(y):  # (||y - x||, the bound at zeta, delta) at the iterate x
+            x = here["x"]
+            return (float(np.linalg.norm(y - x)),
+                    cfg.zeta * float(np.linalg.norm(here["fn"](x).gradient)), here["delta"])
+
+        def recording(self, Y, rows, far=None):
+            here["Y"] = Y
             if "x" in here:
-                gnorm = float(np.linalg.norm(fn(here["x"]).gradient))
-                moves.extend((float(np.linalg.norm(y - here["x"])), gnorm) for y in Y)
-            return original(self, Y, rows)
+                targets.extend(map(reach, Y))
+            return row_projection(self, Y, rows, far)
+
+        def counted(y, *args):
+            fallback.append(reach(y))
+            return project(y, *args)
+
+        def step(t, x, value):
+            if t:  # the round's last projected point is the accepted trial
+                accepted.append(reach(here["Y"][-1]))
+            here["x"] = x.copy()
 
         monkeypatch.setattr(fz.RowProjection, "__call__", recording)
-        res = solve(
-            prob, cfg, cheapest=cheapest_pair(prob),
-            callback=lambda t, x, v: here.update(x=x.copy()),
-        )
-        assert res.converged and moves
-        for move, gnorm in moves:
-            assert move <= max(cfg.zeta * gnorm, prob.delta) * (1.0 + 1e-12)
-        assert any(move > 2.0 * cfg.zeta * gnorm for move, gnorm in moves)
+        monkeypatch.setattr(fz, "project_feasible", counted)
+        for act in (ActionabilitySpec(), box):
+            template = ProblemTemplate(belief=beliefs[1], actionability=act)
+            for x0 in negatives[:4]:
+                if act.box is not None and x0.values[0] >= -2.5:
+                    continue
+                spec = fz.FeasibleSetSpec.from_problem(template.problem_for(x0, 0.0))
+                problem = template.problem_for(x0, fz.delta_min(spec) + template.delta_add)
+                here.clear()
+                here.update(fn=make_objective(problem), delta=problem.delta)
+                assert solve(problem, cfg, callback=step).converged
+        assert targets and fallback and accepted
+        tol = 1.0 + 1e-12
+        for move, at_zeta, delta in targets:
+            assert move <= max(at_zeta, 2.0 * delta) * tol
+        for move, at_zeta, delta in fallback:
+            assert move <= max(at_zeta, delta) * tol
+        assert any(move > max(at_zeta, delta) * tol for move, at_zeta, delta in accepted)
+
+    def test_far_trial_that_leaves_the_first_cycle_is_rejected(self, monkeypatch):
+        # the worst_component setting of the pipeline: a far trial (beyond
+        # max(zeta, delta/||g||)) that the first cycle does not close is
+        # rejected without project_feasible, and the row backtracks from the
+        # same iterate along the same direction
+        original, _ = generate_synthetic(SyntheticConfig(n_per_class=200, n_shifts=0, seed=707))
+        theta0 = train_logistic(original)
+        belief = fit_mixture_moments(bootstrap_parameters(original, B=30, seed=707), K=3,
+                                     seed=707).with_radius(0.1)
+        X = original.augmented()
+        negatives = [FeatureVector(row) for row in X[X @ theta0.theta < 0.0][:20]]
+        template = ProblemTemplate(belief=belief, mode=Mode.WORST_COMPONENT)
+        cfg = template.config
+        events, fallback = [], []
+        row_projection = fz.RowProjection.__call__
+
+        def recording(self, Y, rows, far=None):
+            points, errors = row_projection(self, Y, rows, far)
+            rejected = [j for j, exc in errors.items() if exc is None]
+            assert all(far[j] for j in rejected)
+            if not rows.any():  # a lone row, whose trial is the call's last position
+                assert rejected in ([], [len(Y) - 1])
+                events.append(("proj", Y[-1].copy(), rejected))
+            return points, errors
+
+        monkeypatch.setattr(fz.RowProjection, "__call__", recording)
+        monkeypatch.setattr(fz, "project_feasible", lambda *args: fallback.append(args))
+        block, errors = generate_recourses(template, negatives)
+        assert not any(errors) and not fallback
+        rejections = 0
+        for x0, res in zip(negatives, block):
+            events.clear()
+            alone = solve(template.problem_for(x0, res.delta_min + template.delta_add), cfg,
+                          callback=lambda t, x, v: events.append(("step", x.copy(), None)))
+            assert_same_answer(res, alone)
+            x = None
+            for (kind, y, rejected), after in zip(events, events[1:]):
+                if kind == "step":
+                    x = y
+                elif rejected:
+                    assert after[0] == "proj" and x is not None
+                    np.testing.assert_allclose(x - after[1], cfg.lambda_ls * (x - y), rtol=1e-12)
+                    rejections += 1
+        assert rejections and not fallback
+
+    @pytest.mark.parametrize("cost", list(Cost))
+    def test_huge_budget_raises_no_warning(self, cost):
+        # budget/||g|| overflows to inf, which the step clamp absorbs
+        prob, _ = toy_problem(cost=cost)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = solve(replace(prob, delta=1e308), SolverConfig())
+        assert res.converged
 
     def test_restarts_never_worse(self):
         prob, dmin = toy_problem(rho=0.2)
@@ -431,6 +512,25 @@ class TestConvergesAtDefaults:
         results, errors = generate_recourses(template, negatives)
         assert not any(errors)
         assert sum(r.converged for r in results) >= 0.95 * len(results)
+
+
+class TestTenFeatures:
+    def test_budget_face_rows_converge_in_few_iterations(self):
+        # ten features plus the bias: rows that slide along a face of the l1
+        # cost ball, whose trials a cap of delta/||g|| held to half the
+        # progress a 2*delta cap allows (86 iterations at the median)
+        d = 10
+        original, _ = generate_synthetic(SyntheticConfig(
+            mu0=(-1.0,) * d, mu1=(1.0,) * d, sigma0=tuple(map(tuple, np.eye(d))),
+            sigma1=tuple(map(tuple, np.eye(d))), n_per_class=300, n_shifts=0, seed=707))
+        theta0 = train_logistic(original)
+        belief = fit_mixture_moments(bootstrap_parameters(original, B=50, seed=707), K=1,
+                                     seed=707).with_radius(0.1)
+        X = original.augmented()
+        negatives = [FeatureVector(row) for row in X[X @ theta0.theta < 0.0][:25]]
+        results, errors = generate_recourses(ProblemTemplate(belief=belief), negatives)
+        assert not any(errors) and all(r.converged for r in results)
+        assert np.median([r.iterations for r in results]) <= 55
 
 
 def assert_same_answer(a, b):
