@@ -8,19 +8,17 @@ The feasible set intersects three kinds of convex sets around the input x0:
 * an actionability box (immutable coordinates pinned, non-decreasing
   coordinates bounded below, optional global bounds).
 
-Projection onto the intersection uses Dykstra's alternating projections
-(with correction terms, so the limit is the exact Euclidean projection)
-over FeasibleSetSpec.cycle: the cost ball with the pinned coordinates,
-each margin set, projected onto by bisecting the KKT multiplier of its
-single constraint, and the box; one cycle ends a projection where the
-others hold the first set's projection.  RowProjection runs that first
-cycle for many rows in lock step, project_feasible the rest.  Per-spec
-invariants are cached on the spec.  Two small second-order cone programs
-are solved by one batched NumPy interior-point kernel (_cone_lp), specs
-that share their structure in one call: the distance program behind
-delta_min, the smallest budget that keeps the set nonempty, whose
-cheapest point starts every descent, and the projection program, which
-only backs project_feasible up where its cycles run out.  An empty set
+RowProjection projects many rows at once.  Its first cycle projects each
+row onto the cost ball with the pinned coordinates, in closed form, and
+tests the point against every margin set and the box: where they all hold
+it, it is the projection onto the intersection.  The projection program in
+the conic kernel answers the other rows, first without the ball, then with
+it where the point leaves the ball; project_feasible is the one-row case.
+Per-spec invariants are cached on the spec.  Two small second-order cone
+programs are solved by one batched NumPy interior-point kernel (_cone_lp),
+specs that share their structure in one call: the distance program behind
+delta_min, the smallest budget that keeps the set nonempty, whose cheapest
+point starts every descent, and that projection program.  An empty set
 comes back from the kernel as a Farkas certificate.
 """
 
@@ -121,21 +119,6 @@ class FeasibleSetSpec:
             )
         return None
 
-    @cached_property
-    def cycle(self) -> tuple:
-        """The single-set projections in Dykstra's order, as pairs (project,
-        args) for project(z, *args): the cost ball (if any) with the pins,
-        each margin cone, the actionability box.  The pins, lower == upper
-        == x0 (the bias, immutables), cost nothing: the ball meets them in a
-        product set, projected exactly, where alternating between the two
-        converges only linearly.  The box comes last, so every cycle ends
-        with the pins exactly at x0."""
-        pins = (self.lower == self.upper) & (self.lower == self.x0)
-        cones = tuple((_project_cone_known, (theta, rho, tt, self.margin)) for theta, rho, tt
-                      in zip(self.thetas, self.radii.tolist(), self.tts.tolist()))
-        return (((_pinned_ball, (self.x0, pins, self.delta, self.l1)),) + cones
-                + ((np.ndarray.clip, (self.lower, self.upper)),))
-
     def empty_margin_sets(self) -> list:
         """Components whose margin set is empty: radius at least ||theta_k||."""
         return np.nonzero((self.radii > 0.0) & (self.radii**2 >= self.tts))[0].tolist()
@@ -164,108 +147,36 @@ def is_feasible(x, spec: FeasibleSetSpec, tol: float = 1e-8) -> bool:
     return not ((x < spec.lower - tol).any() or (x > spec.upper + tol).any())
 
 
-# --- single-set projections ---------------------------------------------------
-
-
-def _project_cone_known(xp, theta, rho: float, tt: float, margin: float) -> np.ndarray:
-    """Euclidean projection onto {y : rho*||y||_2 - theta^T y <= -margin},
-    with tt = theta^T theta and the set known to be nonempty (spec.defect).
-
-    Already-feasible points are returned unchanged.  rho == 0 reduces to a
-    halfspace with a closed-form projection.  Otherwise the KKT multiplier
-    mu of the single constraint is bisected: the stationarity condition
-    gives y(mu) = shrink(xp + mu*theta, mu*rho) and mu is driven until the
-    constraint is active.  Along the bisection y(mu) depends on xp and
-    theta only through three scalars, so the inner loop is plain float
-    arithmetic.
-    """
-    xx = float(xp @ xp)
-    xt = float(theta @ xp)
-    if rho * math.sqrt(xx) - xt <= -margin:
-        return xp
-    if rho == 0.0:
-        # halfspace theta^T y >= margin
-        return xp + ((margin - xt) / tt) * theta
-
-    def violation(mu: float) -> float:
-        # ||v|| and theta^T v for v = xp + mu*theta, then shrink by mu*rho
-        nv = math.sqrt(max(xx + 2.0 * mu * xt + mu * mu * tt, 0.0))
-        if nv <= mu * rho:
-            return margin  # y collapses to 0
-        scale = 1.0 - mu * rho / nv
-        return rho * scale * nv - scale * (xt + mu * tt) + margin
-
-    # bisect mu to machine precision: Dykstra's correction terms amplify any
-    # projection inexactness into a displacement floor, so the per-set
-    # projections must be essentially exact
-    mu_hi = 1.0
-    while violation(mu_hi) > 0.0:
-        mu_hi *= 2.0
-        if mu_hi > 2.0**80:
-            raise EmptyFeasibleSet("cone multiplier search diverged")
-    mu_lo = 0.0
-    for _ in range(100):
-        mu = 0.5 * (mu_lo + mu_hi)
-        if mu <= mu_lo or mu >= mu_hi:
-            break
-        if violation(mu) > 0.0:
-            mu_lo = mu
-        else:
-            mu_hi = mu
-    # y(mu_hi): shrink v = xp + mu_hi*theta towards 0 by mu_hi*rho
-    v = xp + mu_hi * theta
-    nv, s = math.sqrt(float(v @ v)), mu_hi * rho
-    return np.zeros_like(v) if nv <= s else (1.0 - s / nv) * v
+# --- projections ---------------------------------------------------------------
 
 
 def _project_l1_ball(v: np.ndarray, radius) -> np.ndarray:
-    """Euclidean projection of v, (d,), or of each row of v, (N, d), onto
-    {w : ||w||_1 <= radius}, radius a scalar or one per row, by the
-    sort-based soft threshold (Duchi et al., ICML 2008), exact; a row the
-    ball holds comes back unchanged.  The running sum adds in np.cumsum's
-    order."""
+    """Euclidean projection of each row of v, (N, d), onto {w : ||w||_1 <=
+    radius}, radius a scalar or one per row, by the sort-based soft
+    threshold (Duchi et al., ICML 2008), exact; a row the ball holds comes
+    back unchanged.  The running sum adds in np.cumsum's order."""
     a = np.abs(v)
     radius = np.asarray(radius, dtype=float)[..., None]
     u = -np.sort(-a, axis=-1)
     excess = np.cumsum(u, axis=-1) - radius
     passes = u * np.arange(1, u.shape[-1] + 1) > excess
     j = u.shape[-1] - np.argmax(passes[..., ::-1], axis=-1)  # the last j that passes
-    if v.ndim == 1:
-        tau = excess[j - 1] / j
-    else:
-        tau = (excess[np.arange(len(j)), j - 1] / j)[:, None]
+    tau = (excess[np.arange(len(j)), j - 1] / j)[:, None]
     inside, empty = np.add.reduce(a, -1, keepdims=True) <= radius, radius <= 0.0
     return np.where(inside, v, np.where(empty, 0.0, np.sign(v) * np.maximum(a - tau, 0.0)))
 
 
-def _cost_ball(xp: np.ndarray, x0: np.ndarray, delta: float, l1: bool) -> np.ndarray:
-    """Euclidean projection onto {x : c(x, x0) <= delta}; xp itself when
-    an l2 ball holds it."""
-    diff = xp - x0
-    if l1:
-        return x0 + _project_l1_ball(diff, delta)
-    n = math.sqrt(float(diff @ diff))
-    return xp if n <= delta else x0 + (delta / n) * diff
-
-
-def _pinned_ball(xp, x0, pins, delta, l1: bool) -> np.ndarray:
-    """Euclidean projection onto {x : x_i = x0_i on pins, c(x, x0) <= delta},
-    or onto the pins alone with delta None; the ball keeps the pins."""
-    x = np.where(pins, x0, xp)
-    return x if delta is None else _cost_ball(x, x0, delta, l1)
-
-
 class RowProjection:
     """Projections of rows, row i onto the set of specs[i] with the cost
-    budget deltas[i]: specs that share thetas, margin and cost, as one
-    template's do, each with its own radii; their own deltas are not read.
-    A call projects Y onto the sets of the given rows: (points, errors),
-    errors mapping a position to its RecourseError, or to None where a far
-    position is rejected."""
+    budget deltas[i] (None for no ball): specs without a defect that share
+    thetas, margin and cost, as one template's do, each with its own radii;
+    their own deltas are not read.  A call projects Y onto the sets of the
+    given rows: (points, errors), errors mapping a position to its
+    RecourseError, or to None where a far position is rejected."""
 
-    def __init__(self, specs, deltas, max_iter: int, tol: float):
-        self.specs, self.max_iter, self.tol = specs, max_iter, tol
-        self.delta = np.array(deltas, dtype=float)
+    def __init__(self, specs, deltas):
+        self.specs = specs
+        self.delta = np.array([math.inf if d is None else d for d in deltas], dtype=float)
         self.x0, self.lower, self.upper, self.radii = (
             np.array([getattr(s, a) for s in specs], dtype=float)
             for a in ("x0", "lower", "upper", "radii"))
@@ -277,20 +188,23 @@ class RowProjection:
         self.l1, self.thetas, self.floor = s0.l1, s0.thetas, -s0.margin
 
     def __call__(self, Y, rows, far=None):
-        """Dykstra's first cycle in lock step: the cost ball with the pins,
-        then a membership test against every margin cone and the box.  A
-        row that passes is project_feasible's answer after one cycle that
-        moves no other set; project_feasible answers the rest, except the
-        positions where far (None, or a mask over the positions) is True:
-        those are rejected, unprojected."""
+        """The first cycle in lock step: the cost ball with the pins, then
+        a membership test against every margin cone and the box.  A row
+        that passes has the ball's point as its projection.  The projection
+        program in the conic kernel answers the rest, except the positions
+        where far (None, or a mask over the positions) is True: those are
+        rejected, unprojected.  A row the kernel certifies empty gets
+        EmptyFeasibleSet, one it does not solve MaxIterExceeded."""
         x0, delta = self.x0[rows], self.delta[rows]
         X = np.where(self.pins[rows], x0, Y)
         D = X - x0
-        if self.l1:
-            X = x0 + _project_l1_ball(D, delta)
-        else:
-            n = np.sqrt(np.add.reduce(D * D, -1))
-            with np.errstate(divide="ignore", invalid="ignore"):
+        # a zero move or an infinite budget (no ball) makes inf and NaN in the
+        # branch not taken
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if self.l1:
+                X = x0 + _project_l1_ball(D, delta)
+            else:
+                n = np.sqrt(np.add.reduce(D * D, -1))
                 X = np.where((n <= delta)[:, None], X, x0 + (delta / n)[:, None] * D)
         cones = (self.radii[rows] * np.sqrt(np.add.reduce(X * X, -1))[:, None]
                  - np.add.reduce(X[:, None, :] * self.thetas, -1))
@@ -300,15 +214,29 @@ class RowProjection:
         errors = {}
         if closed.all():
             return X, errors
-        for i in (~closed).nonzero()[0].tolist():
-            if far is not None and far[i]:
-                errors[i] = None
-                continue
-            spec = replace(self.specs[rows[i]], delta=float(self.delta[rows[i]]))
-            try:
-                X[i] = project_feasible(Y[i], spec, self.max_iter, self.tol)
-            except RecourseError as exc:
-                errors[i] = exc
+        todo = (~closed).nonzero()[0]
+        if far is not None:
+            errors = dict.fromkeys(todo[far[todo]].tolist())
+            todo = todo[~far[todo]]
+        # first without the ball: a point that lies in it is the projection,
+        # as the ball only cuts the set.  A slack l1 ball leaves its lift
+        # variables free to float, which can stall the kernel's dual residual
+        # above CONE_ACCEPT; so the program with the ball runs only where the
+        # ball binds, or where the one without it fails
+        out = dict(zip(todo.tolist(), _run_blocks(
+            [self.specs[r].without_delta() for r in rows[todo].tolist()], Y[todo])))
+        binds = [i for i, (status, x) in out.items() if delta[i] < math.inf and (
+            status == FAILED or status == SOLVED and _cost(x - x0[i], self.l1) > delta[i])]
+        out.update(zip(binds, _run_blocks(
+            [replace(self.specs[rows[i]], delta=float(delta[i])) for i in binds], Y[binds])))
+        for i, (status, x) in out.items():
+            if status == SOLVED:
+                X[i] = x
+            elif status == INFEASIBLE:
+                errors[i] = EmptyFeasibleSet(
+                    "the projection program has a Farkas certificate: no feasible point")
+            else:
+                errors[i] = MaxIterExceeded("the projection program did not converge")
         return X, errors
 
 
@@ -602,44 +530,18 @@ def _run_blocks(specs, targets=None) -> list:
 def project_feasible(
     xp, spec: FeasibleSetSpec, max_iter: int = 500, tol: float = 1e-8
 ) -> np.ndarray:
-    """Euclidean projection of xp onto the full intersection: Dykstra's
-    alternating projections over spec.cycle, one correction term per set.
-    A first cycle that moves no set after the first ends there: the first
-    set's projection lies in every set.  Else the cycles run until one
-    moves the iterate by less than tol and it passes is_feasible at 10*tol.
-    An empty intersection, or one too thin for the cycles to resolve, runs
-    out of max_iter cycles; the projection program in the conic kernel then
-    answers or certifies the set empty (EmptyFeasibleSet).  The defects of
-    spec raise at once.  RowProjection calls it for the rows its lock-step
-    first cycle does not close."""
+    """Euclidean projection of xp onto the full intersection: the one-row
+    RowProjection, whose errors it raises.  The defects of spec raise at
+    once.  max_iter and tol are not read: the kernel's own tolerances
+    govern the projection, and the signature stays for the callers that
+    pass them (bench/workloads.py among them)."""
     if spec.defect:
         raise spec.defect()
-    x = xp = np.asarray(xp, dtype=float)  # every cycle makes a new x
-    cycle = spec.cycle
-    corrections = [np.zeros(x.size) for _ in cycle]  # one per set, in cycle order
-    check_tol = tol
-    for it in range(max_iter):
-        x_start = x
-        for (project, args), correction in zip(cycle, corrections):
-            z = x + correction
-            x = project(z, *args)
-            np.subtract(z, x, out=correction)
-        if it == 0 and not any(map(np.any, corrections[1:])):
-            return x  # the first set's projection lies in every other set
-        dv = x - x_start
-        if math.sqrt(float(dv @ dv)) < check_tol:
-            if is_feasible(x, spec, 10.0 * tol):
-                return x
-            # small motion alone does not mean convergence: a far-away
-            # input can hold the iterate still for thousands of cycles
-            # while the corrections rebalance; ask for less motion
-            check_tol = max(check_tol / 10.0, 1e-13)
-    [(status, point)] = _run_blocks([spec], xp[None])
-    if status == INFEASIBLE:
-        raise EmptyFeasibleSet("the projection program has a Farkas certificate: no feasible point")
-    if status == FAILED:
-        raise MaxIterExceeded(f"Dykstra did not converge in {max_iter} cycles")
-    return point
+    X, errors = RowProjection([spec], [spec.delta])(
+        np.asarray(xp, dtype=float)[None], np.zeros(1, int))
+    if errors:
+        raise errors[0]
+    return X[0]
 
 
 def min_cost_point(specs, proj_tol: float = 1e-8) -> list:

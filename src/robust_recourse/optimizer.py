@@ -15,8 +15,8 @@ two feasible points lie farther apart.  A trial beyond the row's reach,
 max(zeta, delta/||grad||), is a candidate only if the projection's
 lock-step first cycle closes it (RowProjection); otherwise it is rejected
 like a failed decrease, unprojected, where a nearer one would go on to
-project_feasible.  Iteration stops early once the prox-stationarity
-measure
+the projection program in the conic kernel.  Iteration stops early once
+the prox-stationarity measure
 
     ||x - Proj(x - zeta*grad(x))||_2 / zeta
 
@@ -65,9 +65,9 @@ class SolverConfig:
     restarts: int = 1
     seed: int = 0
     finite_diff: bool = False
+    # not read: a projection runs no cycles; bench/workloads.py sets it
     proj_max_iter: int = 20000
-    # keep projections well below station_tol^2: the line search compares
-    # objective decrements of that order against projection-induced noise
+    # the tolerance at which an input already counts as feasible (delta_min 0)
     proj_tol: float = 1e-10
 
     def __post_init__(self):
@@ -297,8 +297,7 @@ def solve_block(problems, config: SolverConfig | None = None, *, cheapest=None, 
     # row k < len(todo) starts todo[k] at its cheapest point; the rows after
     # them start the perturbed runs 1, 2, ... of the free problems
     rows, n = todo + free * (config.restarts - 1), len(todo)
-    proj = fz.RowProjection([specs[i] for i in rows], [problems[i].delta for i in rows],
-                            config.proj_max_iter, config.proj_tol)
+    proj = fz.RowProjection([specs[i] for i in rows], [problems[i].delta for i in rows])
     starts, skip = np.array([cheapest[i][1] for i in rows]), np.zeros(len(rows), bool)
     skip[:n], failed = pinned, {}
     if len(rows) > n:
@@ -345,5 +344,5 @@ def stationarity(x, problem: RecourseProblem, config: SolverConfig | None = None
     as the descent measures it (pgd_minimize with no iteration)."""
     config = replace(config or SolverConfig(), max_iter=0)
     spec = fz.FeasibleSetSpec.from_problem(problem)
-    return pgd_minimize(make_objective(problem), lambda y: fz.project_feasible(
-        y, spec, config.proj_max_iter, config.proj_tol), config, x)[5]
+    return pgd_minimize(make_objective(problem), lambda y: fz.project_feasible(y, spec),
+                        config, x)[5]

@@ -160,14 +160,14 @@ class TestSolve:
     def test_trial_points_stay_within_the_budget(self, monkeypatch, synthetic_beliefs):
         # every projected point lies within max(zeta*||g||, 2*delta) of the
         # iterate x it steps from, 2*delta the cost ball's diameter; those
-        # sent to project_feasible within max(zeta*||g||, delta), since a
-        # farther one the first cycle does not close is rejected; and some
-        # accepted trial lies farther than that
+        # sent to the kernel's projection program within max(zeta*||g||,
+        # delta), since a farther one the first cycle does not close is
+        # rejected; and some accepted trial lies farther than that
         beliefs, negatives = synthetic_beliefs
         cfg = SolverConfig()
         box = ActionabilitySpec(box=[[-np.inf, -2.5], [-np.inf, np.inf], [-np.inf, np.inf]])
         here, targets, fallback, accepted = {}, [], [], []
-        row_projection, project = fz.RowProjection.__call__, fz.project_feasible
+        row_projection, run_blocks = fz.RowProjection.__call__, fz._run_blocks
 
         def reach(y):  # (||y - x||, the bound at zeta, delta) at the iterate x
             x = here["x"]
@@ -180,9 +180,10 @@ class TestSolve:
                 targets.extend(map(reach, Y))
             return row_projection(self, Y, rows, far)
 
-        def counted(y, *args):
-            fallback.append(reach(y))
-            return project(y, *args)
+        def counted(specs, targets=None):
+            if targets is not None:  # projection programs, not distance programs
+                fallback.extend(map(reach, targets))
+            return run_blocks(specs, targets)
 
         def step(t, x, value):
             if t:  # the round's last projected point is the accepted trial
@@ -190,7 +191,7 @@ class TestSolve:
             here["x"] = x.copy()
 
         monkeypatch.setattr(fz.RowProjection, "__call__", recording)
-        monkeypatch.setattr(fz, "project_feasible", counted)
+        monkeypatch.setattr(fz, "_run_blocks", counted)
         for act in (ActionabilitySpec(), box):
             template = ProblemTemplate(belief=beliefs[1], actionability=act)
             for x0 in negatives[:4]:
@@ -212,8 +213,8 @@ class TestSolve:
     def test_far_trial_that_leaves_the_first_cycle_is_rejected(self, monkeypatch):
         # the worst_component setting of the pipeline: a far trial (beyond
         # max(zeta, delta/||g||)) that the first cycle does not close is
-        # rejected without project_feasible, and the row backtracks from the
-        # same iterate along the same direction
+        # rejected without the kernel's projection program, and the row
+        # backtracks from the same iterate along the same direction
         original, _ = generate_synthetic(SyntheticConfig(n_per_class=200, n_shifts=0, seed=707))
         theta0 = train_logistic(original)
         belief = fit_mixture_moments(bootstrap_parameters(original, B=30, seed=707), K=3,
@@ -223,7 +224,12 @@ class TestSolve:
         template = ProblemTemplate(belief=belief, mode=Mode.WORST_COMPONENT)
         cfg = template.config
         events, fallback = [], []
-        row_projection = fz.RowProjection.__call__
+        row_projection, run_blocks = fz.RowProjection.__call__, fz._run_blocks
+
+        def counted(specs, targets=None):
+            if targets is not None:  # projection programs, not distance programs
+                fallback.extend(targets)
+            return run_blocks(specs, targets)
 
         def recording(self, Y, rows, far=None):
             points, errors = row_projection(self, Y, rows, far)
@@ -235,7 +241,7 @@ class TestSolve:
             return points, errors
 
         monkeypatch.setattr(fz.RowProjection, "__call__", recording)
-        monkeypatch.setattr(fz, "project_feasible", lambda *args: fallback.append(args))
+        monkeypatch.setattr(fz, "_run_blocks", counted)
         block, errors = generate_recourses(template, negatives)
         assert not any(errors) and not fallback
         rejections = 0
@@ -285,7 +291,7 @@ class TestSolverConfig:
 
 def slow_start_problem():
     """A rho=0 halfspace at a narrow angle to the pinned bias coordinate:
-    Dykstra needs 184 cycles to project x0."""
+    the first cycle does not close the projection of x0."""
     x0 = FeatureVector.from_features([-1.2, -0.8])
     belief = MixtureBelief((ComponentMoments([0.3, 0.2, -1.0], 1e-3 * np.eye(3), 0.0),), [1.0])
     prob = RecourseProblem(x0=x0, belief=belief, delta=0.0, margin=1e-3, cost=Cost.L1)
@@ -315,8 +321,8 @@ class TestStartRule:
         assert np.array_equal(self._first_point(prob), pair[1])  # and when solve computes it
 
     def test_zero_iterations_return_the_cheapest_point(self):
-        """Dykstra needs many cycles to project this x0; the cheapest point
-        has the bias exactly at 1, so solve can return it as an action."""
+        """The cheapest point has the bias exactly at 1, so solve can return
+        it as an action."""
         prob, _ = slow_start_problem()
         res = solve(prob, SolverConfig(max_iter=0, restarts=1))
         assert np.array_equal(res.action.values, cheapest_pair(prob)[1])
@@ -324,8 +330,8 @@ class TestStartRule:
         assert fz.is_feasible(res.action.values, fz.FeasibleSetSpec.from_problem(prob))
 
     def test_kernel_start_beats_the_projected_start(self):
-        # the distance program's point, not Dykstra's projection of x0,
-        # starts the descent; the answer is still no worse than the latter
+        # the distance program's point, not the projection of x0, starts
+        # the descent; the answer is still no worse than the latter
         prob, dmin = slow_start_problem()
         spec = fz.FeasibleSetSpec.from_problem(prob)
         cfg = SolverConfig(restarts=1)
@@ -599,23 +605,33 @@ class TestBlock:
             assert_same_answer(block, solve(problem, template.config))
 
     def test_rows_whose_first_cycle_does_not_close(self, monkeypatch):
-        # feature 0 may not exceed -2.5: the box cuts the cost ball, so
-        # some projections take more than one cycle
+        # feature 0 may not exceed -2.5: the box cuts the cost ball, so the
+        # first cycle does not close some projections; the kernel projects
+        # a round's unclosed rows together, each row as if alone
         instances = [x0 for x0 in self.instances if x0.values[0] < -2.5]
         assert len(instances) >= 2
         act = ActionabilitySpec(box=[[-np.inf, -2.5], [-np.inf, np.inf], [-np.inf, np.inf]])
         template = ProblemTemplate(belief=self.beliefs[1], actionability=act,
                                    config=SolverConfig())
-        calls = []
-        project = fz.project_feasible
+        projecting, calls = [], []  # the row count of each projection _cone_lp call
+        run_blocks, cone_lp = fz._run_blocks, fz._cone_lp
 
-        def counted(*args):
-            calls.append(1)
-            return project(*args)
+        def blocks(specs, targets=None):
+            projecting.append(targets is not None)
+            try:
+                return run_blocks(specs, targets)
+            finally:
+                projecting.pop()
 
-        monkeypatch.setattr(fz, "project_feasible", counted)
+        def counted(c, G, H, sizes):
+            if projecting[-1]:
+                calls.append(len(H))
+            return cone_lp(c, G, H, sizes)
+
+        monkeypatch.setattr(fz, "_run_blocks", blocks)
+        monkeypatch.setattr(fz, "_cone_lp", counted)
         results, errors = generate_recourses(template, instances)
-        assert not any(errors) and calls
+        assert not any(errors) and max(calls) > 1
         for x0, block in zip(instances, results):
             spec = fz.FeasibleSetSpec.from_problem(
                 template.problem_for(x0, block.delta_min + template.delta_add))

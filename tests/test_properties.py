@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import var_nonparametric
-from robust_recourse.feasibility import _project_cone_known, _project_l1_ball
+from robust_recourse.feasibility import FeasibleSetSpec, _project_l1_ball, project_feasible
+from robust_recourse.model import Cost
 from robust_recourse.worst_case import (
     ABCTriple,
     AT_OR_ABOVE_HALF,
@@ -70,9 +71,9 @@ vectors = st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=6).map(np.array)
 @given(vectors, st.floats(0.1, 5.0))
 @settings(max_examples=200, deadline=None)
 def test_l1_ball_projection_properties(v, radius):
-    w = _project_l1_ball(v, radius)
+    w = _project_l1_ball(v[None], radius)[0]
     assert np.abs(w).sum() <= radius + 1e-9
-    again = _project_l1_ball(w, radius)
+    again = _project_l1_ball(w[None], radius)[0]
     assert np.allclose(w, again, atol=1e-12)
     if np.abs(v).sum() <= radius:
         assert np.array_equal(w, v)
@@ -84,7 +85,10 @@ def test_cone_projection_feasible_and_idempotent(v, rho_frac, margin):
     theta = np.zeros_like(v)
     theta[0] = 1.0
     rho = rho_frac  # strictly below ||theta|| = 1
-    y = _project_cone_known(v, theta, rho, 1.0, margin)
+    # the margin set alone: no cost ball, no bounds
+    spec = FeasibleSetSpec(np.zeros_like(v), None, Cost.L2, margin, theta[None], np.array([rho]),
+                           np.full(v.size, -np.inf), np.full(v.size, np.inf))
+    y = project_feasible(v, spec)
     assert rho * np.linalg.norm(y) - y[0] <= -margin + 1e-9
-    z = _project_cone_known(y, theta, rho, 1.0, margin)
+    z = project_feasible(y, spec)
     assert np.linalg.norm(z - y) <= 1e-9
