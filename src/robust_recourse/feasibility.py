@@ -570,11 +570,11 @@ def min_cost_point(specs, proj_tol: float = 1e-8) -> list:
     return out
 
 
-def delta_min(spec: FeasibleSetSpec, proj_tol: float = 1e-8, with_point: bool = False):
-    """Smallest cost budget for which the feasible set is nonempty; with
-    with_point, the pair (delta_min, the cheapest point): the cost
-    distance from x0 to the margin-and-bounds set M, by the distance
-    program in the conic kernel (min_cost_point of this one spec).
+def delta_min(spec: FeasibleSetSpec, proj_tol: float = 1e-8) -> float:
+    """Smallest cost budget for which the feasible set is nonempty: the
+    cost distance from x0 to the margin-and-bounds set M, by the distance
+    program in the conic kernel (min_cost_point of this one spec, which
+    also gives the cheapest point).
 
     Raises Unattainable when some margin set is empty or when the kernel
     certifies M empty or does not converge, and DegenerateDirection for a
@@ -583,7 +583,7 @@ def delta_min(spec: FeasibleSetSpec, proj_tol: float = 1e-8, with_point: bool = 
     best = min_cost_point([spec], proj_tol)[0]
     if isinstance(best, RecourseError):
         raise best
-    return best if with_point else best[0]
+    return best[0]
 
 
 def budget_slack(dmin: float) -> float:

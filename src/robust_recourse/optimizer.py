@@ -7,11 +7,13 @@ Each accepted step satisfies the sufficient-decrease condition
 
 with the step s shrunk geometrically from a trial step (s = trial *
 lambda_ls^i for the smallest admissible integer i >= 0).  The first trial
-is zeta, each later one the Barzilai-Borwein step of the last accepted
-move: the monotone spectral projected gradient method (Barzilai & Borwein
-1988; Birgin, Martinez & Raydan 2000).  A trial never moves farther than
-2*delta, the diameter of the cost ball that holds the feasible set, so no
-two feasible points lie farther apart.  A trial beyond the row's reach,
+is zeta, at most STEP_MAX, each later one the Barzilai-Borwein step of
+the last accepted move, clamped to [STEP_MIN, STEP_MAX]: the monotone
+spectral projected gradient method (Barzilai & Borwein 1988; Birgin,
+Martinez & Raydan 2000).  grad is the analytic gradient that
+objective.evaluate returns.  A trial never moves farther than 2*delta,
+the diameter of the cost ball that holds the feasible set, so no two
+feasible points lie farther apart.  A trial beyond the row's reach,
 max(zeta, delta/||grad||), is a candidate only if the projection's
 lock-step first cycle closes it (RowProjection); otherwise it is rejected
 like a failed decrease, unprojected, where a nearer one would go on to
@@ -49,12 +51,12 @@ STEP_MAX = 1e6
 class SolverConfig:
     """Line-search and stopping parameters.
 
-    zeta is the first trial step of every descent and the fixed step at
-    which stationarity is measured; later trial steps are spectral.
+    zeta, at most STEP_MAX, is the first trial step of every descent and
+    the fixed step at which stationarity is measured; later trial steps
+    are spectral.
     restarts=1, the default, is the plain single-start procedure;
     restarts > 1 adds extra runs from randomly perturbed feasible starts
-    and keeps the best objective.  finite_diff switches the gradient to
-    central differences (debugging aid only).
+    and keeps the best objective.
     """
 
     lambda_ls: float = 0.7
@@ -64,6 +66,7 @@ class SolverConfig:
     max_backtracks: int = 50
     restarts: int = 1
     seed: int = 0
+    # only False, the gradient being analytic; kept because bench/workloads.py sets it
     finite_diff: bool = False
     # not read: a projection runs no cycles; bench/workloads.py sets it
     proj_max_iter: int = 20000
@@ -73,8 +76,8 @@ class SolverConfig:
     def __post_init__(self):
         if not 0.0 < self.lambda_ls < 1.0:
             raise ValueError(f"lambda_ls must lie in (0, 1), got {self.lambda_ls}")
-        if not self.zeta > 0.0:
-            raise ValueError(f"zeta must be positive, got {self.zeta}")
+        if not 0.0 < self.zeta <= STEP_MAX:
+            raise ValueError(f"zeta must lie in (0, {STEP_MAX:g}], got {self.zeta}")
         if not self.station_tol > 0.0:
             raise ValueError(f"station_tol must be positive, got {self.station_tol}")
         if self.max_iter < 0 or self.max_backtracks < 0:
@@ -84,6 +87,8 @@ class SolverConfig:
             )
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
+        if self.finite_diff:
+            raise ValueError("finite_diff is not supported: the gradient is analytic")
 
 
 def make_objective(problem: RecourseProblem):
@@ -99,27 +104,17 @@ def make_objective(problem: RecourseProblem):
     }[problem.mode]
 
 
-def _rows_objective(problem: RecourseProblem, radii, config: SolverConfig):
+def _rows_objective(problem: RecourseProblem, radii):
     """(X, rows) -> (values, grads, component values, errors) of problem's
     objective at the rows of X, row i with the ambiguity radii
-    radii[rows[i]]; the belief's arrays are built once, here.  With
-    config.finite_diff the gradient is by central differences, an error
-    at a shifted point counting as the row's."""
+    radii[rows[i]]; the belief's arrays are built once, here."""
     means, covs, _ = objective.moments(problem.belief)
 
     def fn(X, rows):
         return objective.evaluate(X, means, covs, radii[rows], problem.belief.weights,
                                   problem.mode, problem.weight_budget, problem.divergence)[:4]
 
-    def with_finite_diff(X, rows, step=1e-6):
-        values, grads, comps, errors = fn(X, rows)
-        for i, e in enumerate(np.eye(X.shape[1]) * step):
-            (up, _, _, up_err), (down, _, _, down_err) = fn(X + e, rows), fn(X - e, rows)
-            grads[:, i] = (up - down) / (2.0 * step)
-            errors = {**down_err, **up_err, **errors}
-        return values, grads, comps, errors
-
-    return with_finite_diff if config.finite_diff else fn
+    return fn
 
 
 def _spectral_step(s, y, grad, budget, zeta):
@@ -229,12 +224,11 @@ def _descend(fn, proj, config: SolverConfig, X, budget, callback=None, skip=None
     return X, values, aux, iterations, converged, station, errors
 
 
-def pgd_minimize(fn, proj, config: SolverConfig, x_start, callback=None, *, budget=None):
+def pgd_minimize(fn, proj, config: SolverConfig, x_start, callback=None):
     """The one-row _descend from x_start, a feasible point, not projected
-    again; fn(x) -> object with .value/.gradient, proj(y) -> projection,
-    of far trials too; budget (the cost budget delta) caps the trial
-    steps.  Returns (x,
-    value, eval, iterations, converged, stationarity)."""
+    again, with no cap on the trial steps; fn(x) -> object with
+    .value/.gradient, proj(y) -> projection, of far trials too.  Returns
+    (x, value, eval, iterations, converged, stationarity)."""
     def rows_fn(X, _):
         aux = np.empty(1, dtype=object)
         try:
@@ -245,7 +239,7 @@ def pgd_minimize(fn, proj, config: SolverConfig, x_start, callback=None, *, budg
 
     X, values, aux, iterations, converged, station, errors = _descend(
         rows_fn, lambda Y, rows, far: (np.array([proj(y) for y in Y], dtype=float), {}), config,
-        np.asarray(x_start, dtype=float)[None], np.array([math.inf if budget is None else budget]),
+        np.asarray(x_start, dtype=float)[None], np.array([math.inf]),
         callback)
     if errors:
         raise errors[0]
@@ -309,7 +303,7 @@ def solve_block(problems, config: SolverConfig | None = None, *, cheapest=None, 
         skip[list(failed)] = True
         starts[n:][~skip[n:]] = P[~skip[n:]]
     X, values, comps, iterations, converged, station, errors = _descend(
-        _rows_objective(problems[todo[0]], proj.radii, config), proj, config, starts,
+        _rows_objective(problems[todo[0]], proj.radii), proj, config, starts,
         proj.delta, callback, skip)
     converged[:n] |= pinned
     errors.update(failed)

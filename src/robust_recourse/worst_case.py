@@ -15,70 +15,19 @@ Two ambiguity regimes are supported:
 
 Both worst-case probabilities follow from inverting the corresponding
 worst-case value-at-risk curve in the risk level beta (the curves live with
-the test oracles).  closed_form is the one copy
-of the formulas from (a, b, c) to value and partials; the objectives apply
-the chain rule to it.
+the test oracles).  closed_form is the one copy of the formulas from
+(a, b, c) to value and partials.  objective._component_stats computes
+(a, b, c) at the rows of a block and applies the chain rule; where
+a + c >= 0 the closed forms do not apply, and the evaluator reports
+InfeasibleMargin instead of a value.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ZeroAction
-from .model import ComponentMoments
-
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 _erfc = np.vectorize(math.erfc, otypes=[float])  # NumPy has no erfc
-
-__all__ = [
-    "ABCTriple",
-    "AT_OR_ABOVE_HALF",
-    "abc",
-    "closed_form",
-    "prob_nonparametric",
-    "prob_gaussian",
-    "wc_prob_nonparametric",
-    "wc_prob_gaussian",
-]
-
-
-class _AtOrAboveHalf:
-    """Sentinel: the Gaussian worst-case probability is >= 1/2, where the
-    closed form does not apply (the constraint set excludes this region)."""
-
-    def __repr__(self):
-        return "AT_OR_ABOVE_HALF"
-
-
-AT_OR_ABOVE_HALF = _AtOrAboveHalf()
-
-
-@dataclass(frozen=True)
-class ABCTriple:
-    """The scalars (a, b, c) that the closed forms depend on."""
-
-    a: float
-    b: float
-    c: float
-
-    def __post_init__(self):
-        if self.b < 0.0 or self.c < 0.0:
-            raise ValueError(f"b and c must be nonnegative, got ({self.b}, {self.c})")
-
-
-def abc(x, comp: ComponentMoments) -> ABCTriple:
-    """Reduce (x, component moments) to the triple (a, b, c).
-
-    a = -mean^T x, b = sqrt(x^T cov x), c = radius * ||x||_2.  The zero
-    action yields (0, 0, 0); callers that need x != 0 flag it themselves.
-    """
-    x = np.asarray(x, dtype=float)
-    a = -float(comp.mean @ x)
-    quad = float(x @ comp.cov @ x)
-    b = math.sqrt(max(quad, 0.0))
-    c = comp.radius * float(np.linalg.norm(x))
-    return ABCTriple(a, b, c)
 
 
 def closed_form(a, b, c, gaussian: bool):
@@ -117,44 +66,3 @@ def closed_form(a, b, c, gaussian: bool):
     dt_db = (dN_db * D - 2.0 * b * N) / (D * D)
     dt_dc = dN_dc / D
     return np.minimum(t * t, 1.0), 2.0 * t, dt_da, dt_db, dt_dc
-
-
-def prob_nonparametric(t: ABCTriple) -> float:
-    """Worst-case unfavorable probability over the moment ambiguity ball.
-
-    Returns 1 when a + c >= 0.  Otherwise
-
-        ((-a*c + b*sqrt(a^2 + b^2 - c^2)) / (a^2 + b^2))^2  in (0, 1].
-    """
-    if t.a + t.c >= 0.0:
-        return 1.0
-    return float(closed_form(t.a, t.b, t.c, gaussian=False)[0])
-
-
-def prob_gaussian(t: ABCTriple):
-    """Worst-case unfavorable probability over the Gaussian ambiguity ball.
-
-    Returns the sentinel AT_OR_ABOVE_HALF when a + c >= 0; otherwise
-
-        1 - Phi((a^2 - c^2) / (-a*b + c*sqrt(a^2 + b^2 - c^2)))  in (0, 1/2).
-    """
-    if t.a + t.c >= 0.0:
-        return AT_OR_ABOVE_HALF
-    return float(closed_form(t.a, t.b, t.c, gaussian=True)[0])
-
-
-def _triple_checked(x, comp: ComponentMoments) -> ABCTriple:
-    x = np.asarray(x, dtype=float)
-    if not np.any(x):
-        raise ZeroAction("worst-case probability is undefined at x = 0")
-    return abc(x, comp)
-
-
-def wc_prob_nonparametric(x, comp: ComponentMoments) -> float:
-    """prob_nonparametric evaluated at abc(x, comp); rejects x = 0."""
-    return prob_nonparametric(_triple_checked(x, comp))
-
-
-def wc_prob_gaussian(x, comp: ComponentMoments):
-    """prob_gaussian evaluated at abc(x, comp); rejects x = 0."""
-    return prob_gaussian(_triple_checked(x, comp))

@@ -23,18 +23,18 @@ class BetaOutOfRange(RecourseError):
     """Risk level beta outside the valid interval of a value-at-risk curve."""
 
 
-def var_nonparametric(t, beta):
+def var_nonparametric(a, b, c, beta):
     """Worst-case value-at-risk at level beta over the moment ball, for
-    the triple t = (a, b, c):
+    the triple (a, b, c):
 
         a + sqrt((1 - beta)/beta) * b + c / sqrt(beta).
     """
     if not 0.0 < beta < 1.0:
         raise BetaOutOfRange(f"beta must lie in (0, 1), got {beta}")
-    return t.a + math.sqrt((1.0 - beta) / beta) * t.b + t.c / math.sqrt(beta)
+    return a + math.sqrt((1.0 - beta) / beta) * b + c / math.sqrt(beta)
 
 
-def var_gaussian(t, beta):
+def var_gaussian(a, b, c, beta):
     """Worst-case value-at-risk at level beta over the Gaussian ball:
 
         a + z*b + c*sqrt(1 + z^2),  z = Phi^{-1}(1 - beta).
@@ -45,7 +45,15 @@ def var_gaussian(t, beta):
     if not 0.0 < beta <= 0.5:
         raise BetaOutOfRange(f"beta must lie in (0, 0.5], got {beta}")
     z = float(ndtri(1.0 - beta))
-    return t.a + z * t.b + t.c * math.sqrt(1.0 + z * z)
+    return a + z * b + c * math.sqrt(1.0 + z * z)
+
+
+def triple(x, comp):
+    """(a, b, c) = (-m^T x, sqrt(x^T S x), rho*||x||) of x under the
+    component comp, by BLAS dot products."""
+    x = np.asarray(x, dtype=float)
+    return (-float(comp.mean @ x), math.sqrt(float(x @ comp.cov @ x)),
+            comp.radius * float(np.linalg.norm(x)))
 
 
 def wc_prob_nonparametric_bisect(a, b, c, iters=100):

@@ -20,6 +20,7 @@ from oracles import (
     grid_delta_min,
     grid_project,
     projection_close,
+    triple,
     wc_prob_gaussian_bisect,
     wc_prob_nonparametric_bisect,
     weight_robust_grid,
@@ -54,7 +55,6 @@ from robust_recourse.objective import (
     eval_worst_component,
 )
 from robust_recourse.optimizer import SolverConfig, solve
-from robust_recourse.worst_case import abc, prob_gaussian, prob_nonparametric
 
 
 @contextmanager
@@ -96,10 +96,10 @@ class TestCriterion1:
             t0 = time.perf_counter()
             worst = 0.0
             for x, comp in instances:
-                t = abc(x, comp)
-                assert t.a + t.c < 0
-                got = prob_nonparametric(t)
-                want = wc_prob_nonparametric_bisect(t.a, t.b, t.c)
+                a, b, c = triple(x, comp)
+                assert a + c < 0
+                got = eval_nonparametric(x, MixtureBelief((comp,), [1.0])).value
+                want = wc_prob_nonparametric_bisect(a, b, c)
                 worst = max(worst, abs(got - want))
             elapsed = time.perf_counter() - t0
             assert worst <= 1e-8, f"worst abs error {worst:.3e}"
@@ -114,9 +114,8 @@ class TestCriterion2:
             t0 = time.perf_counter()
             worst = 0.0
             for x, comp in instances:
-                t = abc(x, comp)
-                got = prob_gaussian(t)
-                want = wc_prob_gaussian_bisect(t.a, t.b, t.c)
+                got = eval_gaussian(x, MixtureBelief((comp,), [1.0])).value
+                want = wc_prob_gaussian_bisect(*triple(x, comp))
                 worst = max(worst, abs(got - want))
             elapsed = time.perf_counter() - t0
             assert worst <= 1e-8, f"worst abs error {worst:.3e}"
@@ -125,7 +124,7 @@ class TestCriterion2:
             worst_id = 0.0
             for x, comp in instances[:300]:
                 flat = ComponentMoments(comp.mean, comp.cov, 0.0)
-                got = prob_gaussian(abc(x, flat))
+                got = eval_gaussian(x, MixtureBelief((flat,), [1.0])).value
                 want = 1.0 - float(
                     ndtr(comp.mean @ x / math.sqrt(x @ comp.cov @ x))
                 )
@@ -325,7 +324,7 @@ class TestCriterion6:
             mode=mode,
             weight_budget=0.1,
         )
-        dmin, cheapest = fz.delta_min(fz.FeasibleSetSpec.from_problem(problem), with_point=True)
+        dmin, cheapest = fz.min_cost_point([fz.FeasibleSetSpec.from_problem(problem)])[0]
         problem = replace(problem, delta=dmin + delta_add)
         spec = fz.FeasibleSetSpec.from_problem(problem)
         trace = []

@@ -216,6 +216,8 @@ class TestBadValues:
             {"rho": []}, {"rho": [-0.1]},
             # a seed SeedSequence rejects, and a negative ensemble size
             {"seed": -1}, {"m2": {"trials": -2}},
+            # a first trial step above the 1e6 clamp on every spectral trial
+            {"zeta": 1e308},
         ],
     )
     def test_bad_config_value_exits_1(self, workdir, capsys, user_cfg):

@@ -165,6 +165,15 @@ class TestIsFeasible:
         spec = raw_spec([0.0, 0.0], [[1.0, 0.0]], [0.0], margin=-10.0, delta=1.0, cost=Cost.L2)
         assert is_feasible([1.0, 0.0], spec, tol=1e-9)
 
+    @pytest.mark.parametrize("cost, direction", [(Cost.L1, [0.5, 0.5]), (Cost.L2, [0.6, 0.8])])
+    def test_cost_ball_edge_at_delta_plus_tol(self, cost, direction):
+        # direction has unit cost; the margin and the box hold all along it
+        spec = raw_spec([1.0, 0.5], [[1.0, 0.0]], [0.0], margin=0.01, delta=1.0, cost=cost)
+        for gap, inside in ((-1e-10, True), (1e-10, False)):
+            x = spec.x0 + (1.0 + 1e-8 + gap) * np.array(direction)
+            assert is_feasible(x, spec.without_delta(), tol=1e-8)
+            assert is_feasible(x, spec, tol=1e-8) is inside
+
 
 class TestProjectFeasible:
     def test_single_halfspace_matches_cone(self):
@@ -494,7 +503,7 @@ class TestDeltaMin:
         spec = FeasibleSetSpec.from_problem(RecourseProblem(
             x0=FeatureVector.from_features([-scale, -scale]), belief=belief, delta=0.0,
             margin=1e-3, cost=Cost.L1))
-        dmin, point = delta_min(spec, with_point=True)
+        dmin, point = feasibility.min_cost_point([spec])[0]
         assert is_feasible(point, spec.without_delta(), 1e-9 * scale)
         assert dmin == cost_of(point, spec.x0, Cost.L1)
         if rho == 0.0:
@@ -608,7 +617,7 @@ class TestConicKernel:
         block = feasibility.min_cost_point(specs, 1e-10)
         assert split and set(split) == {1}
         for spec, got in zip(specs, block):
-            alone = delta_min(spec, 1e-10, with_point=True)
+            alone = feasibility.min_cost_point([spec], 1e-10)[0]
             assert got[0] == alone[0] and np.array_equal(got[1], alone[1])
             assert is_feasible(got[1], spec.without_delta(), 1e-9)
             assert got[0] == cost_of(got[1], spec.x0, spec.cost)

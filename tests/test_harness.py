@@ -576,7 +576,7 @@ class TestGenerateRecourses:
         alone, errors = generate_recourses(template, good)
         assert not any(errors)
         problem = template.problem_for(good[1], alone[1].delta_min + template.delta_add)
-        start = fz.delta_min(fz.FeasibleSetSpec.from_problem(problem), 1e-10, with_point=True)[1]
+        start = fz.min_cost_point([fz.FeasibleSetSpec.from_problem(problem)], 1e-10)[0][1]
         victim = make_objective(problem)(start).component_values
         weight_dual = objective._weight_dual
 

@@ -19,7 +19,6 @@ from robust_recourse.objective import (
     evaluate,
     moments,
 )
-from robust_recourse.worst_case import wc_prob_gaussian, wc_prob_nonparametric
 
 
 def single_component_belief(mean, cov, radius):
@@ -48,18 +47,12 @@ class TestMixtureObjectives:
 
     def test_values_are_weighted_component_probs(self, rng):
         belief, x = random_feasible_instance(rng, 3, 3)
-        ev = eval_nonparametric(x, belief)
-        expected = sum(
-            w * wc_prob_nonparametric(x, c)
-            for w, c in zip(belief.weights, belief.components)
-        )
-        assert ev.value == pytest.approx(expected, abs=1e-14)
-        evg = eval_gaussian(x, belief)
-        expectedg = sum(
-            w * wc_prob_gaussian(x, c)
-            for w, c in zip(belief.weights, belief.components)
-        )
-        assert evg.value == pytest.approx(expectedg, abs=1e-14)
+        for evaluator in (eval_nonparametric, eval_gaussian):
+            expected = sum(
+                w * evaluator(x, MixtureBelief((c,), [1.0])).value
+                for w, c in zip(belief.weights, belief.components)
+            )
+            assert evaluator(x, belief).value == pytest.approx(expected, abs=1e-14)
 
     def test_zero_action(self):
         belief = single_component_belief([1.0, 0.0], np.eye(2), 0.0)
