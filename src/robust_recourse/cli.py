@@ -138,6 +138,8 @@ def load_config(path) -> dict:
         for key in ("bootstrap", "m2"):
             if not 0 < cfg[key]["subsample"] <= 1:
                 raise UsageError(f"{key}.subsample must be in (0, 1], got {cfg[key]['subsample']}")
+        if cfg["m2"]["mode"] not in ("shifted-only", "concat"):
+            raise UsageError(f"m2.mode must be shifted-only or concat, got {cfg['m2']['mode']!r}")
         for key, value, least in (("seed", cfg["seed"], 0), ("m2.trials", cfg["m2"]["trials"], 1)):
             if value < least:
                 raise UsageError(f"{key} must be >= {least}, got {value}")
@@ -351,9 +353,7 @@ def _template(cfg, belief, seed) -> ProblemTemplate:
 # --- subcommands ----------------------------------------------------------------
 
 
-def _cmd_synth(args):
-    cfg = load_config(args.config)
-    seed = args.seed if args.seed is not None else cfg["seed"]
+def _cmd_synth(args, cfg, seed):
     if args.n_shifts < 0:
         raise UsageError(f"--n-shifts must be >= 0, got {args.n_shifts}")
     out = Path(args.out)
@@ -396,9 +396,7 @@ def _split_counts(total, parts):
     return counts
 
 
-def _cmd_estimate(args):
-    cfg = load_config(args.config)
-    seed = args.seed if args.seed is not None else cfg["seed"]
+def _cmd_estimate(args, cfg, seed):
     data, _, scaling = load_csv(args.data, args.label_column, normalize=args.normalize)
     theta0 = train_logistic(data, l2_reg=cfg["bootstrap"]["l2_reg"])
     if args.prior_tau is not None:
@@ -420,9 +418,7 @@ def _cmd_estimate(args):
     return 0
 
 
-def _cmd_generate(args):
-    cfg = load_config(args.config)
-    seed = args.seed if args.seed is not None else cfg["seed"]
+def _cmd_generate(args, cfg, seed):
     belief, theta0, scaling = _belief(args)
     data = _load_data(args, args.data, scaling)
     instances, ids = _negative_instances(data, theta0, args.max_instances)
@@ -436,9 +432,7 @@ def _cmd_generate(args):
     return 0 if n_ok else 2
 
 
-def _cmd_evaluate(args):
-    cfg = load_config(args.config)
-    seed = args.seed if args.seed is not None else cfg["seed"]
+def _cmd_evaluate(args, cfg, seed):
     _, theta0, scaling = _belief(args)
     ids, instances, recourses = load_recourses_csv(args.recourses)
     if not recourses:
@@ -483,9 +477,7 @@ def _grid(flag, text):
     return values
 
 
-def _cmd_sweep(args):
-    cfg = load_config(args.config)
-    seed = args.seed if args.seed is not None else cfg["seed"]
+def _cmd_sweep(args, cfg, seed):
     deltas, rhos = _grid("--deltas", args.deltas), _grid("--rhos", args.rhos)
     belief, theta0, scaling = _belief(args)
     data = _load_data(args, args.data, scaling)
@@ -575,7 +567,8 @@ def cli_main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.fn(args)
+        cfg = load_config(args.config)
+        return args.fn(args, cfg, cfg["seed"] if args.seed is None else args.seed)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -351,14 +351,14 @@ def _cone_lp(c, G, H, sizes):
     """
     K = _Cones(sizes)
     N, m = H.shape
-    cn, hn = math.sqrt(float(c @ c)) or 1.0, np.sqrt((H * H).sum(-1))
     # the embedding's center: x = 0, s = z = e, tau = kappa = 1
     x, s, z = np.zeros((N, c.size)), np.tile(K.e, (N, 1)), np.tile(K.e, (N, 1))
     tau, kappa = np.ones(N), np.ones(N)
     status, best = np.full(N, FAILED), np.full(N, np.inf)
     V, Z = np.zeros((N, c.size)), np.zeros((N, m))
     rows, stale = np.arange(N), np.zeros(N, int)
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):  # a huge margin overflows |h|; such rows end FAILED
+        cn, hn = math.sqrt(float(c @ c)) or 1.0, np.sqrt((H * H).sum(-1))
         for _ in range(CONE_MAX_ITER):
             GTz = _mv(G.T, z)
             rx, rz = GTz + c * tau[:, None], _mv(G, x) + s - H * tau[:, None]

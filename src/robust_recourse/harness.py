@@ -365,6 +365,8 @@ class ProblemTemplate:
     config: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
+        if not self.delta_add >= 0.0:  # every budget must hold its cheapest point
+            raise ValueError(f"delta_add must be >= 0, got {self.delta_add}")
         # pin the bias here once, not in each problem: the problems of the
         # belief's dimension then share this actionability
         object.__setattr__(self, "actionability",
@@ -425,7 +427,7 @@ def _solve_all(cells, instances):
                 specs.append(cell_specs[i])
                 cheapest.append(d)
                 slots.append((c, i))
-    answers = solve_block(problems, cells[0][0].config, cheapest=cheapest, specs=specs)
+    answers = solve_block(problems, specs, cheapest, cells[0][0].config)
     for (c, i), answer in zip(slots, answers):
         results, errors = out[c]
         if isinstance(answer, RecourseError):

@@ -246,51 +246,32 @@ def pgd_minimize(fn, proj, config: SolverConfig, x_start, callback=None):
     return X[0], float(values[0]), aux[0], int(iterations[0]), bool(converged[0]), float(station[0])
 
 
-def solve_block(problems, config: SolverConfig | None = None, *, cheapest=None, specs=None,
+def solve_block(problems, specs, cheapest, config: SolverConfig | None = None, *,
                 callback=None):
     """Solve the problems of one template, which differ only in x0, delta,
     actionability and ambiguity radii, in lock step: per problem, its
-    RecourseResult or the RecourseError that solving it raised.  The
-    belief's means and covariances come from the first problem to
-    descend, each row's radii from its own problem.  A budget that passes the
-    check against delta_min makes the point that attains delta_min
-    feasible; the descent starts there, and a budget pinned at delta_min
-    (fz.budget_pinned) makes it the answer.  With restarts > 1, each other
-    problem also runs from the projections of its input plus seeded noise,
-    the same seeds for every problem; the first run of least value wins,
-    an error in any run is the problem's.  cheapest, one pair (delta_min,
-    the cheapest point) per problem as fz.min_cost_point gives them, skips
-    the distance programs; specs, one FeasibleSetSpec per validated problem
-    (its delta is not read), skips building them.  callback(iteration, x,
+    RecourseResult or the RecourseError that solving it raised.  specs
+    holds each problem's FeasibleSetSpec (its delta is not read), cheapest
+    its pair (delta_min, the cheapest point) as fz.min_cost_point gives
+    it.  Each delta is at least delta_min, within fz.budget_slack (solve
+    checks it, a template's delta_add >= 0 ensures it): the descent starts
+    at the cheapest point, the answer when delta is pinned at delta_min
+    (fz.budget_pinned).  The belief's means and covariances come from the
+    first problem, each row's radii from its own.  With restarts > 1, each
+    other problem also runs from the projections of its input plus seeded
+    noise, the same seeds for every problem; the first run of least value
+    wins, an error in any run is the problem's.  callback(iteration, x,
     value) fires on every run's start and accepted steps.
     """
     config = config or SolverConfig()
-    out = [None] * len(problems)
-    if specs is None:
-        specs = []
-        for problem in problems:
-            try:
-                specs.append(fz.FeasibleSetSpec.from_problem(validate_problem(problem)))
-            except RecourseError as exc:
-                specs.append(exc)
-    good = [i for i, spec in enumerate(specs) if not isinstance(spec, RecourseError)]
-    if cheapest is None:
-        cheapest = dict(zip(good, fz.min_cost_point([specs[i] for i in good], config.proj_tol)))
-    for i, spec in enumerate(specs):
-        if isinstance(spec, RecourseError):
-            out[i] = spec
-        elif isinstance(cheapest[i], RecourseError):
-            out[i] = cheapest[i]
-        elif problems[i].delta < cheapest[i][0] - fz.budget_slack(cheapest[i][0]):
-            out[i] = BudgetTooSmall(f"delta={problems[i].delta} is below delta_min={cheapest[i][0]}")
-    todo = [i for i in good if out[i] is None]
-    if not todo:
-        return out
-    pinned = [fz.budget_pinned(problems[i].delta, cheapest[i][0]) for i in todo]
-    free = [i for i, pin in zip(todo, pinned) if not pin]
-    # row k < len(todo) starts todo[k] at its cheapest point; the rows after
+    n = len(problems)
+    if not n:
+        return []
+    pinned = [fz.budget_pinned(p.delta, dmin) for p, (dmin, _) in zip(problems, cheapest)]
+    free = [i for i, pin in enumerate(pinned) if not pin]
+    # row i < n starts problem i at its cheapest point; the rows after
     # them start the perturbed runs 1, 2, ... of the free problems
-    rows, n = todo + free * (config.restarts - 1), len(todo)
+    rows = list(range(n)) + free * (config.restarts - 1)
     proj = fz.RowProjection([specs[i] for i in rows], [problems[i].delta for i in rows])
     starts, skip = np.array([cheapest[i][1] for i in rows]), np.zeros(len(rows), bool)
     skip[:n], failed = pinned, {}
@@ -303,31 +284,37 @@ def solve_block(problems, config: SolverConfig | None = None, *, cheapest=None, 
         skip[list(failed)] = True
         starts[n:][~skip[n:]] = P[~skip[n:]]
     X, values, comps, iterations, converged, station, errors = _descend(
-        _rows_objective(problems[todo[0]], proj.radii), proj, config, starts,
-        proj.delta, callback, skip)
+        _rows_objective(problems[0], proj.radii), proj, config, starts, proj.delta, callback, skip)
     converged[:n] |= pinned
     errors.update(failed)
-    runs = {}
-    for k, i in enumerate(rows):
-        runs.setdefault(i, []).append(k)
-    for i in todo:
-        k = min(runs[i], key=lambda k: values[k])  # the first run of least value
+    runs = [[i] for i in range(n)]
+    for k, i in enumerate(rows[n:], n):
+        runs[i].append(k)
+    out = []
+    for i, ks in enumerate(runs):
+        k = min(ks, key=lambda k: values[k])  # the first run of least value
         try:
-            out[i] = next((errors[k] for k in runs[i] if k in errors), None) or RecourseResult(
+            out.append(next((errors[k] for k in ks if k in errors), None) or RecourseResult(
                 FeatureVector(X[k]), float(min(max(values[k], 0.0), 1.0)), comps[k],
-                int(iterations[k]), float(station[k]), cheapest[i][0], bool(converged[k]))
+                int(iterations[k]), float(station[k]), cheapest[i][0], bool(converged[k])))
         except RecourseError as exc:
-            out[i] = exc
+            out.append(exc)
     return out
 
 
-def solve(problem: RecourseProblem, config: SolverConfig | None = None, *, cheapest=None,
+def solve(problem: RecourseProblem, config: SolverConfig | None = None, *,
           callback=None) -> RecourseResult:
-    """solve_block of the one problem; raises its error.  cheapest, the
-    pair (delta_min, the cheapest point) fz.min_cost_point gives for the
-    problem, skips the distance program."""
-    [out] = solve_block([problem], config, callback=callback,
-                        cheapest=None if cheapest is None else [cheapest])
+    """solve_block of the one problem, whose checks it makes first: raises
+    the spec's error, the distance program's or BudgetTooSmall, then the
+    descent's."""
+    config = config or SolverConfig()
+    spec = fz.FeasibleSetSpec.from_problem(validate_problem(problem))
+    [best] = fz.min_cost_point([spec], config.proj_tol)
+    if isinstance(best, RecourseError):
+        raise best
+    if problem.delta < best[0] - fz.budget_slack(best[0]):
+        raise BudgetTooSmall(f"delta={problem.delta} is below delta_min={best[0]}")
+    [out] = solve_block([problem], [spec], [best], config, callback=callback)
     if isinstance(out, RecourseError):
         raise out
     return out

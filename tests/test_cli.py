@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -218,6 +219,10 @@ class TestBadValues:
             {"seed": -1}, {"m2": {"trials": -2}},
             # a first trial step above the 1e6 clamp on every spectral trial
             {"zeta": 1e308},
+            # a margin that is not positive, a negative weight budget, an
+            # m2 mode the ensemble does not know
+            {"margin": 0}, {"margin": -1e-3}, {"weight_budget": -0.1},
+            {"m2": {"mode": "bogus"}},
         ],
     )
     def test_bad_config_value_exits_1(self, workdir, capsys, user_cfg):
@@ -228,6 +233,12 @@ class TestBadValues:
         code = run(["generate", "--config", bad, "--belief", belief,
                     "--data", base / "missing.csv", "--out", base / "x.csv"])
         _assert_one_usage_line(code, capsys)
+
+    def test_unreadable_config_exits_1(self, workdir, capsys):
+        base, _ = workdir
+        _assert_one_usage_line(run(["synth", "--config", base / "missing.json",
+                                    "--out", base / "d"]), capsys)
+        assert not (base / "d").exists()
 
     def test_config_not_an_object_exits_1(self, workdir, capsys):
         base, _ = workdir
@@ -312,6 +323,49 @@ class TestBadValues:
         assert not (base / "d").exists()
 
 
+class TestNothingToDo:
+    """Inputs that parse but leave a stage no rows: exit 2, one line."""
+
+    @pytest.mark.parametrize("command", ["generate", "sweep"])
+    def test_no_negatives_exits_2(self, workdir, capsys, command):
+        # theta0 = (1, 0, 0) accepts every row with feature 0 >= 0
+        base, cfg = workdir
+        belief = _write_belief(base / "belief.json")
+        data = base / "positive.csv"
+        data.write_text("f0,f1,label\n" + "".join(f"{i + 1}.0,-2.0,{i % 2}\n" for i in range(10)))
+        args = [command, "--config", cfg, "--belief", belief, "--data", data,
+                "--out", base / "out.csv"]
+        if command == "sweep":
+            args += ["--shifted", base / "missing.csv"]
+        code = run(args)
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error: RecourseError: no negatively classified")
+        assert len(err.strip().splitlines()) == 1
+        assert not (base / "out.csv").exists()
+
+    def test_recourse_csv_without_a_solved_row_exits_2(self, workdir, capsys):
+        base, cfg = workdir
+        belief = _write_belief(base / "belief.json")
+        recourses = base / "recourses.csv"
+        recourses.write_text("instance_id,x0_0,x0_1,x0_2,x_0,x_1,x_2,error\n"
+                             "0,-1.0,-1.0,1.0,,,,Unattainable: no\n")
+        code = run(["evaluate", "--config", cfg, "--belief", belief, "--recourses", recourses,
+                    "--out", base / "report", "--shifted", base / "missing.csv"])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error: RecourseError: no solved recourses")
+        assert len(err.strip().splitlines()) == 1
+        assert not (base / "report.json").exists()
+
+
+def test_load_belief_reads_the_belief_and_theta0(tmp_path):
+    from robust_recourse.cli import load_belief
+
+    belief, theta0 = load_belief(_write_belief(tmp_path / "belief.json"))
+    assert belief.dim == 3 and belief.weights.tolist() == [1.0]
+    assert belief.components[0].radius == 0.1
+    assert theta0.theta.tolist() == [1.0, 0.0, 0.0]
+
+
 class TestNormalize:
     """--normalize scales every file by the min/range of the data estimate
     saw, stored in the belief; never by a file's own columns."""
@@ -376,6 +430,34 @@ class TestNormalize:
         code = run(["generate", "--config", cfg, "--belief", belief,
                     "--data", data / "original.csv", "--out", base / "x.csv", *later_flags])
         _assert_one_usage_line(code, capsys)
+
+    def test_scaling_of_the_wrong_length_exits_1(self, workdir, capsys):
+        base, cfg = workdir
+        belief = _write_belief(base / "belief.json")
+        payload = json.loads(belief.read_text())
+        payload["normalization"] = {"col_min": [0.0, 0.0, 0.0], "col_range": [1.0, 1.0, 1.0]}
+        belief.write_text(json.dumps(payload))
+        code = run(["generate", "--config", cfg, "--belief", belief, "--normalize",
+                    "--data", base / "missing.csv", "--out", base / "x.csv"])
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("usage error:") and "needs 2 columns" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_data_wider_than_the_scaling_exits_2(self, workdir, capsys):
+        base, cfg = workdir
+        belief = _write_belief(base / "belief.json")
+        payload = json.loads(belief.read_text())
+        payload["normalization"] = {"col_min": [0.0, 0.0], "col_range": [1.0, 1.0]}
+        belief.write_text(json.dumps(payload))
+        data = base / "wide.csv"
+        data.write_text("f0,f1,f2,label\n" + "".join(f"{i - 5}.0,2.0,3.0,{int(i >= 5)}\n"
+                                                      for i in range(10)))
+        code = run(["generate", "--config", cfg, "--belief", belief, "--normalize",
+                    "--data", data, "--out", base / "x.csv"])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error: DimensionMismatch: ")
+        assert "scaling has 2 columns" in err and len(err.strip().splitlines()) == 1
+        assert not (base / "x.csv").exists()
 
     def test_malformed_scaling_exits_1(self, workdir, capsys):
         base, cfg = workdir
@@ -507,6 +589,21 @@ class TestOtherModes:
         err = capsys.readouterr().err
         assert code == 2 and err.startswith("error: DimensionMismatch: ")
         assert len(err.strip().splitlines()) == 1
+
+    def test_huge_margin_raises_no_warning(self, fuzz_base, tmp_path, capsys):
+        # |h| overflows in the distance program, whose rows end FAILED
+        base, stages = fuzz_base
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**TINY_CONFIG, "margin": 1e308}))
+        out = tmp_path / "recourses.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(_stage(stages, 2, **{"--config": cfg, "--out": out}))
+        captured = capsys.readouterr()
+        assert code == 2 and captured.err == "" and "solved 0/3" in captured.out
+        with open(out) as fh:
+            errors = [row["error"] for row in csv.DictReader(fh)]
+        assert errors == ["Unattainable: the distance program did not converge"] * 3
 
     def test_sweep_cell_without_a_solution_reads_nan(self, fuzz_base, tmp_path):
         # rho = 100 exceeds every direction norm: no margin set holds a point

@@ -426,6 +426,12 @@ class TestEvaluate:
         with pytest.raises(EmptyInput):
             evaluate([], [], theta0, ShiftEnsemble((theta0,)))
 
+    def test_dimension_mismatch_rejected(self):
+        theta0 = LinearClassifier([1.0, 0.0, 0.0])
+        with pytest.raises(DimensionMismatch):
+            evaluate([FeatureVector([1.0, 0.0, 1.0])], [FeatureVector([1.0, 1.0])], theta0,
+                     ShiftEnsemble((theta0,)))
+
 
 class TestShiftEnsemble:
     def test_build_from_shifted(self, rng):
@@ -453,6 +459,16 @@ class TestShiftEnsemble:
         with pytest.raises(TooFewSamples):
             build_shift_ensemble(shifted, subsample=subsample, trials=2)
 
+    def test_bad_inputs_raise(self, rng):
+        _, shifted, *_ = tiny_pipeline(rng)
+        with pytest.raises(EmptyInput):
+            build_shift_ensemble([], trials=2)
+        with pytest.raises(ValueError, match="unknown m2 mode"):
+            build_shift_ensemble(shifted, trials=2, mode="bogus")
+        wide = LabeledDataset(np.hstack([shifted[0].features] * 2), shifted[0].labels)
+        with pytest.raises(DimensionMismatch):
+            build_shift_ensemble([shifted[0], wide], trials=2)
+
     def test_no_two_class_subsample_raises(self):
         # one positive among 1,000 rows: at seed 0 all 50 draws of 10 rows miss it
         labels = np.zeros(1000, int)
@@ -463,6 +479,15 @@ class TestShiftEnsemble:
 
 
 class TestGenerateRecourses:
+    def test_no_instances(self):
+        belief = MixtureBelief((ComponentMoments([1.0, 0.5, 0.0], np.eye(3), 0.1),), [1.0])
+        assert generate_recourses(ProblemTemplate(belief=belief), []) == ([], [])
+
+    def test_negative_delta_add_rejected(self):
+        belief = MixtureBelief((ComponentMoments([1.0, 0.5, 0.0], np.eye(3), 0.1),), [1.0])
+        with pytest.raises(ValueError, match="delta_add"):
+            ProblemTemplate(belief=belief, delta_add=-0.5)
+
     def test_batch_solves_and_m1(self, rng):
         original, shifted, theta0, belief, negatives = tiny_pipeline(rng)
         template = ProblemTemplate(belief=belief, delta_add=1.0, config=SolverConfig(restarts=1))
@@ -729,6 +754,12 @@ class TestSweep:
         if unattainable:
             assert [r.n_failed for r in rows] == [0, 0, 1, 1]
             assert all(r.note.startswith("Unattainable") for r in rows[2:])
+
+    def test_no_instances_rejected(self, rng):
+        _, shifted, _, belief, _ = tiny_pipeline(rng)
+        ens = build_shift_ensemble(shifted, trials=2, seed=2)
+        with pytest.raises(EmptyInput):
+            sweep_frontier(ProblemTemplate(belief=belief), [], ens, [0.0], [0.1])
 
     def test_empty_grid_rejected(self, rng):
         original, shifted, theta0, belief, negatives = tiny_pipeline(rng)

@@ -7,6 +7,7 @@ import pytest
 from robust_recourse import feasibility as fz
 from robust_recourse import optimizer
 from robust_recourse.errors import (
+    BadBudget,
     BudgetTooSmall,
     DualSolveFailed,
     EmptyFeasibleSet,
@@ -63,7 +64,6 @@ class TestSolve:
         res = solve(
             prob,
             SolverConfig(restarts=1),
-            cheapest=cheapest_pair(prob),
             callback=lambda t, x, v: trace.append(v),
         )
         assert res.converged
@@ -73,7 +73,7 @@ class TestSolve:
 
     def test_action_is_feasible_with_margin(self):
         prob, dmin = toy_problem()
-        res = solve(prob, SolverConfig(restarts=1), cheapest=cheapest_pair(prob))
+        res = solve(prob, SolverConfig(restarts=1))
         spec = fz.FeasibleSetSpec.from_problem(prob)
         assert fz.is_feasible(res.action.values, spec, 1e-7)
         comp = prob.belief.components[0]
@@ -87,7 +87,6 @@ class TestSolve:
         solve(
             prob,
             SolverConfig(restarts=1),
-            cheapest=cheapest_pair(prob),
             callback=lambda t, x, v: seen.append(x.copy()),
         )
         assert seen
@@ -123,15 +122,15 @@ class TestSolve:
     def test_modes_all_run(self):
         for mode in Mode:
             prob, dmin = toy_problem(mode=mode, weight_budget=0.1)
-            res = solve(prob, SolverConfig(restarts=1), cheapest=cheapest_pair(prob))
+            res = solve(prob, SolverConfig(restarts=1))
             assert 0.0 <= res.objective <= 1.0
             assert res.component_probs.shape == (1,)
 
     def test_deterministic(self):
         prob, dmin = toy_problem()
         cfg = SolverConfig(restarts=3, seed=11)
-        a = solve(prob, cfg, cheapest=cheapest_pair(prob))
-        b = solve(prob, cfg, cheapest=cheapest_pair(prob))
+        a = solve(prob, cfg)
+        b = solve(prob, cfg)
         assert np.array_equal(a.action.values, b.action.values)
         assert a.objective == b.objective
         assert a.iterations == b.iterations
@@ -139,7 +138,7 @@ class TestSolve:
 
     def test_delta_add_zero_returns_min_cost_point(self):
         prob, dmin = toy_problem(delta_add=0.0)
-        res = solve(prob, SolverConfig(restarts=1), cheapest=cheapest_pair(prob))
+        res = solve(prob, SolverConfig(restarts=1))
         assert res.converged
         assert res.iterations == 0
         cost = float(np.abs(res.action.values - prob.x0.values).sum())
@@ -147,7 +146,7 @@ class TestSolve:
 
     def test_pinned_budget_runs_the_distance_program_once(self, monkeypatch):
         prob, dmin = toy_problem(delta_add=0.0)
-        want = solve(prob, SolverConfig(restarts=1), cheapest=cheapest_pair(prob))
+        want = solve(prob, SolverConfig(restarts=1))
         calls = []
         original = fz.min_cost_point
 
@@ -163,7 +162,7 @@ class TestSolve:
 
     def test_gaussian_probs_below_half(self):
         prob, dmin = toy_problem(mode=Mode.GAUSSIAN)
-        res = solve(prob, SolverConfig(restarts=1), cheapest=cheapest_pair(prob))
+        res = solve(prob, SolverConfig(restarts=1))
         assert np.all(res.component_probs < 0.5)
 
     def test_trial_points_stay_within_the_budget(self, monkeypatch, synthetic_beliefs):
@@ -280,8 +279,8 @@ class TestSolve:
 
     def test_restarts_never_worse(self):
         prob, dmin = toy_problem(rho=0.2)
-        single = solve(prob, SolverConfig(restarts=1, seed=3), cheapest=cheapest_pair(prob))
-        multi = solve(prob, SolverConfig(restarts=4, seed=3), cheapest=cheapest_pair(prob))
+        single = solve(prob, SolverConfig(restarts=1, seed=3))
+        multi = solve(prob, SolverConfig(restarts=4, seed=3))
         assert multi.objective <= single.objective + 1e-12
 
 
@@ -313,25 +312,25 @@ def slow_start_problem():
 
 
 def cheapest_pair(prob):
-    """The (delta_min, cheapest point) pair generate_recourses hands to solve for prob."""
+    """The (delta_min, cheapest point) pair generate_recourses hands to solve_block for prob."""
     return fz.min_cost_point([fz.FeasibleSetSpec.from_problem(prob)], 1e-10)[0]
+
+
+def block_inputs(problems):
+    """(problems, specs, cheapest): solve_block's inputs, as solve makes them."""
+    specs = [fz.FeasibleSetSpec.from_problem(prob) for prob in problems]
+    return problems, specs, fz.min_cost_point(specs, 1e-10)
 
 
 class TestStartRule:
     """Every descent starts at the cheapest point, the one that attains
-    delta_min, whether solve computes it or is handed it."""
-
-    def _first_point(self, prob, **kw):
-        seen = []
-        solve(prob, SolverConfig(restarts=1), callback=lambda t, x, v: seen.append(x.copy()),
-              **kw)
-        return seen[0]
+    delta_min."""
 
     def test_descent_fires_first_at_the_given_start(self):
         prob, dmin = toy_problem(rho=0.2)
-        pair = cheapest_pair(prob)
-        assert np.array_equal(self._first_point(prob, cheapest=pair), pair[1])
-        assert np.array_equal(self._first_point(prob), pair[1])  # and when solve computes it
+        seen = []
+        solve(prob, SolverConfig(restarts=1), callback=lambda t, x, v: seen.append(x.copy()))
+        assert np.array_equal(seen[0], cheapest_pair(prob)[1])
 
     def test_zero_iterations_return_the_cheapest_point(self):
         """The cheapest point has the bias exactly at 1, so solve can return
@@ -348,26 +347,16 @@ class TestStartRule:
         prob, dmin = slow_start_problem()
         spec = fz.FeasibleSetSpec.from_problem(prob)
         cfg = SolverConfig(restarts=1)
-        res = solve(prob, cfg, cheapest=cheapest_pair(prob))
+        res = solve(prob, cfg)
         assert res.converged
         assert fz.is_feasible(res.action.values, spec)
         projected = fz.project_feasible(spec.x0, spec, cfg.proj_max_iter, cfg.proj_tol)
         assert res.objective <= make_objective(prob)(projected).value + 1e-10
 
-    @pytest.mark.parametrize("make", [slow_start_problem, toy_problem])
-    def test_anchor_computed_when_not_given(self, make):
-        # without a cheapest pair, solve runs the distance program itself
-        prob, dmin = make()
-        cfg = SolverConfig(restarts=1)
-        a = solve(prob, cfg)
-        b = solve(prob, cfg, cheapest=cheapest_pair(prob))
-        assert np.array_equal(a.action.values, b.action.values)
-        assert (a.objective, a.iterations, a.converged) == (b.objective, b.iterations, b.converged)
-
     def test_pinned_budget_returns_the_start(self):
         prob, dmin = toy_problem(delta_add=0.0)
         pair = cheapest_pair(prob)
-        res = solve(prob, SolverConfig(restarts=1), cheapest=pair)
+        res = solve(prob, SolverConfig(restarts=1))
         assert np.array_equal(res.action.values, pair[1]) and res.iterations == 0
 
     @pytest.mark.parametrize("rho", [0.0, 0.2])
@@ -530,7 +519,7 @@ class TestStationarity:
     def test_converged_solution_is_stationary(self):
         prob, dmin = toy_problem()
         cfg = SolverConfig(restarts=1)
-        res = solve(prob, cfg, cheapest=cheapest_pair(prob))
+        res = solve(prob, cfg)
         post_hoc = stationarity(res.action.values, prob, cfg)
         assert post_hoc <= cfg.station_tol * 1.5
 
@@ -643,7 +632,7 @@ class TestBlock:
             for x0 in self.instances:
                 spec = fz.FeasibleSetSpec.from_problem(template.problem_for(x0, 0.0))
                 problems.append(template.problem_for(x0, fz.delta_min(spec) + 1.0))
-        for block, problem in zip(solve_block(problems, SolverConfig()), problems):
+        for block, problem in zip(solve_block(*block_inputs(problems), SolverConfig()), problems):
             assert_same_answer(block, solve(problem, SolverConfig()))
 
     @pytest.mark.parametrize("mode", [Mode.NONPARAMETRIC, Mode.WEIGHT_ROBUST])
@@ -663,10 +652,36 @@ class TestBlock:
                  for x0 in self.instances]
         problems = [template.problem_for(x0, dmin + (1.0 if i % 2 else 0.0))
                     for i, (x0, dmin) in enumerate(zip(self.instances, dmins))]
-        answers = solve_block(problems, template.config)
+        answers = solve_block(*block_inputs(problems), template.config)
         assert [a.iterations == 0 for a in answers] == [True, False, True, False]
         for block, problem in zip(answers, problems):
             assert_same_answer(block, solve(problem, template.config))
+
+    def test_invalid_result_is_that_rows_error(self, monkeypatch):
+        # a component value of 1.0 fails RecourseResult's own check: row 1
+        # ends in that BadBudget, the other rows keep their answers
+        template = ProblemTemplate(belief=self.beliefs[1], config=SolverConfig())
+        want, errors = generate_recourses(template, self.instances)
+        assert not any(errors)
+        problems = [template.problem_for(x0, res.delta_min + template.delta_add)
+                    for x0, res in zip(self.instances, want)]
+        rows_objective = optimizer._rows_objective
+
+        def stubbed(problem, radii):
+            fn = rows_objective(problem, radii)
+
+            def one_at_row_1(X, rows):
+                values, grads, comps, errs = fn(X, rows)
+                comps[rows == 1] = 1.0
+                return values, grads, comps, errs
+
+            return one_at_row_1
+
+        monkeypatch.setattr(optimizer, "_rows_objective", stubbed)
+        answers = solve_block(*block_inputs(problems), template.config)
+        assert isinstance(answers[1], BadBudget)
+        for i in (0, 2, 3):
+            assert_same_answer(answers[i], want[i])
 
     def test_rows_whose_first_cycle_does_not_close(self, monkeypatch):
         # feature 0 may not exceed -2.5: the box cuts the cost ball, so the
