@@ -397,6 +397,8 @@ def _split_counts(total, parts):
 
 
 def _cmd_estimate(args, cfg, seed):
+    if args.prior_tau is not None and not 0.0 < args.prior_tau < math.inf:
+        raise UsageError(f"--prior-tau must be a finite number > 0, got {args.prior_tau}")
     data, _, scaling = load_csv(args.data, args.label_column, normalize=args.normalize)
     theta0 = train_logistic(data, l2_reg=cfg["bootstrap"]["l2_reg"])
     if args.prior_tau is not None:
@@ -535,7 +537,7 @@ def build_parser() -> _Parser:
         "--prior-tau",
         type=float,
         default=None,
-        help="skip bootstrapping: center on theta0 with covariance tau*I",
+        help="skip bootstrapping: center on theta0 with covariance tau*I (finite, > 0)",
     )
     p.set_defaults(fn=_cmd_estimate)
 

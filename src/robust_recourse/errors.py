@@ -81,10 +81,6 @@ class TooFewSamples(RecourseError):
     """Not enough parameter samples for the requested number of clusters."""
 
 
-class DegenerateScores(RecourseError):
-    """Black-box model returned a constant score on every perturbation."""
-
-
 # --- harness / IO ------------------------------------------------------------
 
 class ParseError(RecourseError):

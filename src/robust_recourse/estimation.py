@@ -3,26 +3,27 @@
 Pipeline: retrain a logistic classifier on random subsamples (damped
 Newton, batched over the subsamples of one size) to get a cloud of
 parameter vectors, cluster the cloud, and read off per-cluster
-weights, means and covariances.  For black-box models a local linear
-surrogate (weighted ridge fit on perturbations around the query point)
-stands in for the classifier parameters.
+weights, means and covariances.
 """
 
-import math
 import warnings
 from dataclasses import dataclass
-from typing import Protocol
 
 import numpy as np
 
 from .errors import (
-    DegenerateScores,
     DimensionMismatch,
     EmptyCluster,
     NotConvergedWarning,
     TooFewSamples,
 )
 from .model import ComponentMoments, LinearClassifier, MixtureBelief
+
+NEWTON_MAX_ITER = 100  # damped Newton steps per logistic fit
+SUBSAMPLE_TRIES = 50  # draws for a subsample that holds both classes
+KMEANS_RESTARTS = 50  # k-means++ seedings tried before EmptyCluster
+KMEANS_SWEEPS = 200  # Lloyd sweeps per seeding
+COV_JITTER = 1e-4  # added to every cluster covariance's diagonal
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,25 +84,15 @@ class ParameterSample:
         return self.thetas.shape[0]
 
 
-class BlackBoxModel(Protocol):
-    """Anything that scores one bias-augmented point into [0, 1]."""
-
-    def predict_proba(self, x: np.ndarray) -> float: ...
-
-
-def train_logistic(
-    data: LabeledDataset,
-    l2_reg: float = 1e-4,
-    max_iter: int = 100,
-) -> LinearClassifier:
+def train_logistic(data: LabeledDataset, l2_reg: float = 1e-4) -> LinearClassifier:
     """Fit theta by damped Newton on the regularized logistic loss (bias
     unregularized; l2_reg >= 0 keeps it convex), from theta = 0 to gradient
-    sup-norm <= 1e-6 or max_iter steps.  Stopping short emits
+    sup-norm <= 1e-6 or NEWTON_MAX_ITER steps.  Stopping short emits
     NotConvergedWarning and returns the last iterate, whose loss is no worse
     than at theta = 0.  The batched fits of bootstrap_parameters and
     harness.build_shift_ensemble give the same bits."""
     X, y = data.augmented()[None], data.labels[None]
-    return LinearClassifier(_fit_logistic(X, y, l2_reg, max_iter)[0])
+    return LinearClassifier(_fit_logistic(X, y, l2_reg, NEWTON_MAX_ITER)[0])
 
 
 def _fit_logistic(X, y, l2_reg, max_iter):
@@ -153,8 +144,8 @@ def _fit_logistic(X, y, l2_reg, max_iter):
     return thetas
 
 
-def _subsample_indices(rng, n, size, labels, max_tries=50):
-    for _ in range(max_tries):
+def _subsample_indices(rng, n, size, labels):
+    for _ in range(SUBSAMPLE_TRIES):
         idx = rng.choice(n, size=size, replace=False)
         drawn = labels[idx]
         if drawn.min() != drawn.max():  # labels are 0/1: both classes
@@ -165,7 +156,7 @@ def _subsample_indices(rng, n, size, labels, max_tries=50):
 _CHUNK_FLOATS = 2**15  # floats of stacked (rows, n, d) data fitted at once: bounds memory
 
 
-def _fit_subsamples(datasets, fraction, trials, seed, l2_reg, max_iter=100, prefix=None):
+def _fit_subsamples(datasets, fraction, trials, seed, l2_reg, prefix=None):
     """Thetas (trials, d): trial t fits a `fraction` subsample of
     datasets[t % len(datasets)] (all of it if the fraction rounds to every
     row) drawn with child seed t, after the rows of prefix when given.
@@ -195,7 +186,8 @@ def _fit_subsamples(datasets, fraction, trials, seed, l2_reg, max_iter=100, pref
         for chunk in (group[at:at + step] for at in range(0, len(group), step)):
             subs = [draw(t) for t in chunk]
             X = np.stack([sub.augmented() for sub in subs])
-            thetas[chunk] = _fit_logistic(X, np.stack([sub.labels for sub in subs]), l2_reg, max_iter)
+            thetas[chunk] = _fit_logistic(X, np.stack([sub.labels for sub in subs]), l2_reg,
+                                          NEWTON_MAX_ITER)
     return thetas
 
 
@@ -205,7 +197,6 @@ def bootstrap_parameters(
     subsample: float = 0.8,
     seed: int = 0,
     l2_reg: float = 1e-4,
-    max_iter: int = 100,
 ) -> ParameterSample:
     """Train B classifiers on independent random subsamples (fraction
     `subsample` of the rows, drawn without replacement) and collect their
@@ -213,14 +204,14 @@ def bootstrap_parameters(
     fits are order-independent and reproducible."""
     if B < 2:
         raise TooFewSamples(f"need B >= 2 retrains, got {B}")
-    return ParameterSample(_fit_subsamples([data], subsample, B, seed, l2_reg, max_iter))
+    return ParameterSample(_fit_subsamples([data], subsample, B, seed, l2_reg))
 
 
-def _kmeans(points: np.ndarray, K: int, rng, max_restarts: int = 50, max_sweeps: int = 200):
+def _kmeans(points: np.ndarray, K: int, rng):
     """Plain Lloyd iterations with seeded k-means++ init; re-initializes on
-    empty clusters up to max_restarts times."""
+    empty clusters up to KMEANS_RESTARTS times."""
     n = points.shape[0]
-    for _ in range(max_restarts):
+    for _ in range(KMEANS_RESTARTS):
         # k-means++ seeding
         centers = [points[rng.integers(n)]]
         for _ in range(1, K):
@@ -235,7 +226,7 @@ def _kmeans(points: np.ndarray, K: int, rng, max_restarts: int = 50, max_sweeps:
         centers = np.array(centers)
         ok = True
         assign = None
-        for _ in range(max_sweeps):
+        for _ in range(KMEANS_SWEEPS):
             dists = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
             new_assign = dists.argmin(axis=1)
             if np.any(np.bincount(new_assign, minlength=K) == 0):
@@ -247,14 +238,12 @@ def _kmeans(points: np.ndarray, K: int, rng, max_restarts: int = 50, max_sweeps:
             centers = np.array([points[assign == k].mean(axis=0) for k in range(K)])
         if ok and assign is not None:
             return assign
-    raise EmptyCluster(f"k-means kept producing empty clusters after {max_restarts} restarts")
+    raise EmptyCluster(f"k-means kept producing empty clusters after {KMEANS_RESTARTS} restarts")
 
 
-def fit_mixture_moments(
-    sample: ParameterSample, K: int, seed: int = 0, jitter: float = 1e-4
-) -> MixtureBelief:
+def fit_mixture_moments(sample: ParameterSample, K: int, seed: int = 0) -> MixtureBelief:
     """Cluster the parameter cloud into K groups and return the belief with
-    per-cluster weights, means and covariances (+ jitter*I to keep them
+    per-cluster weights, means and covariances (+ COV_JITTER*I to keep them
     positive definite).  Ambiguity radii are left at zero; set them with
     MixtureBelief.with_radius.  Components come back in a canonical order
     (lexicographic by mean), so relabeling noise never leaks out."""
@@ -273,7 +262,7 @@ def fit_mixture_moments(
     for k in range(K):
         members = T[assign == k]
         mean = members.mean(axis=0)
-        cov = np.cov(members, rowvar=False, ddof=0).reshape(d, d) + jitter * np.eye(d)
+        cov = np.cov(members, rowvar=False, ddof=0).reshape(d, d) + COV_JITTER * np.eye(d)
         comps.append(ComponentMoments(mean, cov, 0.0))
         weights.append(members.shape[0] / sample.size)
     order = np.lexsort(np.array([c.mean for c in comps]).T[::-1])
@@ -289,39 +278,3 @@ def prior_belief(theta0, tau: float = 0.1) -> MixtureBelief:
     return MixtureBelief(
         (ComponentMoments(theta0, tau * np.eye(theta0.size), 0.0),), [1.0]
     )
-
-
-def local_linear_surrogate(
-    model: BlackBoxModel,
-    x0,
-    n_perturb: int = 1000,
-    kernel_width: float | None = None,
-    seed: int = 0,
-    perturb_std: float = 0.3,
-    ridge: float = 1e-3,
-) -> LinearClassifier:
-    """Fit a local linear stand-in for a black-box scorer around x0.
-
-    Draws gaussian perturbations of the real features (std perturb_std per
-    coordinate), scores them with the model, and solves a distance-weighted
-    ridge regression of (score - 1/2) on the bias-augmented perturbations.
-    The fitted coefficients act as classifier parameters: their decision
-    boundary tracks the model's 1/2-level set near x0.
-    """
-    if n_perturb < 50:
-        raise TooFewSamples(f"need at least 50 perturbations, got {n_perturb}")
-    x0 = np.asarray(x0, dtype=float)
-    d = x0.size
-    feats0 = x0[:-1]
-    if kernel_width is None:
-        kernel_width = 0.75 * math.sqrt(d - 1)
-    rng = np.random.default_rng(seed)
-    Z = feats0 + perturb_std * rng.normal(size=(n_perturb, d - 1))
-    Za = np.hstack([Z, np.ones((n_perturb, 1))])
-    scores = np.array([float(model.predict_proba(row)) for row in Za])
-    if scores.max() - scores.min() < 1e-12:
-        raise DegenerateScores("model is constant on every perturbation")
-    w = np.exp(-np.sum((Z - feats0) ** 2, axis=1) / kernel_width**2)
-    A = Za.T @ (w[:, None] * Za) + ridge * np.eye(d)
-    b = Za.T @ (w * (scores - 0.5))
-    return LinearClassifier(np.linalg.solve(A, b))

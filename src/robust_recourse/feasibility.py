@@ -121,7 +121,8 @@ class FeasibleSetSpec:
 
     def empty_margin_sets(self) -> list:
         """Components whose margin set is empty: radius at least ||theta_k||."""
-        return np.nonzero((self.radii > 0.0) & (self.radii**2 >= self.tts))[0].tolist()
+        with np.errstate(over="ignore"):  # a radius past ~1e154 squares to inf, still >=
+            return np.nonzero((self.radii > 0.0) & (self.radii**2 >= self.tts))[0].tolist()
 
     def without_delta(self) -> "FeasibleSetSpec":
         return self if self.delta is None else replace(self, delta=None)
@@ -199,15 +200,16 @@ class RowProjection:
         X = np.where(self.pins[rows], x0, Y)
         D = X - x0
         # a zero move or an infinite budget (no ball) makes inf and NaN in the
-        # branch not taken
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # branch not taken; a point past ~1e154 overflows its norm, and its
+        # inf or NaN cone value fails the test
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             if self.l1:
                 X = x0 + _project_l1_ball(D, delta)
             else:
                 n = np.sqrt(np.add.reduce(D * D, -1))
                 X = np.where((n <= delta)[:, None], X, x0 + (delta / n)[:, None] * D)
-        cones = (self.radii[rows] * np.sqrt(np.add.reduce(X * X, -1))[:, None]
-                 - np.add.reduce(X[:, None, :] * self.thetas, -1))
+            cones = (self.radii[rows] * np.sqrt(np.add.reduce(X * X, -1))[:, None]
+                     - np.add.reduce(X[:, None, :] * self.thetas, -1))
         closed = np.logical_and.reduce(cones <= self.floor, -1)
         if self.boxed:
             closed &= np.logical_and.reduce((X >= self.lower[rows]) & (X <= self.upper[rows]), -1)

@@ -264,6 +264,8 @@ def save_dataset_csv(path, dataset: LabeledDataset):
 
 # --- shift-replay evaluation ---------------------------------------------------
 
+ENSEMBLE_L2_REG = 1e-4  # the ridge of every ensemble classifier's logistic fit
+
 
 def build_shift_ensemble(
     shifted,
@@ -272,7 +274,6 @@ def build_shift_ensemble(
     seed: int = 0,
     mode: str = "shifted-only",
     original: LabeledDataset | None = None,
-    l2_reg: float = 1e-4,
 ) -> ShiftEnsemble:
     """Train `trials` classifiers, each on a random `subsample` fraction of
     one shifted dataset (cycling through them by trial index).
@@ -292,7 +293,7 @@ def build_shift_ensemble(
     extra = original if mode == "concat" else None
     if len({data.features.shape[1] for data in [*shifted, extra] if data is not None}) > 1:
         raise DimensionMismatch("the datasets disagree in their number of features")
-    thetas = _fit_subsamples(shifted, subsample, trials, seed, l2_reg, prefix=extra)
+    thetas = _fit_subsamples(shifted, subsample, trials, seed, ENSEMBLE_L2_REG, prefix=extra)
     return ShiftEnsemble(tuple(LinearClassifier(theta) for theta in thetas))
 
 

@@ -101,10 +101,6 @@ class LinearClassifier:
     def dim(self) -> int:
         return self.theta.size
 
-    def decide(self, x: np.ndarray) -> np.ndarray:
-        """Vectorized decision: 1 favorable, 0 unfavorable."""
-        return (np.asarray(x) @ self.theta >= 0.0).astype(int)
-
 
 @dataclass(frozen=True, eq=False)
 class ComponentMoments:

@@ -39,7 +39,6 @@ class ObjectiveEval:
     value: float
     gradient: np.ndarray
     component_values: np.ndarray
-    inner_dual: tuple | None = None
 
 
 def moments(belief: MixtureBelief):
@@ -82,10 +81,9 @@ def evaluate(X, means, covs, radii, weights, mode: Mode, weight_budget: float = 
     """The objective of mode at the rows of X, for the belief of the given
     component means, covariances and mixture weights, row i with the
     ambiguity radii radii[i], (N, K): (values, grads, component values,
-    errors, inner duals); mode and divergence are members of their enums.
-    errors maps a row to its RecourseError (ZeroAction at x = 0, else
-    InfeasibleMargin, else DualSolveFailed); the inner duals are (lam, eta)
-    per row where a weight dual ran (once per row), else None."""
+    errors); mode and divergence are members of their enums.  errors maps
+    a row to its RecourseError (ZeroAction at x = 0, else InfeasibleMargin,
+    else DualSolveFailed)."""
     if weight_budget < 0.0:
         raise DualSolveFailed(f"weight budget must be >= 0, got {weight_budget}")
     gaussian = mode in (Mode.GAUSSIAN, Mode.GAUSSIAN_WEIGHT_ROBUST, Mode.GAUSSIAN_WORST_COMPONENT)
@@ -96,36 +94,34 @@ def evaluate(X, means, covs, radii, weights, mode: Mode, weight_budget: float = 
                   for i in (~X.any(-1)).nonzero()[0].tolist()}
         for i in bad.any(-1).nonzero()[0].tolist():
             errors.setdefault(i, InfeasibleMargin(bad[i].nonzero()[0].tolist()))
-    duals, p = [None] * len(X), weights
     if mode in (Mode.WORST_COMPONENT, Mode.GAUSSIAN_WORST_COMPONENT):
         # the attaining component's gradient, lowest index on ties
         k, rows = np.argmax(v, -1), np.arange(len(X))
-        return v[rows, k], g[rows, k], v, errors, duals
-    values, W = np.add.reduce(v * p, -1), p
+        return v[rows, k], g[rows, k], v, errors
+    values, W = np.add.reduce(v * weights, -1), weights
     if weight_budget > 0.0 and mode in (Mode.WEIGHT_ROBUST, Mode.GAUSSIAN_WEIGHT_ROBUST):
         # weights with p_k = 0 can never receive mass (infinite divergence);
         # restrict the dual to the support
-        support = p > 0.0
-        vs, ps, W = v[:, support], p[support], np.zeros_like(v)
+        support = weights > 0.0
+        vs, ps, W = v[:, support], weights[support], np.zeros_like(v)
         for i in (i for i in range(len(X)) if i not in errors):
             try:
-                value, lam, eta, W[i, support] = _weight_dual(vs[i], ps, weight_budget,
-                                                              divergence)
-                values[i], duals[i] = min(value, 1.0), (lam, eta)
+                value, _, _, W[i, support] = _weight_dual(vs[i], ps, weight_budget, divergence)
+                values[i] = min(value, 1.0)
             except DualSolveFailed as exc:
                 errors[i] = exc
-    return values, np.add.reduce(W[..., None] * g, -2), v, errors, duals
+    return values, np.add.reduce(W[..., None] * g, -2), v, errors
 
 
 def _one(x, belief, mode, weight_budget=0.0, divergence=Divergence.KL) -> ObjectiveEval:
     """evaluate at the single point x; raises the row's error."""
     means, covs, radii = moments(belief)
-    values, grads, v, errors, duals = evaluate(np.asarray(x, dtype=float)[None], means, covs,
-                                               radii[None], belief.weights, Mode(mode),
-                                               weight_budget, Divergence(divergence))
+    values, grads, v, errors = evaluate(np.asarray(x, dtype=float)[None], means, covs,
+                                        radii[None], belief.weights, Mode(mode),
+                                        weight_budget, Divergence(divergence))
     if errors:
         raise errors[0]
-    return ObjectiveEval(float(values[0]), grads[0], v[0], duals[0])
+    return ObjectiveEval(float(values[0]), grads[0], v[0])
 
 
 def eval_nonparametric(x, belief: MixtureBelief) -> ObjectiveEval:

@@ -112,7 +112,7 @@ def _rows_objective(problem: RecourseProblem, radii):
 
     def fn(X, rows):
         return objective.evaluate(X, means, covs, radii[rows], problem.belief.weights,
-                                  problem.mode, problem.weight_budget, problem.divergence)[:4]
+                                  problem.mode, problem.weight_budget, problem.divergence)
 
     return fn
 
@@ -154,6 +154,7 @@ def _descend(fn, proj, config: SolverConfig, X, budget, callback=None, skip=None
     X = np.array(X, dtype=float)
     N, zeta, tol, max_iter = len(X), config.zeta, config.station_tol, config.max_iter
     powers = np.array([config.lambda_ls**i for i in range(config.max_backtracks + 1)])
+    powers = powers[powers > 0.0]  # a step that underflows to 0 can pass no decrease test
     values, G, aux, errors = fn(X, np.arange(N))
     errors = dict(errors)
     iterations, backtracks = np.zeros(N, int), np.zeros(N, int)
@@ -216,7 +217,7 @@ def _descend(fn, proj, config: SolverConfig, X, budget, callback=None, skip=None
         # the rest try a shorter step; a row out of trials has stalled and
         # keeps its iterate, unconverged
         backtracks[tried[~ok]] += 1
-        keep = backtracks[rows] <= config.max_backtracks
+        keep = backtracks[rows] < powers.size
         live = rows[keep & alive[rows] if errs else keep]
         if callback is not None:
             for r in a.tolist():

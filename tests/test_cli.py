@@ -223,6 +223,8 @@ class TestBadValues:
             # m2 mode the ensemble does not know
             {"margin": 0}, {"margin": -1e-3}, {"weight_budget": -0.1},
             {"m2": {"mode": "bogus"}},
+            # a backtracking factor outside (0, 1)
+            {"lambda_ls": 1.0},
         ],
     )
     def test_bad_config_value_exits_1(self, workdir, capsys, user_cfg):
@@ -559,6 +561,16 @@ class TestOtherModes:
         assert component["covariance"] == (0.5 * np.eye(3)).tolist()
         assert component["radius"] == TINY_CONFIG["rho"][0]
 
+    @pytest.mark.parametrize("tau", ["-1", "0", "nan", "inf"])
+    def test_estimate_rejects_a_bad_prior_tau(self, fuzz_base, tmp_path, capsys, tau):
+        _, stages = fuzz_base
+        out = tmp_path / "prior.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run([*_stage(stages, 1, **{"--out": out}), "--prior-tau", tau])
+        _assert_one_usage_line(code, capsys)
+        assert not out.exists()
+
     def test_concat_m2_mode_needs_the_original_data(self, fuzz_base, tmp_path, capsys):
         base, stages = fuzz_base
         cfg = tmp_path / "concat.json"
@@ -605,14 +617,55 @@ class TestOtherModes:
             errors = [row["error"] for row in csv.DictReader(fh)]
         assert errors == ["Unattainable: the distance program did not converge"] * 3
 
+    def test_huge_radius_raises_no_warning(self, fuzz_base, tmp_path, capsys):
+        # a radius past ~1e154 squares to inf in the empty-margin-set test
+        _, stages = fuzz_base
+        cfg, belief = tmp_path / "cfg.json", tmp_path / "belief.json"
+        cfg.write_text(json.dumps({**TINY_CONFIG, "rho": [1e200]}))
+        out = tmp_path / "recourses.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(_stage(stages, 1, **{"--config": cfg, "--out": belief})) == 0
+            code = run(_stage(stages, 2, **{"--config": cfg, "--belief": belief, "--out": out}))
+        captured = capsys.readouterr()
+        assert code == 2 and captured.err == "" and "solved 0/3" in captured.out
+        with open(out) as fh:
+            errors = [row["error"] for row in csv.DictReader(fh)]
+        assert all(e.startswith("Unattainable: ") for e in errors) and len(errors) == 3
+
+    @pytest.mark.parametrize("user_cfg, code, solved", [
+        # perturbed restarts from points past ~1e154 overflow the cone test
+        ({"restarts": 2, "delta_add": 1e308}, 2, 0),
+        # every backtrack after the first underflows to a zero step
+        ({"lambda_ls": 1e-300}, 0, 3),
+    ], ids=["restarts-huge-budget", "lambda-ls-1e-300"])
+    def test_extreme_descent_settings_raise_no_warning(self, fuzz_base, tmp_path, capsys,
+                                                         user_cfg, code, solved):
+        _, stages = fuzz_base
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**TINY_CONFIG, **user_cfg}))
+        out = tmp_path / "recourses.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = run(_stage(stages, 2, **{"--config": cfg, "--out": out}))
+        captured = capsys.readouterr()
+        assert got == code and captured.err == "" and f"solved {solved}/3" in captured.out
+        if not solved:
+            with open(out) as fh:
+                errors = [row["error"] for row in csv.DictReader(fh)]
+            assert errors == ["MaxIterExceeded: the projection program did not converge"] * 3
+
     def test_sweep_cell_without_a_solution_reads_nan(self, fuzz_base, tmp_path):
-        # rho = 100 exceeds every direction norm: no margin set holds a point
+        # rho = 100 exceeds every direction norm: no margin set holds a
+        # point; rho = 1e308 squares to inf there, and warns nothing
         base, stages = fuzz_base
         out = tmp_path / "frontier.csv"
-        assert run(_stage(stages, 4, **{"--out": out, "--rhos": "0,100"})) == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(_stage(stages, 4, **{"--out": out, "--rhos": "0,100,1e308"})) == 0
         with open(out) as fh:
             rows = list(csv.DictReader(fh))
-        assert [float(r["rho"]) for r in rows] == [0.0, 0.0, 100.0, 100.0]
+        assert [float(r["rho"]) for r in rows] == [0.0, 0.0, 100.0, 100.0, 1e308, 1e308]
         for r in rows[2:]:
             assert (r["n_solved"], r["n_failed"]) == ("0", "3")
             assert math.isnan(float(r["mean_l1_cost"])) and math.isnan(float(r["m2_validity"]))

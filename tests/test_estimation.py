@@ -5,7 +5,6 @@ import pytest
 
 from robust_recourse import estimation
 from robust_recourse.errors import (
-    DegenerateScores,
     DimensionMismatch,
     EmptyCluster,
     NotConvergedWarning,
@@ -18,7 +17,6 @@ from robust_recourse.estimation import (
     _subsample_indices,
     bootstrap_parameters,
     fit_mixture_moments,
-    local_linear_surrogate,
     prior_belief,
     train_logistic,
 )
@@ -67,6 +65,8 @@ class TestLabeledDataset:
             LabeledDataset(np.zeros((4, 2)), [0, 0.7, 2, np.nan])
         with pytest.raises(DimensionMismatch, match="non-finite"):
             LabeledDataset(np.full((12, 2), np.nan), [0, 0.7] * 6)
+        with pytest.raises(DimensionMismatch, match="must be 2-d"):
+            LabeledDataset(np.zeros((12, 2, 1)), [0, 0.7] * 6)
 
     @pytest.mark.parametrize("labels", [
         np.array([0, 1] * 6), np.array([0, 1] * 6, np.int8), np.array([False, True] * 6),
@@ -115,7 +115,7 @@ class TestTrainLogistic:
     def test_separable_blobs_high_accuracy(self, rng):
         data = blobs(rng)
         clf = train_logistic(data)
-        acc = float((clf.decide(data.augmented()) == data.labels).mean())
+        acc = float(((data.augmented() @ clf.theta >= 0.0) == data.labels).mean())
         assert acc >= 0.99
 
     def test_flipped_labels_flip_theta(self, rng):
@@ -157,7 +157,7 @@ class TestTrainLogistic:
     def test_iteration_cap_warns_and_returns_a_descent(self, rng):
         data = blobs(rng)
         with pytest.warns(NotConvergedWarning):
-            theta = train_logistic(data, max_iter=2).theta
+            theta = estimation._fit_logistic(data.augmented()[None], data.labels[None], 1e-4, 2)[0]
         assert np.all(np.isfinite(theta))
         assert _loss_grad(data, theta)[0] < _loss_grad(data, np.zeros(3))[0]
         assert np.abs(_loss_grad(data, theta)[1]).max() > 1e-6
@@ -260,7 +260,7 @@ class TestBootstrap:
 class TestMixtureMoments:
     def test_single_cluster_moments(self, rng):
         T = rng.normal(size=(60, 3))
-        belief = fit_mixture_moments(ParameterSample(T), K=1, jitter=1e-4)
+        belief = fit_mixture_moments(ParameterSample(T), K=1)
         assert np.allclose(belief.components[0].mean, T.mean(axis=0))
         want = np.cov(T, rowvar=False, ddof=0) + 1e-4 * np.eye(3)
         assert np.allclose(belief.components[0].cov, want)
@@ -278,7 +278,7 @@ class TestMixtureMoments:
 
     def test_identical_samples_jitter_covariance(self):
         T = np.tile([1.0, 2.0, 3.0], (10, 1))
-        belief = fit_mixture_moments(ParameterSample(T), K=1, jitter=1e-4)
+        belief = fit_mixture_moments(ParameterSample(T), K=1)
         assert np.array_equal(belief.components[0].cov, 1e-4 * np.eye(3))
 
     def test_identical_samples_leave_a_cluster_empty(self):
@@ -292,6 +292,10 @@ class TestMixtureMoments:
         T = np.ones((3, 2)) + np.arange(3)[:, None]
         with pytest.raises(TooFewSamples):
             fit_mixture_moments(ParameterSample(T), K=4)
+        with pytest.raises(TooFewSamples, match="K must be >= 1"):
+            fit_mixture_moments(ParameterSample(T), K=0)
+        with pytest.raises(TooFewSamples, match="at least 2 parameter samples"):
+            ParameterSample(T[:1])
 
     def test_permutation_invariance(self, rng):
         A = rng.normal(scale=0.05, size=(50, 3)) + [2.0, 0.0, 0.0]
@@ -332,62 +336,3 @@ class TestPriorBelief:
         assert np.array_equal(comp.mean, [1.0, -0.5, 0.2])
         assert np.array_equal(comp.cov, 0.1 * np.eye(3))
         assert belief.weights.tolist() == [1.0]
-
-
-class LinearScorer:
-    def __init__(self, theta):
-        self.theta = np.asarray(theta, dtype=float)
-
-    def predict_proba(self, x):
-        return 1.0 / (1.0 + np.exp(-self.theta @ x))
-
-
-class TestSurrogate:
-    def test_recovers_linear_direction(self):
-        theta = np.array([2.0, -1.0, 0.3])
-        sur = local_linear_surrogate(LinearScorer(theta), [0.1, 0.2, 1.0], seed=5)
-        assert cosine(sur.theta, theta) >= 0.99
-
-    def test_constant_model_rejected(self):
-        class Const:
-            def predict_proba(self, x):
-                return 0.7
-
-        with pytest.raises(DegenerateScores):
-            local_linear_surrogate(Const(), [0.1, 0.2, 1.0], seed=0)
-
-    def test_deterministic(self):
-        theta = np.array([1.0, 1.0, 0.0])
-        a = local_linear_surrogate(LinearScorer(theta), [0.0, 0.0, 1.0], seed=9)
-        b = local_linear_surrogate(LinearScorer(theta), [0.0, 0.0, 1.0], seed=9)
-        assert np.array_equal(a.theta, b.theta)
-
-    def test_more_perturbations_never_worse(self):
-        theta = np.array([1.5, -0.7, 0.1])
-        x0 = [0.05, -0.1, 1.0]
-        small = local_linear_surrogate(LinearScorer(theta), x0, n_perturb=200, seed=2)
-        large = local_linear_surrogate(LinearScorer(theta), x0, n_perturb=2000, seed=2)
-        assert cosine(large.theta, theta) >= cosine(small.theta, theta) - 1e-6
-
-    def test_mlp_surrogate_target(self, rng):
-        # small fixed two-layer net as the black box; the surrogate should
-        # align with its local gradient direction at x0
-        W1 = rng.normal(size=(8, 2))
-        b1 = rng.normal(size=8) * 0.1
-        w2 = rng.normal(size=8)
-
-        class TinyMLP:
-            def predict_proba(self, x):
-                h = np.tanh(W1 @ x[:-1] + b1)
-                return 1.0 / (1.0 + np.exp(-(w2 @ h)))
-
-        x0 = np.array([0.2, -0.1, 1.0])
-        sur = local_linear_surrogate(TinyMLP(), x0, seed=4)
-        h = np.tanh(W1 @ x0[:-1] + b1)
-        s = 1.0 / (1.0 + np.exp(-(w2 @ h)))
-        grad = (W1.T @ (w2 * (1 - h**2))) * s * (1 - s)
-        assert cosine(sur.theta[:-1], grad) >= 0.95
-
-    def test_too_few_perturbations(self):
-        with pytest.raises(TooFewSamples):
-            local_linear_surrogate(LinearScorer([1.0, 0.0]), [0.3, 1.0], n_perturb=10)

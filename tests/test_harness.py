@@ -86,6 +86,15 @@ class TestGenerateSynthetic:
         # same generator parameters; different draws but same shapes
         assert shifted[0].n == original.n
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"n_per_class": 9}, "at least 10 samples per class"),
+        ({"sigma0": ((1.0, 2.0), (2.0, 1.0))}, "must be positive definite"),
+        ({"sigma1": ((0.0, 0.0), (0.0, 1.0))}, "must be positive definite"),
+    ], ids=["n-per-class-9", "indefinite-sigma0", "singular-sigma1"])
+    def test_bad_config_rejected(self, overrides, message):
+        with pytest.raises(DimensionMismatch, match=message):
+            SyntheticConfig(**overrides)
+
     def test_deterministic(self):
         cfg = SyntheticConfig(n_per_class=30, n_shifts=2, seed=9)
         a = generate_synthetic(cfg)
@@ -468,6 +477,12 @@ class TestShiftEnsemble:
         wide = LabeledDataset(np.hstack([shifted[0].features] * 2), shifted[0].labels)
         with pytest.raises(DimensionMismatch):
             build_shift_ensemble([shifted[0], wide], trials=2)
+
+    def test_bad_classifiers_rejected(self):
+        with pytest.raises(EmptyInput, match="at least one classifier"):
+            ShiftEnsemble(())
+        with pytest.raises(DimensionMismatch, match=r"dimensions disagree: \[2, 3\]"):
+            ShiftEnsemble((LinearClassifier([1.0, 0.0]), LinearClassifier([1.0, 0.0, 0.0])))
 
     def test_no_two_class_subsample_raises(self):
         # one positive among 1,000 rows: at seed 0 all 50 draws of 10 rows miss it

@@ -16,6 +16,7 @@ from robust_recourse.model import (
     MixtureBelief,
     Mode,
     RecourseProblem,
+    RecourseResult,
     validate_problem,
 )
 
@@ -45,6 +46,11 @@ class TestFeatureVector:
         with pytest.raises(DimensionMismatch):
             FeatureVector([1.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(DimensionMismatch, match="non-finite"):
+            FeatureVector([bad, 1.0])
+
     def test_immutable(self):
         fv = FeatureVector.from_features([0.5])
         with pytest.raises(ValueError):
@@ -56,10 +62,10 @@ class TestLinearClassifier:
         with pytest.raises(DimensionMismatch):
             LinearClassifier([0.0, 0.0])
 
-    def test_decide(self):
-        clf = LinearClassifier([1.0, -1.0])
-        votes = clf.decide(np.array([[2.0, 1.0], [0.0, 1.0]]))
-        assert votes.tolist() == [1, 0]
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(DimensionMismatch, match="must be finite"):
+            LinearClassifier([1.0, bad])
 
 
 class TestComponentMoments:
@@ -86,6 +92,17 @@ class TestComponentMoments:
         with pytest.raises(BadBudget):
             ComponentMoments([1.0, 0.0], np.eye(2), -0.1)
 
+    @pytest.mark.parametrize("mean, cov, message", [
+        ([0.0, 0.0], np.ones((2, 3)), "must be square"),
+        ([0.0, 0.0], np.ones(2), "must be square"),
+        ([0.0, 0.0, 0.0], np.eye(2), "mean has dimension 3"),
+        ([np.nan, 0.0], np.eye(2), "must be finite"),
+        ([0.0, 0.0], [[1.0, np.inf], [np.inf, 1.0]], "must be finite"),
+    ], ids=["non-square", "1-d", "size-mismatch", "nan-mean", "inf-cov"])
+    def test_malformed_moments_rejected(self, mean, cov, message):
+        with pytest.raises(DimensionMismatch, match=message):
+            ComponentMoments(mean, cov, 0.0)
+
 
 class TestMixtureBelief:
     def test_weights_must_sum_to_one(self):
@@ -97,6 +114,16 @@ class TestMixtureBelief:
         comp = ComponentMoments([1.0, 0.0], np.eye(2), 0.0)
         with pytest.raises(InvalidWeights):
             MixtureBelief((comp, comp), [1.5, -0.5])
+
+    @pytest.mark.parametrize("components, weights, error, message", [
+        (((1.0, 0.0), np.eye(2)), [0.5, 0.5], DimensionMismatch, "ComponentMoments instances"),
+        ((ComponentMoments([1.0, 0.0], np.eye(2)),) * 2, [1.0], InvalidWeights, "but 1 weights"),
+        ((ComponentMoments([1.0, 0.0], np.eye(2)), ComponentMoments([1.0, 0.0, 0.0], np.eye(3))),
+         [0.5, 0.5], DimensionMismatch, "disagree on dimension"),
+    ], ids=["not-moments", "weight-count", "mixed-dims"])
+    def test_malformed_components_rejected(self, components, weights, error, message):
+        with pytest.raises(error, match=message):
+            MixtureBelief(components, weights)
 
     def test_with_radius(self):
         comp = ComponentMoments([1.0, 0.0], np.eye(2), 0.0)
@@ -113,6 +140,9 @@ class TestActionability:
     def test_bad_box(self):
         with pytest.raises(BadBudget):
             ActionabilitySpec(box=[[0.0, 1.0], [2.0, 1.0]])
+        for shape in [(2, 3), (2,)]:
+            with pytest.raises(DimensionMismatch, match="box must have shape"):
+                ActionabilitySpec(box=np.zeros(shape))
 
     def test_bias_pinned_on_problem(self):
         prob = make_problem()
@@ -145,8 +175,25 @@ class TestValidateProblem:
         prob = make_problem(actionability=ActionabilitySpec(immutable={7}))
         with pytest.raises(DimensionMismatch):
             validate_problem(prob)
+        prob = make_problem(actionability=ActionabilitySpec(box=[[0.0, 1.0]] * 2))
+        with pytest.raises(DimensionMismatch, match="box covers 2 features but dimension is 3"):
+            validate_problem(prob)
 
     def test_enums_coerced_from_strings(self):
         prob = make_problem(cost="l2", mode="gaussian")
         assert prob.cost is Cost.L2
         assert prob.mode is Mode.GAUSSIAN
+
+
+class TestRecourseResult:
+    @pytest.mark.parametrize("objective, stationarity, message", [
+        (1.5, 0.0, r"outside \[0, 1\]"),
+        (-0.1, 0.0, r"outside \[0, 1\]"),
+        (np.nan, 0.0, r"outside \[0, 1\]"),
+        (0.5, -1e-3, "stationarity measure must be >= 0"),
+        (0.5, np.nan, "stationarity measure must be >= 0"),
+    ], ids=["above-1", "below-0", "nan-objective", "negative-stationarity", "nan-stationarity"])
+    def test_out_of_range_diagnostics_rejected(self, objective, stationarity, message):
+        with pytest.raises(BadBudget, match=message):
+            RecourseResult(FeatureVector([0.5, 1.0]), objective, np.array([0.5]), 3,
+                           stationarity, 0.0, True)

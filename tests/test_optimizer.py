@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from robust_recourse import feasibility as fz
-from robust_recourse import optimizer
+from robust_recourse import objective, optimizer
 from robust_recourse.errors import (
     BadBudget,
     BudgetTooSmall,
@@ -513,6 +513,22 @@ class TestErrorPaths:
         belief = MixtureBelief((ComponentMoments([1.0, 0.9, 0.2], 0.05 * np.eye(3), 2.0),), [1.0])
         with pytest.raises(Unattainable):
             solve(replace(prob, belief=belief))
+
+    def test_descent_error_is_raised(self, monkeypatch):
+        # the weight dual answers at the start and fails at the first candidate
+        prob, _ = toy_problem(mode=Mode.WEIGHT_ROBUST, weight_budget=0.1)
+        weight_dual, calls = objective._weight_dual, []
+
+        def failing(*args):
+            calls.append(args)
+            if len(calls) > 1:
+                raise DualSolveFailed("stubbed failure")
+            return weight_dual(*args)
+
+        monkeypatch.setattr(objective, "_weight_dual", failing)
+        with pytest.raises(DualSolveFailed, match="stubbed failure"):
+            solve(prob, SolverConfig(restarts=1))
+        assert len(calls) == 2
 
 
 class TestStationarity:
