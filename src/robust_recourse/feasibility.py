@@ -19,7 +19,10 @@ programs are solved by one batched NumPy interior-point kernel (_cone_lp),
 specs that share their structure in one call: the distance program behind
 delta_min, the smallest budget that keeps the set nonempty, whose cheapest
 point starts every descent, and that projection program.  An empty set
-comes back from the kernel as a Farkas certificate.
+comes back from the kernel as a Farkas certificate.  With the l1 cost the
+distance program is answered in closed form wherever a move of one
+coordinate is certified optimal by its KKT conditions
+(_one_coordinate_moves); the kernel is the backstop for the other rows.
 """
 
 import math
@@ -512,21 +515,119 @@ def _conic_program(specs, targets=None):
     return c, G, H, [1] * sum(len(g) for g, _ in rows) + [d + 1] * len(cones), points
 
 
+def _blocks(specs):
+    """The positions of specs, grouped by _structure."""
+    blocks = {}
+    for i, spec in enumerate(specs):
+        blocks.setdefault(_structure(spec), []).append(i)
+    return blocks.values()
+
+
 def _run_blocks(specs, targets=None) -> list:
     """Per spec, (status, point) of its distance program (targets None) or
     of its projection program for targets[i], in one _cone_lp call per
     block of specs that share _structure; a row's answer is the same alone
     and in a block."""
-    out, blocks = [None] * len(specs), {}
-    for i, spec in enumerate(specs):
-        blocks.setdefault(_structure(spec), []).append(i)
-    for rows in blocks.values():
+    out = [None] * len(specs)
+    for rows in _blocks(specs):
         c, G, H, sizes, points = _conic_program(
             [specs[i] for i in rows], None if targets is None else targets[rows])
         status, V, _ = _cone_lp(c, G, H, sizes)
         for i, st, x in zip(rows, status.tolist(), points(V)):
             out[i] = (st, x)
     return out
+
+
+def _cone_intervals(b, rho, c, r2):
+    """(lo, hi): the values s of one coordinate with b*s - rho*sqrt(r2 +
+    s^2) >= c, a margin set along a line parallel to that coordinate's axis
+    (b its theta, r2 the squared norm of the other coordinates).  The set
+    is concave in s, so this is an interval; its ends are roots of one
+    quadratic, taken in forms that do not cancel.  An empty interval has lo
+    > hi; where |b| = rho > 0 both ends are NaN.  Arrays broadcast."""
+    ab, ac, r = abs(b), abs(c), np.sqrt(r2)
+    A = (ab - rho) * (ab + rho)
+    q = np.sqrt(abs(A)) * r
+    W = np.where(A > 0.0, c * c + A * r2, (ac - q) * (ac + q))
+    w = np.sqrt(W)
+    near = (ac - rho * r) * (ac + rho * r)  # c^2 - rho^2 r2
+    # |b| > rho (every halfspace): the half-line from sign(b)*e
+    e = np.where(c >= 0.0, (ab * c + rho * w) / A, near / (ab * c - rho * w))
+    half = np.where(b > 0.0, e, -np.inf), np.where(b > 0.0, np.inf, -e)
+    # |b| < rho: between the two roots, empty unless c <= 0 and W >= 0
+    p = ab * ac + rho * w
+    big, small = p / -A, -near / p
+    empty = (c > 0.0) | (W < 0.0)
+    bounded = (np.where(empty, np.inf, np.where(b >= 0.0, small, -big)),
+               np.where(empty, -np.inf, np.where(b >= 0.0, big, -small)))
+    # b = rho = 0: all or nothing
+    flat = np.where(c <= 0.0, -np.inf, np.inf), np.where(c <= 0.0, np.inf, -np.inf)
+    return tuple(np.where(A > 0.0, half[i], np.where(A < 0.0, bounded[i], np.where(
+        rho == 0.0, flat[i], np.nan))) for i in (0, 1))
+
+
+# outward steps, of 2^k ulps of |x| for k below this, that may bring a
+# rounded one-coordinate move into its margin set
+MOVE_STEPS = 8
+
+
+def _one_coordinate_moves(specs) -> list:
+    """Per l1 spec of a block that shares _structure (delta None, no
+    defect, x0 outside its set), the distance program's answer where a
+    move of one coordinate is certified optimal, else None.
+
+    Along x0 + t e_j, for each free coordinate j, every margin set is an
+    interval of t (_cone_intervals) and the bounds cut it further; the move
+    of least |t| over j is the candidate x.  It is certified when exactly
+    one margin set k is active there and no bound on x_j is, x0's other
+    coordinates lie in their bounds, x lies in M (is_feasible at tol 0,
+    after outward steps where rounding left it outside), and the gradient g
+    = theta_k - rho_k x/|x| of set k has |g_j| strictly above every other
+    free |g_i|, with sign g_j = sign t.  Then x meets the KKT conditions of
+    the l1 distance to set k alone, with the pins: it is the unique nearest
+    point of that larger set, and so of M, which holds it.  Every sum is
+    row-wise, so a row's answer is the same alone and in any block."""
+    s0 = specs[0]
+    thetas, radii, free = s0.thetas, s0.radii, s0.lower != s0.upper
+    X0, lower, upper = (np.array([getattr(s, a) for s in specs]) for a in ("x0", "lower", "upper"))
+    margin = np.array([s.margin for s in specs])
+    N, d = X0.shape
+    n, off_diagonal = np.arange(N), ~np.eye(d, dtype=bool)
+    with np.errstate(all="ignore"):  # a huge margin or input overflows; such rows are refused
+        # per row, set k and coordinate j: theta_k.x0 and |x0|^2 over i != j
+        rest = np.add.reduce((X0[:, None, :] * thetas)[:, :, None, :] * off_diagonal, -1)
+        r2 = np.add.reduce((X0 * X0)[:, None, None, :] * off_diagonal, -1)
+        lo, hi = _cone_intervals(thetas, radii[:, None], margin[:, None, None] - rest, r2)
+        L = np.maximum(np.maximum.reduce(lo, 1), lower)
+        U = np.minimum(np.minimum.reduce(hi, 1), upper)
+        up = L > X0
+        S = np.where(up, L, U)
+        dist = np.where(free & (L <= U) & (up | (U < X0)), abs(S - X0), np.inf)
+        j = np.argmin(dist, -1)
+        s, sign, lo_j, hi_j = S[n, j], np.where(up[n, j], 1.0, -1.0), lower[n, j], upper[n, j]
+        active = np.where(up[n, j, None], lo[n, :, j], hi[n, :, j]) == s[:, None]
+        others_in_box = (X0 >= lower) & (X0 <= upper) | (np.arange(d) == j[:, None])
+        ok = ((dist[n, j] < np.inf) & (np.add.reduce(active, -1) == 1) & (L[n, j] < U[n, j])
+              & (lo_j < s) & (s < hi_j) & np.logical_and.reduce(others_in_box, -1))
+        X = X0.copy()
+        X[n, j] = s
+        for i in np.flatnonzero(ok).tolist():
+            x, ji = X[i], j[i]
+            ulp = np.spacing(math.sqrt(float(x @ x)))
+            for step in range(MOVE_STEPS):
+                if is_feasible(x, specs[i], 0.0):
+                    ok[i] = lo_j[i] < x[ji] < hi_j[i]
+                    break
+                x[ji] += sign[i] * 2.0**step * ulp
+            else:
+                ok[i] = False
+        k = np.argmax(active, -1)
+        G = np.where((radii[k] > 0.0)[:, None], thetas[k] - (
+            radii[k] / np.sqrt(np.add.reduce(X * X, -1)))[:, None] * X, thetas[k])
+        g = G[n, j]
+        rival = np.maximum.reduce(np.where(free & (np.arange(d) != j[:, None]), abs(G), 0.0), -1)
+        ok &= (abs(g) > rival) & (np.sign(g) == sign)
+    return [x if good else None for x, good in zip(X, ok.tolist())]
 
 
 def project_feasible(
@@ -548,9 +649,11 @@ def project_feasible(
 
 def min_cost_point(specs, proj_tol: float = 1e-8) -> list:
     """delta_min of many specs at once: per spec, (delta_min, the cheapest
-    point) or the RecourseError delta_min raises for it.  The distance
-    programs of specs that share G (those of one ProblemTemplate do) run
-    in one _cone_lp call; a row's answer is the same alone and in a block."""
+    point) or the RecourseError delta_min raises for it.  An l1 row where
+    a one-coordinate move is certified optimal gets it in closed form
+    (_one_coordinate_moves); the distance programs of the other specs that
+    share G (those of one ProblemTemplate do) run in one _cone_lp call.  A
+    row's answer is the same alone and in a block."""
     specs = [spec.without_delta() for spec in specs]
     out, todo = [None] * len(specs), []
     for i, spec in enumerate(specs):
@@ -562,6 +665,13 @@ def min_cost_point(specs, proj_tol: float = 1e-8) -> list:
             out[i] = spec.defect()
         else:
             todo.append(i)
+    for rows in _blocks([specs[i] for i in todo]):
+        rows = [todo[r] for r in rows]
+        if specs[rows[0]].l1:
+            for i, x in zip(rows, _one_coordinate_moves([specs[i] for i in rows])):
+                if x is not None:
+                    out[i] = (cost_of(x, specs[i].x0, specs[i].cost), x)
+    todo = [i for i in todo if out[i] is None]
     for i, (status, x) in zip(todo, _run_blocks([specs[i] for i in todo])):
         if status == INFEASIBLE:
             out[i] = Unattainable("the margin-and-bounds set is empty (Farkas certificate)")
@@ -574,9 +684,10 @@ def min_cost_point(specs, proj_tol: float = 1e-8) -> list:
 
 def delta_min(spec: FeasibleSetSpec, proj_tol: float = 1e-8) -> float:
     """Smallest cost budget for which the feasible set is nonempty: the
-    cost distance from x0 to the margin-and-bounds set M, by the distance
-    program in the conic kernel (min_cost_point of this one spec, which
-    also gives the cheapest point).
+    cost distance from x0 to the margin-and-bounds set M: min_cost_point
+    of this one spec, which also gives the cheapest point, in closed form
+    where an l1 one-coordinate move is certified optimal, else by the
+    distance program in the conic kernel.
 
     Raises Unattainable when some margin set is empty or when the kernel
     certifies M empty or does not converge, and DegenerateDirection for a

@@ -122,13 +122,18 @@ class ComponentMoments:
             )
         if not np.all(np.isfinite(self.mean)) or not np.all(np.isfinite(cov)):
             raise DimensionMismatch("component moments must be finite")
-        asym = np.abs(cov - cov.T).max()
+        with np.errstate(over="ignore"):  # a difference past the float range is inf, still > tol
+            asym = np.abs(cov - cov.T).max()
         if asym > COV_SYMMETRY_TOL:
             raise NotPositiveDefinite(f"covariance asymmetric by {asym:.3e}")
         # symmetrize before the eigenvalue test; bootstrap covariances can be
-        # asymmetric at roundoff level
-        cov = 0.5 * (cov + cov.T)
-        min_eig = float(np.linalg.eigvalsh(cov)[0])
+        # asymmetric at roundoff level.  Halving first is exact outside
+        # subnormals, so a finite sum gets the same bytes, and no sum overflows
+        cov = 0.5 * cov + 0.5 * cov.T
+        try:
+            min_eig = float(np.linalg.eigvalsh(cov)[0])
+        except np.linalg.LinAlgError as exc:  # entries near the float range
+            raise NotPositiveDefinite(f"covariance eigenvalues: {exc}") from None
         if min_eig <= 0.0:
             raise NotPositiveDefinite(f"covariance has minimum eigenvalue {min_eig:.3e}")
         cov.setflags(write=False)

@@ -571,6 +571,22 @@ class TestOtherModes:
         _assert_one_usage_line(code, capsys)
         assert not out.exists()
 
+    def test_estimate_with_a_prior_tau_near_the_float_range(self, fuzz_base, tmp_path, capsys):
+        # tau = 1e308 is finite, so accepted: the covariance it scales must
+        # end in a belief or in one error line, with no warning on the way
+        _, stages = fuzz_base
+        out = tmp_path / "prior.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run([*_stage(stages, 1, **{"--out": out}), "--prior-tau", "1e308"])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if code == 0:
+            [component] = json.loads(out.read_text())["components"]
+            assert component["covariance"] == (1e308 * np.eye(3)).tolist()
+        else:
+            assert code == 2 and len(err.strip().splitlines()) == 1
+
     def test_concat_m2_mode_needs_the_original_data(self, fuzz_base, tmp_path, capsys):
         base, stages = fuzz_base
         cfg = tmp_path / "concat.json"

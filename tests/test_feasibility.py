@@ -623,6 +623,164 @@ class TestConicKernel:
             assert got[0] == cost_of(got[1], spec.x0, spec.cost)
 
 
+_INF = np.inf
+_BIAS = dict(lower=[-_INF, -_INF, 1.0], upper=[_INF, _INF, 1.0])
+
+
+def _counted_kernel(monkeypatch):
+    """The row counts of every _cone_lp call from now on."""
+    calls, inner = [], feasibility._cone_lp
+
+    def counted(c, G, H, sizes):
+        calls.append(len(H))
+        return inner(c, G, H, sizes)
+
+    monkeypatch.setattr(feasibility, "_cone_lp", counted)
+    return calls
+
+
+class TestOneCoordinateMove:
+    """The l1 distance program in closed form, where a move of one
+    coordinate is certified optimal, with the kernel as backstop."""
+
+    # each reaches one refusal of the certificate
+    REFUSED = {
+        # |theta_0| = |theta_1|: both moves cost the same, |g_j| is no strict max
+        "tie": raw_spec([-1.0, -1.0, 1.0], [[1.0, 1.0, 0.0]], [0.0], 1e-3, cost=Cost.L1, **_BIAS),
+        # both halfspaces end at x_0 = 0.5 along the move of x_0
+        "two-cones": raw_spec([-1.0, 0.0, 1.0], [[1.0, 0.5, 0.0], [1.0, -0.5, 0.0]], [0.0, 0.0],
+                              0.5, cost=Cost.L1, **_BIAS),
+        # the upper bound on x_0 is where the move of x_0 meets the halfspace
+        "bound": raw_spec([-1.0, 0.0, 1.0], [[1.0, 0.5, 0.0]], [0.0], 0.5, cost=Cost.L1,
+                          lower=[-_INF, -_INF, 1.0], upper=[0.5, _INF, 1.0]),
+        "l2": raw_spec([-1.0, 0.0, 1.0], [[1.0, 0.5, 0.0]], [0.1], 0.5, cost=Cost.L2, **_BIAS),
+    }
+
+    @pytest.mark.parametrize("case", list(REFUSED))
+    def test_refused_rows_get_the_kernel_answer(self, monkeypatch, case):
+        spec = self.REFUSED[case]
+        if spec.l1:
+            assert feasibility._one_coordinate_moves([spec]) == [None]
+        [(status, want)] = feasibility._run_blocks([spec])
+        assert status == feasibility.SOLVED
+        calls = _counted_kernel(monkeypatch)
+        dmin, point = feasibility.min_cost_point([spec])[0]
+        assert calls == [1]
+        assert point.tobytes() == want.tobytes()
+        assert dmin == cost_of(want, spec.x0, spec.cost)
+
+    def test_cone_intervals_against_a_grid(self, rng):
+        # every branch: halfspaces (b = 0 too), half-lines |b| > rho,
+        # bounded and empty intervals |b| < rho, and |b| = rho left in doubt
+        b = np.array([1.0, -1.0, 0.0, 0.0, 0.7, -0.7, 0.2, -0.2, 0.0, 0.5])
+        rho = np.array([0.0, 0.0, 0.0, 0.0, 0.3, 0.3, 0.6, 0.6, 0.4, 0.5])
+        c = rng.uniform(-2.0, 2.0, size=(200, 1))
+        r2 = rng.uniform(0.0, 3.0, size=(200, 1))
+        with np.errstate(all="ignore"):  # as its one caller runs it
+            lo, hi = feasibility._cone_intervals(b, rho, c, r2)
+        s = np.linspace(-30.0, 30.0, 6001)[:, None, None]
+        inside = b * s - rho * np.sqrt(r2 + s * s) >= c
+        doubt = np.abs(b) == rho
+        assert np.isnan(lo[:, doubt & (rho > 0)]).all() and np.isnan(hi[:, doubt & (rho > 0)]).all()
+        lo, hi = lo[:, ~doubt | (rho == 0)], hi[:, ~doubt | (rho == 0)]
+        inside = inside[:, :, ~doubt | (rho == 0)]
+        gap = 1e-9 * (1.0 + np.abs(s))  # grid points at an end may fall either way
+        assert not (inside & ((s < lo - gap) | (s > hi + gap))).any()
+        assert not (~inside & (s > lo + gap) & (s < hi - gap)).any()
+
+    def test_halfspace_distance_in_closed_form(self, monkeypatch):
+        # l1 distance to theta.x >= m: the violation over |theta|_inf, moving
+        # the coordinate of largest |theta_j| (Mangasarian, 1999)
+        spec = raw_spec([-1.0, 0.0, 1.0], [[1.0, 0.5, 0.0]], [0.0], 0.5, cost=Cost.L1, **_BIAS)
+        calls = _counted_kernel(monkeypatch)
+        dmin, point = feasibility.min_cost_point([spec])[0]
+        assert calls == []
+        assert dmin == 1.5 and point.tolist() == [0.5, 0.0, 1.0]
+
+    def test_rounded_move_is_stepped_into_the_margin_set(self, monkeypatch):
+        # the root of this row rounds to a point just outside its halfspace
+        spec = raw_spec([-0.22, -2.83, 1.0], [[0.167, 0.109, -1.227]], [0.0], 1e-3,
+                        cost=Cost.L1, **_BIAS)
+        seen, inner = [], feasibility.is_feasible
+
+        def recorded(x, spec, tol=1e-8):
+            seen.append(inner(x, spec, tol))
+            return seen[-1]
+
+        monkeypatch.setattr(feasibility, "is_feasible", recorded)
+        [x] = feasibility._one_coordinate_moves([spec])
+        assert seen[0] is False and seen[-1] is True
+        assert inner(x, spec, 0.0)
+        assert np.count_nonzero(x != spec.x0) == 1
+
+    def test_row_bytes_alone_and_in_a_mixed_call(self):
+        row = raw_spec([-1.3, -0.4, 1.0], [[0.9, 0.35, -0.2]], [0.1], 1e-3, cost=Cost.L1, **_BIAS)
+        [moved] = feasibility._one_coordinate_moves([row])
+        assert moved is not None
+        others = [
+            raw_spec([-1.0, -2.0, 1.0], [[0.9, 0.35, -0.2]], [0.1], 1e-3, cost=Cost.L2, **_BIAS),
+            raw_spec([-2.0, -1.0, 1.0], [[1.0, 0.4, 0.2], [0.8, 0.7, -0.1]], [0.1, 0.2], 0.5,
+                     cost=Cost.L1, **_BIAS),
+            raw_spec([-0.5, -3.0, 1.0], [[0.9, 0.35, -0.2]], [0.1], 0.5, cost=Cost.L1, **_BIAS),
+        ]
+        alone = feasibility.min_cost_point([row])[0]
+        block = feasibility.min_cost_point([others[0], row, *others[1:], row])
+        for got in (block[1], block[-1]):
+            assert got[0] == alone[0] and got[1].tobytes() == alone[1].tobytes()
+        assert alone[1].tobytes() == moved.tobytes()
+
+
+_THETA = st.sampled_from([-1.0, -0.5, 0.0, 0.3, 1.0]) | st.floats(-2.0, 2.0, allow_subnormal=False)
+
+
+@st.composite
+def _distance_cases(draw):
+    """An l1 spec with d up to 10, K up to 3, radii 0 or below |theta_k|,
+    pinned, non-decreasing and boxed coordinates, the bias pinned."""
+    d, K = draw(st.integers(2, 10)), draw(st.integers(1, 3))
+    x0 = np.array([draw(_COORD) for _ in range(d - 1)] + [1.0])
+    thetas = np.array([[draw(_THETA) for _ in range(d)] for _ in range(K)])
+    radii = np.array([draw(st.sampled_from([0.0, 0.05, 0.3, 0.7])) for _ in range(K)])
+    radii *= np.linalg.norm(thetas, axis=1)
+    lower, upper = np.full(d, -np.inf), np.full(d, np.inf)
+    for j in range(d - 1):
+        kind = draw(st.sampled_from(["free", "pinned", "non-decreasing", "box"]))
+        if kind == "pinned":
+            lower[j] = upper[j] = x0[j]
+        elif kind == "non-decreasing":
+            lower[j] = x0[j]
+        elif kind == "box":
+            lower[j], upper[j] = sorted([draw(_BOUND), draw(_BOUND)])
+            if lower[j] == upper[j] and not np.isfinite(lower[j]):
+                lower[j], upper[j] = -np.inf, np.inf
+    lower[-1] = upper[-1] = 1.0
+    return raw_spec(x0, thetas, radii, draw(st.sampled_from([1e-3, 0.5])), cost=Cost.L1,
+                    lower=lower, upper=upper)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_distance_cases())
+def test_one_coordinate_move_matches_the_kernel(spec):
+    """A certified row lies in its set and has the kernel's distance to
+    1e-12 relative; every other row gets the kernel's answer bit for bit."""
+    if spec.defect or is_feasible(spec.x0, spec, 1e-8) or np.any(spec.lower > spec.upper):
+        return
+    [moved] = feasibility._one_coordinate_moves([spec])
+    [(status, x)] = feasibility._run_blocks([spec])
+    got = feasibility.min_cost_point([spec])[0]
+    if moved is not None:
+        assert is_feasible(moved, spec, 0.0)
+        assert got[1].tobytes() == moved.tobytes()
+        assert got[0] == cost_of(moved, spec.x0, Cost.L1)
+        if status == feasibility.SOLVED:
+            want = cost_of(x, spec.x0, Cost.L1)
+            assert abs(got[0] - want) <= 1e-12 * want
+    elif status == feasibility.SOLVED:
+        assert got[0] == cost_of(x, spec.x0, Cost.L1) and got[1].tobytes() == x.tobytes()
+    else:
+        assert isinstance(got, Unattainable)
+
+
 class TestCostOf:
     def test_l1_l2(self):
         assert cost_of([1.0, -2.0], [0.0, 0.0], Cost.L1) == pytest.approx(3.0)

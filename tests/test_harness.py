@@ -45,6 +45,7 @@ from robust_recourse.errors import DualSolveFailed, MaxIterExceeded
 from robust_recourse.model import (
     ActionabilitySpec,
     ComponentMoments,
+    Cost,
     FeatureVector,
     LinearClassifier,
     MixtureBelief,
@@ -535,10 +536,12 @@ class TestGenerateRecourses:
             assert res.iterations == 0
             assert np.array_equal(res.action.values, again.action.values)
 
-    def test_one_kernel_call_per_block(self, rng, monkeypatch):
+    @staticmethod
+    def _kernel_calls(rng, monkeypatch, cost):
+        """The sizes of the _cone_lp calls of one generate block of 4."""
         original, shifted, theta0, belief, negatives = tiny_pipeline(rng)
-        template = ProblemTemplate(belief=belief, delta_add=0.5, config=SolverConfig(restarts=1))
-        instances = negatives[:4]
+        template = ProblemTemplate(belief=belief, delta_add=0.5, cost=cost,
+                                   config=SolverConfig(restarts=1))
         calls = []
         cone_lp = fz._cone_lp
 
@@ -547,9 +550,17 @@ class TestGenerateRecourses:
             return cone_lp(c, G, H, sizes)
 
         monkeypatch.setattr(fz, "_cone_lp", counted)
-        results, errors = generate_recourses(template, instances)
+        results, errors = generate_recourses(template, negatives[:4])
         assert not any(errors)
-        assert calls == [4]  # the block's distance programs; the descents start at their points
+        return calls
+
+    def test_one_kernel_call_per_block(self, rng, monkeypatch):
+        # the l2 block's distance programs; the descents start at their points
+        assert self._kernel_calls(rng, monkeypatch, Cost.L2) == [4]
+
+    def test_l1_distances_skip_the_kernel(self, rng, monkeypatch):
+        # a one-coordinate move answers each l1 distance program
+        assert self._kernel_calls(rng, monkeypatch, Cost.L1) == []
 
     def test_answers_no_worse_than_the_projected_start(self, rng):
         original, shifted, theta0, belief, negatives = tiny_pipeline(rng)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,31 @@ class TestComponentMoments:
     def test_negative_radius_rejected(self):
         with pytest.raises(BadBudget):
             ComponentMoments([1.0, 0.0], np.eye(2), -0.1)
+
+    def test_covariance_near_the_float_range(self):
+        # the symmetrized copy halves before it adds: cov + cov.T would overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            comp = ComponentMoments([1.0, 0.0], 1e308 * np.eye(2), 0.0)
+            assert np.array_equal(comp.cov, 1e308 * np.eye(2))
+            with pytest.raises(NotPositiveDefinite, match="asymmetric by inf"):
+                ComponentMoments([0.0, 0.0], [[1.0, 1e308], [-1e308, 1.0]], 0.0)
+
+    def test_symmetrized_bytes(self, rng):
+        # halving each term first gives the bytes of halving the sum
+        A = rng.normal(size=(4, 4))
+        cov = A @ A.T + 0.5 * np.eye(4)
+        cov[0, 1] += 1e-13
+        comp = ComponentMoments(np.zeros(4), cov, 0.0)
+        assert comp.cov.tobytes() == (0.5 * (cov + cov.T)).tobytes()
+
+    def test_eigenvalue_failure_is_typed(self, monkeypatch):
+        def fails(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fails)
+        with pytest.raises(NotPositiveDefinite, match="did not converge"):
+            ComponentMoments([0.0, 0.0], np.eye(2), 0.0)
 
     @pytest.mark.parametrize("mean, cov, message", [
         ([0.0, 0.0], np.ones((2, 3)), "must be square"),
