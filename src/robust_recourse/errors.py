@@ -38,6 +38,11 @@ class InfeasibleMargin(RecourseError):
         super().__init__(message or f"robust margin violated for components {self.components}")
 
 
+class ObjectiveOverflow(RecourseError):
+    """One of a = -m^T x, b = sqrt(x^T S x) and c = rho*||x|| is not finite:
+    the belief's moments or the action overflow the float range."""
+
+
 class DualSolveFailed(RecourseError):
     """Inner (lambda, eta) minimization did not reach tolerance."""
 

@@ -23,6 +23,8 @@ comes back from the kernel as a Farkas certificate.  With the l1 cost the
 distance program is answered in closed form wherever a move of one
 coordinate is certified optimal by its KKT conditions
 (_one_coordinate_moves); the kernel is the backstop for the other rows.
+
+Membership is tested row-wise (_members); is_feasible is its one-row case.
 """
 
 import math
@@ -131,24 +133,42 @@ class FeasibleSetSpec:
         return self if self.delta is None else replace(self, delta=None)
 
 
-def _cost(diff: np.ndarray, l1: bool) -> float:
-    # sqrt(d.d) is exactly how np.linalg.norm computes a vector's 2-norm
-    return float(np.abs(diff).sum()) if l1 else math.sqrt(float(diff @ diff))
+def _dots(X: np.ndarray) -> np.ndarray:
+    """x.x for each row x of X (or for X, one row): one np.matmul product
+    per row, the arithmetic of x @ x, so no row depends on the others."""
+    return np.matmul(X[..., None, :], X[..., None])[..., 0, 0]
+
+
+def _costs(D: np.ndarray, l1: bool) -> np.ndarray:
+    """The cost of each move, a row of D (or of D, one move): l1, or l2 as
+    sqrt(d.d), which is exactly how np.linalg.norm computes a 2-norm."""
+    return np.add.reduce(np.abs(D), -1) if l1 else np.sqrt(_dots(D))
 
 
 def cost_of(x, x0, cost: Cost) -> float:
     diff = np.asarray(x, dtype=float) - np.asarray(x0, dtype=float)
-    return _cost(diff, Cost(cost) is Cost.L1)
+    return float(_costs(diff, Cost(cost) is Cost.L1))
+
+
+def _members(X, tol, thetas, radii, margin, lower, upper, x0=None, delta=None, l1=True):
+    """The membership test, row-wise: whether each row x_i of X, (N, d),
+    lies in the set of the spec fields given, every constraint within tol.
+    A field is shared by the rows or stacked, one per row: margin as (N,
+    1), delta as (N,); delta None drops the cost ball.  theta_k.x and x.x
+    are one np.matmul product per row, so a row's answer is the same alone
+    and in a block."""
+    out = (_mv(thetas, X) - radii * np.sqrt(_dots(X))[:, None] - margin < -tol).any(-1)
+    out |= (X < lower - tol).any(-1) | (X > upper + tol).any(-1)
+    if delta is not None:
+        out |= _costs(X - x0, l1) > delta + tol
+    return ~out
 
 
 def is_feasible(x, spec: FeasibleSetSpec, tol: float = 1e-8) -> bool:
-    """Membership test for the full intersection, all constraints within tol."""
-    x = np.asarray(x, dtype=float)
-    if spec.delta is not None and _cost(x - spec.x0, spec.l1) > spec.delta + tol:
-        return False
-    if (spec.thetas @ x - spec.radii * math.sqrt(float(x @ x)) - spec.margin < -tol).any():
-        return False
-    return not ((x < spec.lower - tol).any() or (x > spec.upper + tol).any())
+    """Membership test for the full intersection, all constraints within
+    tol: the one-row _members."""
+    return bool(_members(np.asarray(x, dtype=float)[None], tol, spec.thetas, spec.radii,
+                         spec.margin, spec.lower, spec.upper, spec.x0, spec.delta, spec.l1)[0])
 
 
 # --- projections ---------------------------------------------------------------
@@ -231,7 +251,7 @@ class RowProjection:
         out = dict(zip(todo.tolist(), _run_blocks(
             [self.specs[r].without_delta() for r in rows[todo].tolist()], Y[todo])))
         binds = [i for i, (status, x) in out.items() if delta[i] < math.inf and (
-            status == FAILED or status == SOLVED and _cost(x - x0[i], self.l1) > delta[i])]
+            status == FAILED or status == SOLVED and _costs(x - x0[i], self.l1) > delta[i])]
         out.update(zip(binds, _run_blocks(
             [replace(self.specs[rows[i]], delta=float(delta[i])) for i in binds], Y[binds])))
         for i, (status, x) in out.items():
@@ -580,8 +600,8 @@ def _one_coordinate_moves(specs) -> list:
     interval of t (_cone_intervals) and the bounds cut it further; the move
     of least |t| over j is the candidate x.  It is certified when exactly
     one margin set k is active there and no bound on x_j is, x0's other
-    coordinates lie in their bounds, x lies in M (is_feasible at tol 0,
-    after outward steps where rounding left it outside), and the gradient g
+    coordinates lie in their bounds, x lies in M (_members at tol 0, after
+    outward steps where rounding left it outside), and the gradient g
     = theta_k - rho_k x/|x| of set k has |g_j| strictly above every other
     free |g_i|, with sign g_j = sign t.  Then x meets the KKT conditions of
     the l1 distance to set k alone, with the pins: it is the unique nearest
@@ -611,16 +631,18 @@ def _one_coordinate_moves(specs) -> list:
               & (lo_j < s) & (s < hi_j) & np.logical_and.reduce(others_in_box, -1))
         X = X0.copy()
         X[n, j] = s
-        for i in np.flatnonzero(ok).tolist():
-            x, ji = X[i], j[i]
-            ulp = np.spacing(math.sqrt(float(x @ x)))
-            for step in range(MOVE_STEPS):
-                if is_feasible(x, specs[i], 0.0):
-                    ok[i] = lo_j[i] < x[ji] < hi_j[i]
-                    break
-                x[ji] += sign[i] * 2.0**step * ulp
-            else:
-                ok[i] = False
+        rows = ok.nonzero()[0]
+        ulp = np.spacing(np.sqrt(_dots(X[rows])))
+        for step in range(MOVE_STEPS):
+            if not rows.size:
+                break
+            inside = _members(X[rows], 0.0, thetas, radii, margin[rows, None], lower[rows],
+                              upper[rows])
+            done, jd = rows[inside], j[rows[inside]]
+            ok[done] = (lo_j[done] < X[done, jd]) & (X[done, jd] < hi_j[done])
+            rows, ulp = rows[~inside], ulp[~inside]
+            X[rows, j[rows]] += sign[rows] * 2.0**step * ulp
+        ok[rows] = False
         k = np.argmax(active, -1)
         G = np.where((radii[k] > 0.0)[:, None], thetas[k] - (
             radii[k] / np.sqrt(np.add.reduce(X * X, -1)))[:, None] * X, thetas[k])
@@ -649,37 +671,52 @@ def project_feasible(
 
 def min_cost_point(specs, proj_tol: float = 1e-8) -> list:
     """delta_min of many specs at once: per spec, (delta_min, the cheapest
-    point) or the RecourseError delta_min raises for it.  An l1 row where
-    a one-coordinate move is certified optimal gets it in closed form
-    (_one_coordinate_moves); the distance programs of the other specs that
-    share G (those of one ProblemTemplate do) run in one _cone_lp call.  A
-    row's answer is the same alone and in a block."""
+    point) or the RecourseError delta_min raises for it, in one
+    _min_cost_block call per block of specs that share _structure (those
+    of one ProblemTemplate do).  A row's answer is the same alone and in a
+    block."""
     specs = [spec.without_delta() for spec in specs]
-    out, todo = [None] * len(specs), []
-    for i, spec in enumerate(specs):
-        if spec.defect and spec.empty_margin_sets():  # an empty margin set is a defect
-            out[i] = Unattainable("some ambiguity radius is at least the direction norm")
-        elif is_feasible(spec.x0, spec, proj_tol):
-            out[i] = (0.0, spec.x0.copy())
-        elif spec.defect:
-            out[i] = spec.defect()
-        else:
-            todo.append(i)
-    for rows in _blocks([specs[i] for i in todo]):
-        rows = [todo[r] for r in rows]
-        if specs[rows[0]].l1:
-            for i, x in zip(rows, _one_coordinate_moves([specs[i] for i in rows])):
-                if x is not None:
-                    out[i] = (cost_of(x, specs[i].x0, specs[i].cost), x)
-    todo = [i for i in todo if out[i] is None]
-    for i, (status, x) in zip(todo, _run_blocks([specs[i] for i in todo])):
-        if status == INFEASIBLE:
-            out[i] = Unattainable("the margin-and-bounds set is empty (Farkas certificate)")
-        elif status == FAILED:
-            out[i] = Unattainable("the distance program did not converge")
-        else:
-            out[i] = (cost_of(x, specs[i].x0, specs[i].cost), x)
+    out = [None] * len(specs)
+    for rows in _blocks(specs):
+        for i, best in zip(rows, _min_cost_block([specs[i] for i in rows], proj_tol)):
+            out[i] = best
     return out
+
+
+def _min_cost_block(specs, proj_tol: float) -> list:
+    """min_cost_point of specs that share _structure, so their defect too.
+    Where no margin set is empty, every x0 is tested at once (_members)
+    and the rows it leaves outside their sets are moved: an l1 row where a
+    one-coordinate move is certified optimal in closed form
+    (_one_coordinate_moves), the others by their distance programs in one
+    _cone_lp call; the moved rows' costs are taken at once."""
+    s0 = specs[0]
+    if s0.defect and s0.empty_margin_sets():  # an empty margin set is a defect
+        return [Unattainable("some ambiguity radius is at least the direction norm")
+                for _ in specs]
+    X0, lower, upper = (np.array([getattr(s, a) for s in specs]) for a in ("x0", "lower", "upper"))
+    inside = _members(X0, proj_tol, s0.thetas, s0.radii,
+                      np.array([s.margin for s in specs])[:, None], lower, upper)
+    P, found, errors = X0.copy(), inside.copy(), {}
+    todo = (~inside).nonzero()[0].tolist()
+    if s0.defect:
+        errors, todo = {t: s0.defect() for t in todo}, []
+    if s0.l1 and todo:
+        for t, x in zip(todo, _one_coordinate_moves([specs[t] for t in todo])):
+            if x is not None:
+                P[t], found[t] = x, True
+        todo = [t for t in todo if not found[t]]
+    if todo:
+        for t, (status, x) in zip(todo, _run_blocks([specs[t] for t in todo])):
+            if status == SOLVED:
+                P[t], found[t] = x, True
+            else:
+                errors[t] = Unattainable(
+                    "the margin-and-bounds set is empty (Farkas certificate)"
+                    if status == INFEASIBLE else "the distance program did not converge")
+    moved, dmin = found & ~inside, np.zeros(len(specs))
+    dmin[moved] = _costs(P[moved] - X0[moved], s0.l1)
+    return [errors[t] if t in errors else (dmin[t].item(), P[t]) for t in range(len(specs))]
 
 
 def delta_min(spec: FeasibleSetSpec, proj_tol: float = 1e-8) -> float:

@@ -27,7 +27,7 @@ from operator import add, mul
 
 import numpy as np
 
-from .errors import DualSolveFailed, InfeasibleMargin, ZeroAction
+from .errors import DualSolveFailed, InfeasibleMargin, ObjectiveOverflow, ZeroAction
 from .model import Divergence, MixtureBelief, Mode
 from .worst_case import closed_form
 
@@ -56,24 +56,28 @@ def _component_stats(X, means, covs, radii, gaussian: bool):
     The closed forms come from worst_case.closed_form; only the chain rule
     through a = -m^T x, b = sqrt(x^T S x) and c = rho*||x|| lives here.
     Products are summed over the last axis, never by BLAS, so a row's bits
-    do not depend on the other rows.  Returns (values, grads, bad), (N, K),
-    (N, K, d) and (N, K); bad marks where the robust margin theta^T x -
-    rho*||x|| is not positive, and the values there mean nothing.
+    do not depend on the other rows.  Returns (values, grads, bad,
+    overflow), (N, K), (N, K, d), (N, K) and (N, K); overflow marks where
+    a, b or c is not finite (a huge covariance, mean or action), bad where
+    the robust margin theta^T x - rho*||x|| is not positive or overflow
+    holds, and the values there mean nothing.
     """
     Xk = X[:, None, :]
-    a = -np.add.reduce(Xk * means, -1)
-    Sx = np.add.reduce(covs * Xk[:, None], -1)
-    b = np.sqrt(np.maximum(np.add.reduce(Xk * Sx, -1), 0.0))
-    nx = np.sqrt(np.add.reduce(X * X, -1))[:, None]
-    c = radii * nx
-    bad = a + c >= 0.0
     with np.errstate(all="ignore"):
+        a = -np.add.reduce(Xk * means, -1)
+        Sx = np.add.reduce(covs * Xk[:, None], -1)
+        b = np.sqrt(np.maximum(np.add.reduce(Xk * Sx, -1), 0.0))
+        nx = np.sqrt(np.add.reduce(X * X, -1))[:, None]
+        c = radii * nx
+        ac = a + c
+        overflow = ~np.isfinite(ac + b)
+        bad = (ac >= 0.0) | overflow
         values, outer, d_a, d_b, d_c = closed_form(a, b, c, gaussian)
         gb = Sx / b[..., None]
         gc = (radii / nx)[..., None] * X[:, None, :]  # zero when radius == 0
         grads = outer[..., None] * (d_a[..., None] * -means + d_b[..., None] * gb
                                     + d_c[..., None] * gc)
-    return values, grads, bad
+    return values, grads, bad, overflow
 
 
 def evaluate(X, means, covs, radii, weights, mode: Mode, weight_budget: float = 0.0,
@@ -82,16 +86,19 @@ def evaluate(X, means, covs, radii, weights, mode: Mode, weight_budget: float = 
     component means, covariances and mixture weights, row i with the
     ambiguity radii radii[i], (N, K): (values, grads, component values,
     errors); mode and divergence are members of their enums.  errors maps
-    a row to its RecourseError (ZeroAction at x = 0, else InfeasibleMargin,
-    else DualSolveFailed)."""
+    a row to its RecourseError (ZeroAction at x = 0, else ObjectiveOverflow,
+    else InfeasibleMargin, else DualSolveFailed)."""
     if weight_budget < 0.0:
         raise DualSolveFailed(f"weight budget must be >= 0, got {weight_budget}")
     gaussian = mode in (Mode.GAUSSIAN, Mode.GAUSSIAN_WEIGHT_ROBUST, Mode.GAUSSIAN_WORST_COMPONENT)
-    v, g, bad = _component_stats(X, means, covs, radii, gaussian)
+    v, g, bad, overflow = _component_stats(X, means, covs, radii, gaussian)
     errors = {}
     if bad.any():  # x = 0 has a + c = 0: every component is bad there
         errors = {i: ZeroAction("objective undefined at x = 0")
                   for i in (~X.any(-1)).nonzero()[0].tolist()}
+        for i in overflow.any(-1).nonzero()[0].tolist():
+            errors.setdefault(i, ObjectiveOverflow(
+                "a = -m^T x or b = sqrt(x^T S x) or c = rho*||x|| overflows the float range"))
         for i in bad.any(-1).nonzero()[0].tolist():
             errors.setdefault(i, InfeasibleMargin(bad[i].nonzero()[0].tolist()))
     if mode in (Mode.WORST_COMPONENT, Mode.GAUSSIAN_WORST_COMPONENT):

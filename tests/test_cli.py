@@ -587,6 +587,20 @@ class TestOtherModes:
         else:
             assert code == 2 and len(err.strip().splitlines()) == 1
 
+    def test_generate_with_a_prior_tau_near_the_float_range(self, fuzz_base, tmp_path, capsys):
+        # x^T S x overflows at every action but 0: each row ends in
+        # ObjectiveOverflow, with no warning on the way
+        _, stages = fuzz_base
+        belief, out = tmp_path / "prior.json", tmp_path / "recourses.csv"
+        assert run([*_stage(stages, 1, **{"--out": belief}), "--prior-tau", "1e308"]) == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(_stage(stages, 2, **{"--belief": belief, "--out": out}))
+        assert code == 2 and "Traceback" not in capsys.readouterr().err
+        rows = list(csv.DictReader(out.open()))
+        assert len(rows) == 3
+        assert all(r["error"].startswith("ObjectiveOverflow: ") for r in rows)
+
     def test_concat_m2_mode_needs_the_original_data(self, fuzz_base, tmp_path, capsys):
         base, stages = fuzz_base
         cfg = tmp_path / "concat.json"

@@ -1,3 +1,5 @@
+import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -697,21 +699,19 @@ class TestOneCoordinateMove:
         assert calls == []
         assert dmin == 1.5 and point.tolist() == [0.5, 0.0, 1.0]
 
-    def test_rounded_move_is_stepped_into_the_margin_set(self, monkeypatch):
+    def test_rounded_move_is_stepped_into_the_margin_set(self):
         # the root of this row rounds to a point just outside its halfspace
         spec = raw_spec([-0.22, -2.83, 1.0], [[0.167, 0.109, -1.227]], [0.0], 1e-3,
                         cost=Cost.L1, **_BIAS)
-        seen, inner = [], feasibility.is_feasible
-
-        def recorded(x, spec, tol=1e-8):
-            seen.append(inner(x, spec, tol))
-            return seen[-1]
-
-        monkeypatch.setattr(feasibility, "is_feasible", recorded)
+        (theta,), x0 = spec.thetas, spec.x0
+        # the move of x_0, the largest |theta_j|, up to the halfspace's end
+        rest = theta[1] * x0[1] + theta[2] * x0[2]
+        lo, _ = feasibility._cone_intervals(theta[0], 0.0, spec.margin - rest, x0[1:] @ x0[1:])
+        root = np.array([lo, *x0[1:]])
+        assert not is_feasible(root, spec, 0.0)
         [x] = feasibility._one_coordinate_moves([spec])
-        assert seen[0] is False and seen[-1] is True
-        assert inner(x, spec, 0.0)
-        assert np.count_nonzero(x != spec.x0) == 1
+        assert is_feasible(x, spec, 0.0)
+        assert np.count_nonzero(x != spec.x0) == 1 and x[0] != root[0]
 
     def test_row_bytes_alone_and_in_a_mixed_call(self):
         row = raw_spec([-1.3, -0.4, 1.0], [[0.9, 0.35, -0.2]], [0.1], 1e-3, cost=Cost.L1, **_BIAS)
@@ -779,6 +779,138 @@ def test_one_coordinate_move_matches_the_kernel(spec):
         assert got[0] == cost_of(x, spec.x0, Cost.L1) and got[1].tobytes() == x.tobytes()
     else:
         assert isinstance(got, Unattainable)
+
+
+def _cost_one_row(diff, l1):
+    return float(np.abs(diff).sum()) if l1 else math.sqrt(float(diff @ diff))
+
+
+def _member_one_row(x, spec, tol):
+    """The membership test of one row, as x @ x and thetas @ x compute its
+    products: the reference for _members."""
+    if spec.delta is not None and _cost_one_row(x - spec.x0, spec.l1) > spec.delta + tol:
+        return False
+    if (spec.thetas @ x - spec.radii * math.sqrt(float(x @ x)) - spec.margin < -tol).any():
+        return False
+    return not ((x < spec.lower - tol).any() or (x > spec.upper + tol).any())
+
+
+_WIDTH = st.sampled_from([0.0, 0.5, np.inf])
+
+
+def _near(draw, value):
+    """value, or the next float up or down from it."""
+    return np.nextafter(value, draw(st.sampled_from([-np.inf, value, np.inf])))
+
+
+@st.composite
+def _membership_cases(draw):
+    """Rows of specs that share thetas, the cost and whether they have a
+    ball, each with its own x0, radii, margin, bounds and budget, and a
+    point per row that keeps its pins and non-decreasing coordinates and
+    lies in its box.  Every constraint holds with room, but one: a margin
+    set, a bound or the budget, set at the point's own value or one float
+    away, so that rounding decides."""
+    d, K, N = draw(st.integers(2, 10)), draw(st.integers(1, 3)), draw(st.integers(1, 12))
+    thetas = np.array([[draw(_THETA) for _ in range(d)] for _ in range(K)])
+    cost, ball = draw(st.sampled_from(list(Cost))), draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    specs, X = [], []
+    for _ in range(N):
+        x0 = np.array([draw(_COORD) for _ in range(d)])
+        x = x0 + draw(st.sampled_from([0.0, 1e-6, 1.0])) * rng.normal(size=d)
+        lower, upper = np.full(d, -np.inf), np.full(d, np.inf)
+        for j in range(d):
+            kind = draw(st.sampled_from(["free", "free", "pinned", "non-decreasing", "box"]))
+            if kind == "pinned":
+                x[j] = lower[j] = upper[j] = x0[j]
+            elif kind == "non-decreasing":
+                x[j], lower[j] = max(x[j], x0[j]), x0[j]
+            elif kind == "box":
+                lower[j], upper[j] = x[j] - draw(_WIDTH), x[j] + draw(_WIDTH)
+        radii = np.array([draw(st.sampled_from([0.0, 0.05, 0.3, 0.7])) for _ in range(K)])
+        radii *= np.linalg.norm(thetas, axis=1)
+        slack = thetas @ x - radii * math.sqrt(float(x @ x))
+        spent = _cost_one_row(x - x0, cost is Cost.L1)
+        margin, delta = slack.min() - 1.0, spent + 1.0 if ball else None
+        ties = ["margin", "lower", "upper"] + ["budget"] * (3 if ball else 0)
+        tie, j = draw(st.sampled_from(ties)), draw(st.integers(0, d - 1))
+        if tie == "margin":
+            margin = _near(draw, slack[draw(st.integers(0, K - 1))])
+        elif tie == "lower":
+            lower[j] = _near(draw, x[j])
+        elif tie == "upper":
+            upper[j] = _near(draw, x[j])
+        else:
+            delta = _near(draw, spent)
+        specs.append(raw_spec(x0, thetas, radii, margin, delta, cost, lower, upper))
+        X.append(x)
+    return specs, np.array(X), draw(st.sampled_from([0.0, 0.0, 1e-10]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_membership_cases())
+def test_row_wise_membership_matches_each_row_alone(case):
+    """_members over a block of rows equals, bit for bit, the one-row test
+    of each row: is_feasible and the reference."""
+    specs, X, tol = case
+    s0 = specs[0]
+
+    def stacked(name):
+        return np.array([getattr(s, name) for s in specs])
+
+    got = feasibility._members(
+        X, tol, s0.thetas, stacked("radii"), stacked("margin")[:, None], stacked("lower"),
+        stacked("upper"), stacked("x0"), None if s0.delta is None else stacked("delta"), s0.l1)
+    want = [_member_one_row(x, spec, tol) for x, spec in zip(X, specs)]
+    assert got.tolist() == want == [is_feasible(x, spec, tol) for x, spec in zip(X, specs)]
+
+
+def test_row_products_are_the_one_row_products(rng):
+    """The products and costs _members takes for a block of rows equal,
+    bit for bit, thetas @ x, x @ x and the costs of each row alone, on
+    shapes where X @ thetas.T and np.einsum round differently."""
+    for _ in range(300):
+        K, d, N = int(rng.integers(1, 6)), int(rng.integers(2, 40)), int(rng.integers(1, 30))
+        thetas = rng.normal(size=(K, d))
+        X = rng.normal(size=(N, d)) * rng.uniform(0.1, 10.0)
+        assert feasibility._mv(thetas, X).tobytes() == np.array([thetas @ x for x in X]).tobytes()
+        assert feasibility._dots(X).tobytes() == np.array([x @ x for x in X]).tobytes()
+        for l1 in (True, False):
+            want = [_cost_one_row(x, l1) for x in X]
+            assert feasibility._costs(X, l1).tolist() == want
+            assert [float(feasibility._costs(x, l1)) for x in X] == want
+
+
+def test_min_cost_point_mixes_defect_rows_without_a_warning():
+    """Normal rows among a zero direction, a radius of |theta| and one of
+    1e308, l1 and l2, K = 1 and 2, in one call: no row with a defect is
+    evaluated, and each row's answer or error is its lone call's."""
+    one, two = [[0.9, 0.35, -0.2]], [[1.0, 0.4, 0.2], [0.8, 0.7, -0.1]]
+    specs = [
+        raw_spec([-1.3, -0.4, 1.0], one, [0.1], 1e-3, cost=cost, **_BIAS) for cost in Cost
+    ] + [
+        raw_spec([-2.0, -1.0, 1.0], two, [0.1, 0.2], 0.5, cost=cost, **_BIAS) for cost in Cost
+    ] + [
+        raw_spec([1.0, 1.0, 1.0], one, [0.1], 1e-3, cost=Cost.L1, **_BIAS),  # x0 inside
+        raw_spec([-1.0, 0.0, 1.0], [[0.0, 0.0, 0.0], two[0]], [0.0, 0.1], 1e-3, **_BIAS),
+        raw_spec([-1.0, 0.0, 1.0], one, [np.linalg.norm(one)], 1e-3, cost=Cost.L1, **_BIAS),
+        raw_spec([-1.0, 0.0, 1.0], two, [1e308, 0.1], 1e-3, cost=Cost.L1, **_BIAS),
+        raw_spec([-1.0, 0.0, 1.0], one, [1e308], 1e-3, cost=Cost.L2, **_BIAS),
+    ]
+    order = [0, 5, 7, 1, 6, 2, 8, 3, 4, 0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        block = feasibility.min_cost_point([specs[i] for i in order])
+        alone = [feasibility.min_cost_point([spec])[0] for spec in specs]
+    kinds = [type(best).__name__ for best in alone]
+    assert kinds == ["tuple"] * 5 + ["DegenerateDirection"] + ["Unattainable"] * 3
+    for i, got in zip(order, block):
+        want = alone[i]
+        if isinstance(want, tuple):
+            assert got[0] == want[0] and got[1].tobytes() == want[1].tobytes()
+        else:
+            assert (type(got), str(got)) == (type(want), str(want))
 
 
 class TestCostOf:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,12 @@ from hypothesis import strategies as st
 
 from conftest import random_feasible_instance
 from oracles import fd_gradient, weight_robust_grid
-from robust_recourse.errors import DualSolveFailed, InfeasibleMargin, ZeroAction
+from robust_recourse.errors import (
+    DualSolveFailed,
+    InfeasibleMargin,
+    ObjectiveOverflow,
+    ZeroAction,
+)
 from robust_recourse.model import ComponentMoments, Divergence, MixtureBelief, Mode
 from robust_recourse.objective import (
     _component_stats,
@@ -66,6 +72,21 @@ class TestMixtureObjectives:
         with pytest.raises(InfeasibleMargin) as err:
             eval_nonparametric([1.0, 0.0], belief)
         assert err.value.components == (1,)
+
+    @pytest.mark.parametrize("mode", [Mode.NONPARAMETRIC, Mode.GAUSSIAN])
+    def test_overflowing_scalars_are_a_typed_error(self, mode):
+        # x^T S x and |x|^2 overflow at the second row; the others keep
+        # their bits and their own errors, with no warning on the way
+        means, covs, radii = moments(single_component_belief([1.0, 0.0], np.eye(2), 0.1))
+        X = np.array([[1.0, 0.5], [1e200, 1e200], [0.0, 0.0], [-1.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values, grads, _, errors = evaluate(X, means, covs, np.tile(radii, (4, 1)),
+                                                np.ones(1), mode)
+            alone = evaluate(X[:1], means, covs, radii[None], np.ones(1), mode)
+        assert [type(errors.get(i)) for i in range(4)] == [
+            type(None), ObjectiveOverflow, ZeroAction, InfeasibleMargin]
+        assert values[0] == alone[0][0] and grads[0].tobytes() == alone[1][0].tobytes()
 
 
 class TestGradients:
