@@ -239,14 +239,16 @@ def _belief(args):
     return belief, theta0, scaling
 
 
-def _load_data(args, path, scaling):
-    """A dataset CSV in the belief's features: scaled by the estimate's
-    Normalization when there is one, never by the file's own columns."""
+def _load_data(args, path, belief, scaling):
+    """A dataset CSV in the belief's features, which it must match in
+    number: scaled by the estimate's Normalization when there is one, never
+    by the file's own columns."""
     data, _, _ = load_csv(path, args.label_column)
+    if data.features.shape[1] != belief.dim - 1:
+        raise DimensionMismatch(
+            f"{path}: {data.features.shape[1]} features, the belief has {belief.dim - 1}")
     if scaling is None:
         return data
-    if data.features.shape[1] != scaling.col_min.size:
-        raise DimensionMismatch(f"{path}: the belief's scaling has {scaling.col_min.size} columns")
     return LabeledDataset(scaling.apply(data.features), data.labels)
 
 
@@ -314,16 +316,16 @@ def load_recourses_csv(path):
     return ids, instances, recourses
 
 
-def _shift_ensemble(args, cfg, seed, scaling, data=None):
+def _shift_ensemble(args, cfg, seed, belief, scaling, data=None):
     """The m2 ensemble retrained on the --shifted CSVs.  Concat mode also
     trains on the original dataset: data when the caller has it loaded,
     else the --data file."""
-    shifted = [_load_data(args, path, scaling) for path in args.shifted]
+    shifted = [_load_data(args, path, belief, scaling) for path in args.shifted]
     m2 = cfg["m2"]
     if m2["mode"] == "concat" and data is None:
         if args.data is None:
             raise UsageError("concat m2 mode needs --data with the original dataset")
-        data = _load_data(args, args.data, scaling)
+        data = _load_data(args, args.data, belief, scaling)
     return build_shift_ensemble(
         shifted,
         subsample=m2["subsample"],
@@ -422,7 +424,7 @@ def _cmd_estimate(args, cfg, seed):
 
 def _cmd_generate(args, cfg, seed):
     belief, theta0, scaling = _belief(args)
-    data = _load_data(args, args.data, scaling)
+    data = _load_data(args, args.data, belief, scaling)
     instances, ids = _negative_instances(data, theta0, args.max_instances)
     if not instances:
         raise RecourseError("no negatively classified instances to generate recourse for")
@@ -435,11 +437,11 @@ def _cmd_generate(args, cfg, seed):
 
 
 def _cmd_evaluate(args, cfg, seed):
-    _, theta0, scaling = _belief(args)
+    belief, theta0, scaling = _belief(args)
     ids, instances, recourses = load_recourses_csv(args.recourses)
     if not recourses:
         raise RecourseError(f"no solved recourses in {args.recourses}")
-    ensemble = _shift_ensemble(args, cfg, seed, scaling)
+    ensemble = _shift_ensemble(args, cfg, seed, belief, scaling)
     report = evaluate(recourses, instances, theta0, ensemble)
     base = Path(args.out)
     _dump_json(
@@ -482,11 +484,11 @@ def _grid(flag, text):
 def _cmd_sweep(args, cfg, seed):
     deltas, rhos = _grid("--deltas", args.deltas), _grid("--rhos", args.rhos)
     belief, theta0, scaling = _belief(args)
-    data = _load_data(args, args.data, scaling)
+    data = _load_data(args, args.data, belief, scaling)
     instances, _ = _negative_instances(data, theta0, args.max_instances)
     if not instances:
         raise RecourseError("no negatively classified instances for the sweep")
-    ensemble = _shift_ensemble(args, cfg, seed, scaling, data)
+    ensemble = _shift_ensemble(args, cfg, seed, belief, scaling, data)
     template = _template(cfg, belief, seed)
     rows = sweep_frontier(template, instances, ensemble, deltas, rhos)
     write_frontier_csv(args.out, rows)

@@ -14,9 +14,10 @@ tests the point against every margin set and the box: where they all hold
 it, it is the projection onto the intersection.  The projection program in
 the conic kernel answers the other rows, first without the ball, then with
 it where the point leaves the ball; project_feasible is the one-row case.
-Per-spec invariants are cached on the spec.  Two small second-order cone
-programs are solved by one batched NumPy interior-point kernel (_cone_lp),
-specs that share their structure in one call: the distance program behind
+A FeasibleSetSpec describes the sets of a block's rows, stacked, and every
+consumer reads it by row.  Two small second-order cone programs are solved
+by one batched NumPy interior-point kernel (_cone_lp), the rows that share
+their structure in one call: the distance program behind
 delta_min, the smallest budget that keeps the set nonempty, whose cheapest
 point starts every descent, and that projection program.  An empty set
 comes back from the kernel as a Farkas certificate.  With the l1 cost the
@@ -29,7 +30,7 @@ Membership is tested row-wise (_members); is_feasible is its one-row case.
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -45,35 +46,35 @@ from .model import Cost, RecourseProblem
 
 @dataclass(frozen=True, eq=False)
 class FeasibleSetSpec:
-    """Arrays describing the feasible set; delta=None drops the cost ball."""
+    """The feasible sets of N rows, stacked: x0, lower and upper (N, d)
+    actionability bounds, radii (N, K), delta (N,) cost budgets, or None
+    for no cost ball; thetas (K, d), margin and cost are shared."""
 
     x0: np.ndarray
-    delta: float | None
+    delta: np.ndarray | None
     cost: Cost
     margin: float
     thetas: np.ndarray  # (K, d) component mean directions
-    radii: np.ndarray  # (K,) ambiguity radii
-    lower: np.ndarray  # (d,) actionability lower bounds
-    upper: np.ndarray  # (d,) actionability upper bounds
+    radii: np.ndarray  # (N, K) ambiguity radii
+    lower: np.ndarray  # (N, d) actionability lower bounds
+    upper: np.ndarray  # (N, d) actionability upper bounds
 
     @classmethod
     def from_problem(cls, problem: RecourseProblem) -> "FeasibleSetSpec":
         """The spec of problem's feasible set: the one-row block."""
-        [spec] = cls.block(problem.x0.values[None], problem.belief, problem.actionability,
-                           problem.cost, problem.margin, problem.delta)
-        if isinstance(spec, RecourseError):
-            raise spec
+        spec, errors = cls.block(problem.x0.values[None], problem.belief, problem.actionability,
+                                 problem.cost, problem.margin, problem.delta)
+        if errors:
+            raise errors[0]
         return spec
 
     @classmethod
-    def block(cls, X0, belief, actionability, cost, margin: float,
-              delta: float | None = None) -> list:
-        """Per row x0 of X0, (N, d), the spec of its feasible set, or the
-        EmptyFeasibleSet its actionability bounds raise: the bounds are
-        built for all rows at once, and the belief's arrays and the cached
-        invariants that depend on them alone (tts, l1, defect) once, shared
-        by every row.  actionability is taken as given: a problem's pins
-        the bias."""
+    def block(cls, X0, belief, actionability, cost, margin: float, delta: float | None = None):
+        """(spec, errors): the spec of the feasible sets of the rows x0 of
+        X0, (N, d), each with the belief's radii and the budget delta, and
+        the EmptyFeasibleSet of each row whose actionability bounds exclude
+        its input, by position.  actionability is taken as given: a
+        problem's pins the bias."""
         X0 = np.array(X0, dtype=float)
         lower, upper = np.full(X0.shape, -np.inf), np.full(X0.shape, np.inf)
         if actionability.box is not None:
@@ -84,21 +85,25 @@ class FeasibleSetSpec:
         pinned = sorted(actionability.immutable)
         lower[:, pinned] = upper[:, pinned] = X0[:, pinned]
         thetas = np.array([c.mean for c in belief.components], dtype=float)
-        radii = np.array([c.radius for c in belief.components], dtype=float)
-        cost, margin = Cost(cost), float(margin)
-        delta = None if delta is None else float(delta)
-        shared = None
-        out = []
-        for x0, lo, hi, empty in zip(X0, lower, upper, (lower > upper).any(-1).tolist()):
-            if empty:
-                out.append(EmptyFeasibleSet("actionability bounds exclude the input point"))
-                continue
-            spec = cls(x0, delta, cost, margin, thetas, radii, lo, hi)
-            if shared is None:
-                shared = {k: getattr(spec, k) for k in ("tts", "l1", "defect")}
-            spec.__dict__.update(shared)
-            out.append(spec)
-        return out
+        radii = np.array([[c.radius for c in belief.components]], dtype=float)
+        errors = {n: EmptyFeasibleSet("actionability bounds exclude the input point")
+                  for n in (lower > upper).any(-1).nonzero()[0].tolist()}
+        return cls(X0, None if delta is None else np.full(len(X0), float(delta)), Cost(cost),
+                   float(margin), thetas, radii.repeat(len(X0), 0), lower, upper), errors
+
+    @classmethod
+    def stack(cls, specs) -> "FeasibleSetSpec":
+        """The rows of specs that share thetas, margin and cost, in one spec
+        without a cost ball."""
+        return replace(specs[0], delta=None, **{a: np.concatenate([getattr(s, a) for s in specs])
+                                                for a in ("x0", "radii", "lower", "upper")})
+
+    def take(self, rows, delta=None) -> "FeasibleSetSpec":
+        """The spec of the given rows with the budgets delta, one per row
+        (None for no cost ball)."""
+        return replace(self, x0=self.x0[rows], radii=self.radii[rows], lower=self.lower[rows],
+                       upper=self.upper[rows],
+                       delta=None if delta is None else np.asarray(delta, dtype=float))
 
     @cached_property
     def tts(self) -> np.ndarray:
@@ -110,27 +115,22 @@ class FeasibleSetSpec:
         return Cost(self.cost) is Cost.L1
 
     @cached_property
-    def defect(self):
-        """Maker of the error every projection onto this spec raises, or
-        None: a zero direction, else an empty margin set."""
-        if np.any(self.tts == 0.0):
-            return partial(DegenerateDirection, "cone constraint with zero direction")
-        empty = self.empty_margin_sets()
-        if empty:
-            return partial(
-                EmptyFeasibleSet,
-                f"margin set empty for components {empty}: "
-                "ambiguity radius at least as large as the direction norm",
-            )
-        return None
-
-    def empty_margin_sets(self) -> list:
-        """Components whose margin set is empty: radius at least ||theta_k||."""
+    def empty(self) -> np.ndarray:
+        """(N, K): whether row n's margin set k is empty, its radius at
+        least ||theta_k||."""
         with np.errstate(over="ignore"):  # a radius past ~1e154 squares to inf, still >=
-            return np.nonzero((self.radii > 0.0) & (self.radii**2 >= self.tts))[0].tolist()
+            return (self.radii > 0.0) & (self.radii**2 >= self.tts)
 
-    def without_delta(self) -> "FeasibleSetSpec":
-        return self if self.delta is None else replace(self, delta=None)
+    def defect(self, n: int):
+        """The error every projection onto row n's set raises, or None: a
+        zero direction, else an empty margin set."""
+        if np.any(self.tts == 0.0):
+            return DegenerateDirection("cone constraint with zero direction")
+        if self.empty[n].any():
+            return EmptyFeasibleSet(
+                f"margin set empty for components {self.empty[n].nonzero()[0].tolist()}: "
+                "ambiguity radius at least as large as the direction norm")
+        return None
 
 
 def _dots(X: np.ndarray) -> np.ndarray:
@@ -165,10 +165,11 @@ def _members(X, tol, thetas, radii, margin, lower, upper, x0=None, delta=None, l
 
 
 def is_feasible(x, spec: FeasibleSetSpec, tol: float = 1e-8) -> bool:
-    """Membership test for the full intersection, all constraints within
-    tol: the one-row _members."""
-    return bool(_members(np.asarray(x, dtype=float)[None], tol, spec.thetas, spec.radii,
-                         spec.margin, spec.lower, spec.upper, spec.x0, spec.delta, spec.l1)[0])
+    """Membership test of x for the full intersection of a one-row spec,
+    all constraints within tol: the one-row _members."""
+    return bool(_members(np.reshape(np.asarray(x, dtype=float), (1, -1)), tol, spec.thetas,
+                         spec.radii, spec.margin, spec.lower, spec.upper, spec.x0, spec.delta,
+                         spec.l1)[0])
 
 
 # --- projections ---------------------------------------------------------------
@@ -191,25 +192,20 @@ def _project_l1_ball(v: np.ndarray, radius) -> np.ndarray:
 
 
 class RowProjection:
-    """Projections of rows, row i onto the set of specs[i] with the cost
-    budget deltas[i] (None for no ball): specs without a defect that share
-    thetas, margin and cost, as one template's do, each with its own radii;
-    their own deltas are not read.  A call projects Y onto the sets of the
-    given rows: (points, errors), errors mapping a position to its
-    RecourseError, or to None where a far position is rejected."""
+    """Projections onto the sets of the rows of spec, whose rows have no
+    defect.  A call projects Y onto the sets of the given rows: (points,
+    errors), errors mapping a position to its RecourseError, or to None
+    where a far position is rejected."""
 
-    def __init__(self, specs, deltas):
-        self.specs = specs
-        self.delta = np.array([math.inf if d is None else d for d in deltas], dtype=float)
-        self.x0, self.lower, self.upper, self.radii = (
-            np.array([getattr(s, a) for s in specs], dtype=float)
-            for a in ("x0", "lower", "upper", "radii"))
+    def __init__(self, spec: FeasibleSetSpec):
+        self.spec, self.x0, self.lower, self.upper, self.radii = (
+            spec, spec.x0, spec.lower, spec.upper, spec.radii)
+        self.delta = np.full(len(spec.x0), math.inf) if spec.delta is None else spec.delta
         self.pins = (self.lower == self.upper) & (self.lower == self.x0)
         # the ball keeps the pins at x0, so only a finite bound elsewhere can
         # fail the box test; a NaN row fails the cone test as well
         self.boxed = ((np.isfinite(self.lower) | np.isfinite(self.upper)) & ~self.pins).any()
-        s0 = specs[0]
-        self.l1, self.thetas, self.floor = s0.l1, s0.thetas, -s0.margin
+        self.l1, self.thetas, self.floor = spec.l1, spec.thetas, -spec.margin
 
     def __call__(self, Y, rows, far=None):
         """The first cycle in lock step: the cost ball with the pins, then
@@ -248,12 +244,12 @@ class RowProjection:
         # variables free to float, which can stall the kernel's dual residual
         # above CONE_ACCEPT; so the program with the ball runs only where the
         # ball binds, or where the one without it fails
-        out = dict(zip(todo.tolist(), _run_blocks(
-            [self.specs[r].without_delta() for r in rows[todo].tolist()], Y[todo])))
+        out = dict(zip(todo.tolist(), _run_blocks(self.spec.take(rows[todo]), Y[todo])))
         binds = [i for i, (status, x) in out.items() if delta[i] < math.inf and (
             status == FAILED or status == SOLVED and _costs(x - x0[i], self.l1) > delta[i])]
-        out.update(zip(binds, _run_blocks(
-            [replace(self.specs[rows[i]], delta=float(delta[i])) for i in binds], Y[binds])))
+        if binds:
+            out.update(zip(binds, _run_blocks(self.spec.take(rows[binds], delta[binds]),
+                                              Y[binds])))
         for i, (status, x) in out.items():
             if status == SOLVED:
                 X[i] = x
@@ -460,19 +456,12 @@ def _cone_lp(c, G, H, sizes):
 # --- the package's conic programs ----------------------------------------------
 
 
-def _structure(spec: FeasibleSetSpec) -> tuple:
-    """What the G of spec's conic programs depends on."""
-    return (spec.l1, spec.delta is None, spec.thetas.shape, spec.thetas.tobytes(),
-            spec.radii.tobytes(), (spec.lower == spec.upper).tobytes(),
-            np.isfinite(spec.lower).tobytes(), np.isfinite(spec.upper).tobytes())
-
-
-def _conic_program(specs, targets=None):
-    """(c, G, H, cone sizes, points) of each spec's distance program
-    (targets None) or of its projection program for targets[i]; the specs
-    share _structure, hence c and G.  The variables are the free
-    coordinates y; pinned ones (the bias, immutables, lower == upper) enter
-    h as constants.
+def _conic_program(spec: FeasibleSetSpec, targets=None):
+    """(c, G, H, cone sizes, points) of each row's distance program
+    (targets None) or of its projection program for targets[i]; the rows
+    share radii, pins and which bounds are finite, hence c and G.  The
+    variables are the free coordinates y; pinned ones (the bias,
+    immutables, lower == upper) enter h as constants.
 
     Rows: each margin as the cone (theta_k.x - margin, rho_k*x), one row
     when rho_k = 0; each finite bound.  The distance program minimizes the
@@ -482,14 +471,13 @@ def _conic_program(specs, targets=None):
     x0) with sum(t') <= delta less the pinned coordinates' cost.  points
     maps solutions to points x, clipped to the bounds.
     """
-    s0, N = specs[0], len(specs)
-    d, pinned = s0.x0.size, s0.lower == s0.upper
+    X0, lower, upper = spec.x0, spec.lower, spec.upper
+    (N, d), pinned = X0.shape, lower[0] == upper[0]
     free = np.flatnonzero(~pinned)
     nf = free.size
-    X0, lower, upper = (np.array([getattr(s, a) for s in specs]) for a in ("x0", "lower", "upper"))
     base = np.where(pinned, lower, 0.0)  # x = base + Y v
-    ball = targets is not None and s0.delta is not None
-    l1_cost, l1_ball = targets is None and s0.l1, ball and s0.l1
+    ball = targets is not None and spec.delta is not None
+    l1_cost, l1_ball = targets is None and spec.l1, ball and spec.l1
     n = nf + (nf if l1_cost else 1) + (nf if l1_ball else 0)
     c = np.zeros(n)
     c[nf : 2 * nf if l1_cost else nf + 1] = 1.0
@@ -509,21 +497,19 @@ def _conic_program(specs, targets=None):
         lift(nf, X0)
     else:
         cone(-np.eye(n)[nf], np.zeros(N), 1.0, X0 if targets is None else targets)
-    delta = np.array([s.delta for s in specs]) if ball else None
-    margin = np.array([s.margin for s in specs])
     if l1_ball:
         lift(nf + 1, X0)
         pinned_cost = np.abs(base - X0)[:, pinned].sum(-1)
-        rows.append(((np.arange(n) > nf)[None] * 1.0, (delta - pinned_cost)[:, None]))
+        rows.append(((np.arange(n) > nf)[None] * 1.0, (spec.delta - pinned_cost)[:, None]))
     elif ball:
-        cone(np.zeros(n), delta, 1.0, X0)
-    for theta, rho in zip(s0.thetas, s0.radii.tolist()):
-        g, h = -(theta @ Y), (base * theta).sum(-1) - margin
+        cone(np.zeros(n), spec.delta, 1.0, X0)
+    for theta, rho in zip(spec.thetas, spec.radii[0].tolist()):
+        g, h = -(theta @ Y), (base * theta).sum(-1) - spec.margin
         if rho == 0.0:
             rows.append((g[None], h[:, None]))
         else:
             cone(g, h, rho, np.zeros(d))
-    lo, hi = free[np.isfinite(s0.lower[free])], free[np.isfinite(s0.upper[free])]
+    lo, hi = free[np.isfinite(lower[0, free])], free[np.isfinite(upper[0, free])]
     rows.extend([(-Y[lo], -lower[:, lo]), (Y[hi], upper[:, hi])])
     G, H = (np.concatenate([b[i] for b in rows + cones], i) for i in (0, 1))
 
@@ -535,23 +521,20 @@ def _conic_program(specs, targets=None):
     return c, G, H, [1] * sum(len(g) for g, _ in rows) + [d + 1] * len(cones), points
 
 
-def _blocks(specs):
-    """The positions of specs, grouped by _structure."""
-    blocks = {}
-    for i, spec in enumerate(specs):
-        blocks.setdefault(_structure(spec), []).append(i)
-    return blocks.values()
-
-
-def _run_blocks(specs, targets=None) -> list:
-    """Per spec, (status, point) of its distance program (targets None) or
-    of its projection program for targets[i], in one _cone_lp call per
-    block of specs that share _structure; a row's answer is the same alone
-    and in a block."""
-    out = [None] * len(specs)
-    for rows in _blocks(specs):
+def _run_blocks(spec: FeasibleSetSpec, targets=None) -> list:
+    """Per row of spec, (status, point) of its distance program (targets
+    None) or of its projection program for targets[i], in one _cone_lp call
+    per group of rows that share what G depends on: radii, pins and which
+    bounds are finite.  A row's answer is the same alone and in a group."""
+    keys = np.hstack([spec.radii, spec.lower == spec.upper, np.isfinite(spec.lower),
+                      np.isfinite(spec.upper)])
+    groups, out = {}, [None] * len(keys)
+    for i, key in enumerate(map(bytes, keys)):
+        groups.setdefault(key, []).append(i)
+    for rows in groups.values():
         c, G, H, sizes, points = _conic_program(
-            [specs[i] for i in rows], None if targets is None else targets[rows])
+            spec.take(rows, None if spec.delta is None else spec.delta[rows]),
+            None if targets is None else targets[rows])
         status, V, _ = _cone_lp(c, G, H, sizes)
         for i, st, x in zip(rows, status.tolist(), points(V)):
             out[i] = (st, x)
@@ -591,10 +574,10 @@ def _cone_intervals(b, rho, c, r2):
 MOVE_STEPS = 8
 
 
-def _one_coordinate_moves(specs) -> list:
-    """Per l1 spec of a block that shares _structure (delta None, no
-    defect, x0 outside its set), the distance program's answer where a
-    move of one coordinate is certified optimal, else None.
+def _one_coordinate_moves(spec: FeasibleSetSpec):
+    """(X, ok): per row of an l1 spec whose rows have no defect and x0
+    outside their sets, the distance program's answer X[i] where ok[i], a
+    move of one coordinate certified optimal.
 
     Along x0 + t e_j, for each free coordinate j, every margin set is an
     interval of t (_cone_intervals) and the bounds cut it further; the move
@@ -607,17 +590,16 @@ def _one_coordinate_moves(specs) -> list:
     the l1 distance to set k alone, with the pins: it is the unique nearest
     point of that larger set, and so of M, which holds it.  Every sum is
     row-wise, so a row's answer is the same alone and in any block."""
-    s0 = specs[0]
-    thetas, radii, free = s0.thetas, s0.radii, s0.lower != s0.upper
-    X0, lower, upper = (np.array([getattr(s, a) for s in specs]) for a in ("x0", "lower", "upper"))
-    margin = np.array([s.margin for s in specs])
+    X0, lower, upper, thetas, radii, margin = (
+        spec.x0, spec.lower, spec.upper, spec.thetas, spec.radii, spec.margin)
     N, d = X0.shape
+    free = lower != upper
     n, off_diagonal = np.arange(N), ~np.eye(d, dtype=bool)
     with np.errstate(all="ignore"):  # a huge margin or input overflows; such rows are refused
         # per row, set k and coordinate j: theta_k.x0 and |x0|^2 over i != j
         rest = np.add.reduce((X0[:, None, :] * thetas)[:, :, None, :] * off_diagonal, -1)
         r2 = np.add.reduce((X0 * X0)[:, None, None, :] * off_diagonal, -1)
-        lo, hi = _cone_intervals(thetas, radii[:, None], margin[:, None, None] - rest, r2)
+        lo, hi = _cone_intervals(thetas, radii[:, :, None], margin - rest, r2)
         L = np.maximum(np.maximum.reduce(lo, 1), lower)
         U = np.minimum(np.minimum.reduce(hi, 1), upper)
         up = L > X0
@@ -636,93 +618,82 @@ def _one_coordinate_moves(specs) -> list:
         for step in range(MOVE_STEPS):
             if not rows.size:
                 break
-            inside = _members(X[rows], 0.0, thetas, radii, margin[rows, None], lower[rows],
-                              upper[rows])
+            inside = _members(X[rows], 0.0, thetas, radii[rows], margin, lower[rows], upper[rows])
             done, jd = rows[inside], j[rows[inside]]
             ok[done] = (lo_j[done] < X[done, jd]) & (X[done, jd] < hi_j[done])
             rows, ulp = rows[~inside], ulp[~inside]
             X[rows, j[rows]] += sign[rows] * 2.0**step * ulp
         ok[rows] = False
         k = np.argmax(active, -1)
-        G = np.where((radii[k] > 0.0)[:, None], thetas[k] - (
-            radii[k] / np.sqrt(np.add.reduce(X * X, -1)))[:, None] * X, thetas[k])
+        G = np.where((radii[n, k] > 0.0)[:, None], thetas[k] - (
+            radii[n, k] / np.sqrt(np.add.reduce(X * X, -1)))[:, None] * X, thetas[k])
         g = G[n, j]
         rival = np.maximum.reduce(np.where(free & (np.arange(d) != j[:, None]), abs(G), 0.0), -1)
         ok &= (abs(g) > rival) & (np.sign(g) == sign)
-    return [x if good else None for x, good in zip(X, ok.tolist())]
+    return X, ok
 
 
 def project_feasible(
     xp, spec: FeasibleSetSpec, max_iter: int = 500, tol: float = 1e-8
 ) -> np.ndarray:
-    """Euclidean projection of xp onto the full intersection: the one-row
-    RowProjection, whose errors it raises.  The defects of spec raise at
-    once.  max_iter and tol are not read: the kernel's own tolerances
-    govern the projection, and the signature stays for the callers that
-    pass them (bench/workloads.py among them)."""
-    if spec.defect:
-        raise spec.defect()
-    X, errors = RowProjection([spec], [spec.delta])(
-        np.asarray(xp, dtype=float)[None], np.zeros(1, int))
+    """Euclidean projection of xp, a point or a (1, d) row, onto the full
+    intersection of a one-row spec: the one-row RowProjection, whose errors
+    it raises.  The defects of spec raise at once.  max_iter and tol are
+    not read: the kernel's own tolerances govern the projection, and the
+    signature stays for the callers that pass them (bench/workloads.py
+    among them)."""
+    defect = spec.defect(0)
+    if defect:
+        raise defect
+    X, errors = RowProjection(spec)(np.reshape(np.asarray(xp, dtype=float), (1, -1)),
+                                    np.zeros(1, int))
     if errors:
         raise errors[0]
     return X[0]
 
 
-def min_cost_point(specs, proj_tol: float = 1e-8) -> list:
-    """delta_min of many specs at once: per spec, (delta_min, the cheapest
-    point) or the RecourseError delta_min raises for it, in one
-    _min_cost_block call per block of specs that share _structure (those
-    of one ProblemTemplate do).  A row's answer is the same alone and in a
-    block."""
-    specs = [spec.without_delta() for spec in specs]
-    out = [None] * len(specs)
-    for rows in _blocks(specs):
-        for i, best in zip(rows, _min_cost_block([specs[i] for i in rows], proj_tol)):
-            out[i] = best
-    return out
-
-
-def _min_cost_block(specs, proj_tol: float) -> list:
-    """min_cost_point of specs that share _structure, so their defect too.
-    Where no margin set is empty, every x0 is tested at once (_members)
-    and the rows it leaves outside their sets are moved: an l1 row where a
+def min_cost_point(spec: FeasibleSetSpec, proj_tol: float = 1e-8) -> list:
+    """delta_min of every row of spec at once (its delta is not read): per
+    row, (delta_min, the cheapest point) or the RecourseError delta_min
+    raises for it.  A row with an empty margin set is Unattainable and is
+    never evaluated; the other x0 are tested at once (_members), and the
+    rows left outside their sets are moved: an l1 row where a
     one-coordinate move is certified optimal in closed form
-    (_one_coordinate_moves), the others by their distance programs in one
-    _cone_lp call; the moved rows' costs are taken at once."""
-    s0 = specs[0]
-    if s0.defect and s0.empty_margin_sets():  # an empty margin set is a defect
-        return [Unattainable("some ambiguity radius is at least the direction norm")
-                for _ in specs]
-    X0, lower, upper = (np.array([getattr(s, a) for s in specs]) for a in ("x0", "lower", "upper"))
-    inside = _members(X0, proj_tol, s0.thetas, s0.radii,
-                      np.array([s.margin for s in specs])[:, None], lower, upper)
-    P, found, errors = X0.copy(), inside.copy(), {}
-    todo = (~inside).nonzero()[0].tolist()
-    if s0.defect:
-        errors, todo = {t: s0.defect() for t in todo}, []
-    if s0.l1 and todo:
-        for t, x in zip(todo, _one_coordinate_moves([specs[t] for t in todo])):
-            if x is not None:
-                P[t], found[t] = x, True
-        todo = [t for t in todo if not found[t]]
-    if todo:
-        for t, (status, x) in zip(todo, _run_blocks([specs[t] for t in todo])):
+    (_one_coordinate_moves), the others by their distance programs in the
+    conic kernel (_run_blocks).  The moved rows' costs are taken at once.
+    A row's answer is the same alone and in a block."""
+    X0, empty = spec.x0, spec.empty.any(-1)
+    inside = np.zeros(len(X0), bool)
+    inside[~empty] = _members(X0[~empty], proj_tol, spec.thetas, spec.radii[~empty],
+                              spec.margin, spec.lower[~empty], spec.upper[~empty])
+    P, found = X0.copy(), inside.copy()
+    errors = {t: Unattainable("some ambiguity radius is at least the direction norm")
+              for t in empty.nonzero()[0].tolist()}
+    todo = (~empty & ~inside).nonzero()[0]
+    if np.any(spec.tts == 0.0):  # a zero direction: no row outside its set moves
+        errors.update((t, spec.defect(t)) for t in todo.tolist())
+        todo = todo[:0]
+    if spec.l1 and todo.size:
+        X, ok = _one_coordinate_moves(spec.take(todo))
+        P[todo[ok]], found[todo[ok]] = X[ok], True
+        todo = todo[~ok]
+    if todo.size:
+        for t, (status, x) in zip(todo.tolist(), _run_blocks(spec.take(todo))):
             if status == SOLVED:
                 P[t], found[t] = x, True
             else:
                 errors[t] = Unattainable(
                     "the margin-and-bounds set is empty (Farkas certificate)"
                     if status == INFEASIBLE else "the distance program did not converge")
-    moved, dmin = found & ~inside, np.zeros(len(specs))
-    dmin[moved] = _costs(P[moved] - X0[moved], s0.l1)
-    return [errors[t] if t in errors else (dmin[t].item(), P[t]) for t in range(len(specs))]
+    moved, dmin = found & ~inside, np.zeros(len(X0))
+    dmin[moved] = _costs(P[moved] - X0[moved], spec.l1)
+    return [errors[t] if t in errors else (dmin[t].item(), P[t]) for t in range(len(X0))]
 
 
 def delta_min(spec: FeasibleSetSpec, proj_tol: float = 1e-8) -> float:
-    """Smallest cost budget for which the feasible set is nonempty: the
-    cost distance from x0 to the margin-and-bounds set M: min_cost_point
-    of this one spec, which also gives the cheapest point, in closed form
+    """Smallest cost budget for which the feasible set of a one-row spec is
+    nonempty: the cost distance from x0 to the margin-and-bounds set M:
+    min_cost_point of this spec, which also gives the cheapest point, in closed form
     where an l1 one-coordinate move is certified optimal, else by the
     distance program in the conic kernel.
 
@@ -730,7 +701,7 @@ def delta_min(spec: FeasibleSetSpec, proj_tol: float = 1e-8) -> float:
     certifies M empty or does not converge, and DegenerateDirection for a
     zero direction; no bound caps the distance.
     """
-    best = min_cost_point([spec], proj_tol)[0]
+    best = min_cost_point(spec, proj_tol)[0]
     if isinstance(best, RecourseError):
         raise best
     return best[0]

@@ -321,6 +321,9 @@ def evaluate(
     X0 = np.array([r.values for r in instances])
     if Xr.shape != X0.shape:
         raise DimensionMismatch("recourse and instance dimensions disagree")
+    if Xr.shape[1] != original_clf.dim or Xr.shape[1] != ensemble.classifiers[0].dim:
+        raise DimensionMismatch(f"recourses of dimension {Xr.shape[1]}, classifiers of "
+                                f"{original_clf.dim} and {ensemble.classifiers[0].dim}")
     m1_flags = (Xr @ original_clf.theta >= 0.0).astype(float)
     votes = (Xr @ ensemble.matrix().T >= 0.0).astype(float)  # (n, trials)
     m2_frac = votes.mean(axis=1)
@@ -392,43 +395,44 @@ def _describe(exc: RecourseError) -> str:
 
 
 def _delta_mins(template: ProblemTemplate, instances) -> tuple:
-    """(specs, dmins): per instance, the FeasibleSetSpec of its feasible set
-    without the cost ball (fz.FeasibleSetSpec.block, one call), or the
-    RecourseError its bounds raise, and the pair (delta_min, the cheapest
-    point) or the stringified failure; the distance programs run as one
-    block (fz.min_cost_point).  Raises DimensionMismatch, before any spec is
-    built, when the template does not fit the instances' dimension."""
+    """(spec, dmins): the FeasibleSetSpec of the instances' feasible sets
+    without the cost ball (fz.FeasibleSetSpec.block, one call), and per
+    instance the pair (delta_min, the cheapest point) or the stringified
+    failure, the error its bounds raise among them; the distance programs
+    run as one block (fz.min_cost_point).  Raises DimensionMismatch, before
+    the spec is built, when the template does not fit the instances'
+    dimension."""
     for x0 in {x0.dim: x0 for x0 in instances}.values():
         validate_problem(template.problem_for(x0, 0.0))
-    if not instances:
-        return [], []
-    specs = fz.FeasibleSetSpec.block([x0.values for x0 in instances], template.belief,
-                                     template.actionability, template.cost, template.margin)
-    out = [_describe(s) if isinstance(s, RecourseError) else None for s in specs]
+    spec, errors = fz.FeasibleSetSpec.block(
+        np.reshape([x0.values for x0 in instances], (-1, template.belief.dim)), template.belief,
+        template.actionability, template.cost, template.margin)
+    out = [_describe(errors[i]) if i in errors else None for i in range(len(instances))]
     rows = [i for i, d in enumerate(out) if d is None]
-    for i, best in zip(rows, fz.min_cost_point([specs[i] for i in rows], template.config.proj_tol)):
+    for i, best in zip(rows, fz.min_cost_point(spec.take(rows), template.config.proj_tol)):
         out[i] = _describe(best) if isinstance(best, RecourseError) else best
-    return specs, out
+    return spec, out
 
 
 def _solve_all(cells, instances):
     """Solve every instance whose delta_min is known, at delta_min +
     delta_add and from its cheapest point, for every cell in one
-    solve_block call: all descents run in lock step.  cells are triples
-    (template, specs, dmins), templates that differ at most in delta_add
-    and the belief's radii, each with its _delta_mins of instances.
-    Returns per cell (results, errors) as in generate_recourses, a failed
-    delta_min passing through as the error."""
-    out, problems, specs, cheapest, slots = [], [], [], [], []
-    for c, (template, cell_specs, dmins) in enumerate(cells):
+    solve_block call: all descents run in lock step, the cells' rows
+    joined in one spec.  cells are triples (template, spec, dmins),
+    templates that differ at most in delta_add and the belief's radii,
+    each with its _delta_mins of instances.  Returns per cell (results,
+    errors) as in generate_recourses, a failed delta_min passing through as
+    the error."""
+    out, problems, parts, cheapest, slots = [], [], [], [], []
+    for c, (template, spec, dmins) in enumerate(cells):
         out.append(([None] * len(instances), [d if isinstance(d, str) else None for d in dmins]))
-        for i, d in enumerate(dmins):
-            if not isinstance(d, str):
-                problems.append(template.problem_for(instances[i], d[0] + template.delta_add))
-                specs.append(cell_specs[i])
-                cheapest.append(d)
-                slots.append((c, i))
-    answers = solve_block(problems, specs, cheapest, cells[0][0].config)
+        rows = [i for i, d in enumerate(dmins) if not isinstance(d, str)]
+        parts.append(spec.take(rows))
+        for i in rows:
+            problems.append(template.problem_for(instances[i], dmins[i][0] + template.delta_add))
+            cheapest.append(dmins[i])
+            slots.append((c, i))
+    answers = solve_block(problems, fz.FeasibleSetSpec.stack(parts), cheapest, cells[0][0].config)
     for (c, i), answer in zip(slots, answers):
         results, errors = out[c]
         if isinstance(answer, RecourseError):
@@ -496,8 +500,8 @@ def sweep_frontier(
     for rho in rhos:
         tmpl_r = replace(template, belief=template.belief.with_radius(rho))
         # delta_min depends on rho but not on delta_add: compute once per instance
-        specs, dmins = _delta_mins(tmpl_r, instances)
-        cells += [(replace(tmpl_r, delta_add=delta_add), specs, dmins) for delta_add in deltas_add]
+        spec, dmins = _delta_mins(tmpl_r, instances)
+        cells += [(replace(tmpl_r, delta_add=delta_add), spec, dmins) for delta_add in deltas_add]
     grid = [(float(rho), float(delta_add)) for rho in rhos for delta_add in deltas_add]
     thetas_t = ensemble.matrix().T  # (d, trials), the same for every cell
     rows = []

@@ -247,12 +247,12 @@ def pgd_minimize(fn, proj, config: SolverConfig, x_start, callback=None):
     return X[0], float(values[0]), aux[0], int(iterations[0]), bool(converged[0]), float(station[0])
 
 
-def solve_block(problems, specs, cheapest, config: SolverConfig | None = None, *,
+def solve_block(problems, spec, cheapest, config: SolverConfig | None = None, *,
                 callback=None):
     """Solve the problems of one template, which differ only in x0, delta,
     actionability and ambiguity radii, in lock step: per problem, its
-    RecourseResult or the RecourseError that solving it raised.  specs
-    holds each problem's FeasibleSetSpec (its delta is not read), cheapest
+    RecourseResult or the RecourseError that solving it raised.  Row i of
+    spec is problem i's feasible set (its delta is not read), cheapest[i]
     its pair (delta_min, the cheapest point) as fz.min_cost_point gives
     it.  Each delta is at least delta_min, within fz.budget_slack (solve
     checks it, a template's delta_add >= 0 ensures it): the descent starts
@@ -273,13 +273,13 @@ def solve_block(problems, specs, cheapest, config: SolverConfig | None = None, *
     # row i < n starts problem i at its cheapest point; the rows after
     # them start the perturbed runs 1, 2, ... of the free problems
     rows = list(range(n)) + free * (config.restarts - 1)
-    proj = fz.RowProjection([specs[i] for i in rows], [problems[i].delta for i in rows])
+    proj = fz.RowProjection(spec.take(rows, [problems[i].delta for i in rows]))
     starts, skip = np.array([cheapest[i][1] for i in rows]), np.zeros(len(rows), bool)
     skip[:n], failed = pinned, {}
     if len(rows) > n:
         seeds = np.random.SeedSequence(config.seed).spawn(config.restarts - 1)
-        P, errs = proj(np.array([specs[i].x0 + np.random.default_rng(seeds[k // len(free)]).normal(
-            scale=0.25 * max(problems[i].delta, problems[i].margin), size=specs[i].x0.size)
+        P, errs = proj(np.array([spec.x0[i] + np.random.default_rng(seeds[k // len(free)]).normal(
+            scale=0.25 * max(problems[i].delta, problems[i].margin), size=spec.x0.shape[1])
             for k, i in enumerate(rows[n:])]), np.arange(n, len(rows)))
         failed = {n + j: exc for j, exc in errs.items()}  # these runs end in their error
         skip[list(failed)] = True
@@ -310,12 +310,12 @@ def solve(problem: RecourseProblem, config: SolverConfig | None = None, *,
     descent's."""
     config = config or SolverConfig()
     spec = fz.FeasibleSetSpec.from_problem(validate_problem(problem))
-    [best] = fz.min_cost_point([spec], config.proj_tol)
+    [best] = fz.min_cost_point(spec, config.proj_tol)
     if isinstance(best, RecourseError):
         raise best
     if problem.delta < best[0] - fz.budget_slack(best[0]):
         raise BudgetTooSmall(f"delta={problem.delta} is below delta_min={best[0]}")
-    [out] = solve_block([problem], [spec], [best], config, callback=callback)
+    [out] = solve_block([problem], spec, [best], config, callback=callback)
     if isinstance(out, RecourseError):
         raise out
     return out

@@ -10,6 +10,7 @@ writer.
 
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -178,6 +179,13 @@ def weight_robust_grid(f, p_hat, eps, divergence, coarse=1e-3, refinements=3):
 # --- 2-D grid oracles for projection and delta_min -------------------------------
 
 
+def _one_row(spec):
+    """A one-row FeasibleSetSpec with its row's arrays unstacked: x0, lower
+    and upper (d,), radii (K,), delta a float or None."""
+    return replace(spec, x0=spec.x0[0], radii=spec.radii[0], lower=spec.lower[0],
+                   upper=spec.upper[0], delta=None if spec.delta is None else spec.delta[0])
+
+
 def _feasible_mask(X, Y, spec):
     nx = np.sqrt(X**2 + Y**2)
     mask = np.ones_like(X, dtype=bool)
@@ -222,7 +230,7 @@ def _refine_search(objective, spec, center, width, steps, window_factor=20.0):
 def grid_project(xp, spec, span=6.0):
     """Grid-search Euclidean projection of xp onto a 2-D feasible set,
     final resolution 1e-5."""
-    xp = np.asarray(xp, dtype=float)
+    xp, spec = np.asarray(xp, dtype=float), _one_row(spec)
 
     def objective(X, Y):
         return (X - xp[0]) ** 2 + (Y - xp[1]) ** 2
@@ -266,6 +274,7 @@ def grid_delta_min(spec, span=8.0):
     coarse full-region pass keeps a handful of well-separated candidate
     cells and refines each of them."""
     assert spec.delta is None
+    spec = _one_row(spec)
 
     def objective(X, Y):
         if spec.cost is Cost.L1:

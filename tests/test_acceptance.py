@@ -177,14 +177,14 @@ def _random_2d_margin_spec(rng):
     x0 = -base * rng.uniform(0.5, 2.0) + 0.3 * rng.normal(size=2)
     cost = Cost.L1 if rng.integers(2) else Cost.L2
     return fz.FeasibleSetSpec(
-        x0=x0,
+        x0=x0[None],
         delta=None,
         cost=cost,
         margin=0.01,
         thetas=thetas,
-        radii=radii,
-        lower=np.full(2, -np.inf),
-        upper=np.full(2, np.inf),
+        radii=radii[None],
+        lower=np.full((1, 2), -np.inf),
+        upper=np.full((1, 2), np.inf),
     )
 
 
@@ -203,7 +203,7 @@ class TestCriterion4:
                 dm_grid = grid_delta_min(spec)
                 worst_dm = max(worst_dm, abs(dm - dm_grid))
                 assert abs(dm - dm_grid) <= 1e-3, f"delta_min err {abs(dm - dm_grid):.2e}"
-                full = replace(spec, delta=dm + float(rng.uniform(0.3, 1.5)))
+                full = spec.take([0], [dm + float(rng.uniform(0.3, 1.5))])
                 xp = rng.normal(size=2) * 2.5
                 got = fz.project_feasible(xp, full, max_iter=20000)
                 want = grid_project(xp, full)

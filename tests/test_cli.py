@@ -458,7 +458,7 @@ class TestNormalize:
                     "--data", data, "--out", base / "x.csv"])
         err = capsys.readouterr().err
         assert code == 2 and err.startswith("error: DimensionMismatch: ")
-        assert "scaling has 2 columns" in err and len(err.strip().splitlines()) == 1
+        assert "3 features, the belief has 2" in err and len(err.strip().splitlines()) == 1
         assert not (base / "x.csv").exists()
 
     def test_malformed_scaling_exits_1(self, workdir, capsys):
@@ -622,6 +622,35 @@ class TestOtherModes:
         assert code == 2 and err.startswith("error: DimensionMismatch: ")
         assert len(err.strip().splitlines()) == 1
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("stage, flag", [(2, "--data"), (4, "--data"), (3, "--shifted"),
+                                             (4, "--shifted")],
+                             ids=["generate-data", "sweep-data", "evaluate-shifted",
+                                  "sweep-shifted"])
+    def test_dataset_of_another_width_exits_2(self, fuzz_base, tmp_path, capsys, stage, flag):
+        # a third feature column against the belief's two
+        base, stages = fuzz_base
+        wide = tmp_path / "wide.csv"
+        with open(base / "data" / "original.csv", newline="") as fh:
+            wide.write_text("".join(line.replace(",", ",0.5,", 1) for line in fh), newline="")
+        out = tmp_path / "out"
+        code = run(_stage(stages, stage, **{flag: wide, "--out": out}))
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error: DimensionMismatch: ")
+        assert "3 features, the belief has 2" in err and len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    def test_recourses_of_another_width_exit_2(self, fuzz_base, tmp_path, capsys):
+        base, stages = fuzz_base
+        recourses = tmp_path / "recourses.csv"
+        recourses.write_text("instance_id,x0_0,x0_1,x0_2,x0_3,x_0,x_1,x_2,x_3,error\n"
+                             "0,-1.0,-1.0,0.0,1.0,1.0,1.0,0.0,1.0,\n")
+        out = tmp_path / "report"
+        code = run(_stage(stages, 3, **{"--recourses": recourses, "--out": out}))
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error: DimensionMismatch: ")
+        assert len(err.strip().splitlines()) == 1
+        assert not out.with_suffix(".json").exists()
 
     @pytest.mark.parametrize("synthetic", [{"mu0": [-3.0, -3.0, -3.0]}, {"mu1": [3.0]}])
     def test_synthetic_mean_of_the_wrong_length_exits_2(self, tmp_path, capsys, synthetic):

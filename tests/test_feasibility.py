@@ -1,6 +1,5 @@
 import math
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +19,7 @@ from robust_recourse.errors import (
     DegenerateDirection,
     EmptyFeasibleSet,
     MaxIterExceeded,
+    RecourseError,
     Unattainable,
 )
 from robust_recourse.feasibility import (
@@ -51,18 +51,24 @@ def raw_spec(
     lower=None,
     upper=None,
 ):
+    """The one-row spec of these arrays."""
     x0 = np.asarray(x0, dtype=float)
     d = x0.size
     return FeasibleSetSpec(
-        x0=x0,
-        delta=delta,
+        x0=x0[None],
+        delta=None if delta is None else np.array([delta], dtype=float),
         cost=cost,
         margin=margin,
         thetas=np.atleast_2d(np.asarray(thetas, dtype=float)),
-        radii=np.atleast_1d(np.asarray(radii, dtype=float)),
-        lower=np.full(d, -np.inf) if lower is None else np.asarray(lower, float),
-        upper=np.full(d, np.inf) if upper is None else np.asarray(upper, float),
+        radii=np.atleast_1d(np.asarray(radii, dtype=float))[None],
+        lower=(np.full(d, -np.inf) if lower is None else np.asarray(lower, float))[None],
+        upper=(np.full(d, np.inf) if upper is None else np.asarray(upper, float))[None],
     )
+
+
+def with_delta(spec, delta):
+    """The one-row spec with the cost budget delta, None for no ball."""
+    return spec.take([0], None if delta is None else [delta])
 
 
 def project_cone(xp, theta, rho, margin):
@@ -109,11 +115,11 @@ class TestSingleSetProjections:
 
     def test_degenerate_direction(self):
         spec = raw_spec([1.0, 0.0], [[0.0, 0.0]], [0.1], margin=0.1)
-        assert isinstance(spec.defect(), DegenerateDirection)
+        assert isinstance(spec.defect(0), DegenerateDirection)
 
     def test_radius_swallows_direction(self):
         spec = raw_spec([1.0, 0.0], [[1.0, 0.0]], [1.5], margin=0.1)
-        assert isinstance(spec.defect(), EmptyFeasibleSet)
+        assert isinstance(spec.defect(0), EmptyFeasibleSet)
 
     def test_cone_matches_grid(self):
         spec = raw_spec([0.0, 0.0], [[1.0, 0.0]], [0.5], margin=0.1)
@@ -173,7 +179,7 @@ class TestIsFeasible:
         spec = raw_spec([1.0, 0.5], [[1.0, 0.0]], [0.0], margin=0.01, delta=1.0, cost=cost)
         for gap, inside in ((-1e-10, True), (1e-10, False)):
             x = spec.x0 + (1.0 + 1e-8 + gap) * np.array(direction)
-            assert is_feasible(x, spec.without_delta(), tol=1e-8)
+            assert is_feasible(x, with_delta(spec, None), tol=1e-8)
             assert is_feasible(x, spec, tol=1e-8) is inside
 
 
@@ -313,19 +319,19 @@ class TestProjectFeasible:
                         [[2.4085265546380406, 1.9315958223483645, -0.44075446774118743]],
                         [0.1], margin=1e-3, delta=6.47460063644365, cost=Cost.L1,
                         lower=[-np.inf, -np.inf, 1.0], upper=[np.inf, np.inf, 1.0])
-        [(status, _)] = feasibility._run_blocks([spec], spec.x0[None])
+        [(status, _)] = feasibility._run_blocks(spec, spec.x0)
         assert status == feasibility.FAILED
         deltas, inner = [], feasibility._run_blocks
 
-        def recorded(specs, targets=None):
-            deltas.extend(s.delta for s in specs)
-            return inner(specs, targets)
+        def recorded(spec, targets=None):
+            deltas.append(spec.delta)
+            return inner(spec, targets)
 
         monkeypatch.setattr(feasibility, "_run_blocks", recorded)
         got = project_feasible(spec.x0, spec)
         assert deltas == [None]
         assert is_feasible(got, spec, 1e-9)
-        assert cost_of(got, spec.x0, spec.cost) < spec.delta - 0.5
+        assert cost_of(got, spec.x0[0], spec.cost) < spec.delta[0] - 0.5
 
     def test_both_cones_and_the_l1_ball_bind(self):
         # alternating projections that stop once the iterate barely moves
@@ -396,7 +402,7 @@ class TestPinnedBall:
     def spec(self, cost, lower=(-np.inf, -np.inf, 1.0), upper=(np.inf, np.inf, 1.0)):
         base = raw_spec(self.X0, [[2.4, 1.9, -0.4], [2.0, 2.2, -0.1]], [0.1, 0.2],
                         margin=1e-3, cost=cost, lower=lower, upper=upper)
-        return replace(base, delta=delta_min(base) + 1.0)
+        return with_delta(base, delta_min(base) + 1.0)
 
     # targets whose answer lies inside both margin sets: only the ball binds
     FREE_BALL = [(Cost.L1, [1.0, 3.0, 7.0]), (Cost.L2, [4.0, 5.0, -2.0]),
@@ -406,7 +412,7 @@ class TestPinnedBall:
     def test_matches_the_closed_form(self, cost, xp):
         spec, xp = self.spec(cost), np.array(xp)
         want = self.X0.copy()
-        want[:2] = cost_ball_numpy(xp[:2], self.X0[:2], spec.delta, cost)
+        want[:2] = cost_ball_numpy(xp[:2], self.X0[:2], spec.delta[0], cost)
         margins = spec.thetas @ want - spec.radii * np.linalg.norm(want) - spec.margin
         assert margins.min() > 0.1
         got = project_feasible(xp, spec, 20000, 1e-10)
@@ -446,7 +452,7 @@ class TestPinnedBall:
         kernel = self.kernel_rows(monkeypatch)
         got = project_feasible(np.array(xp), spec, 20000, 1e-10)
         assert kernel
-        pins = spec.lower == spec.upper
+        pins = spec.lower[0] == spec.upper[0]
         assert np.array_equal(got[pins], self.X0[pins])
         assert is_feasible(got, spec, 1e-9)
 
@@ -460,7 +466,7 @@ class TestPinnedBall:
     def test_other_bounds_keep_the_clip(self, cost, lower, upper):
         # the kernel's points are clipped to the bounds
         spec, xp = self.spec(cost, lower, upper), np.array([-5.0, 5.0, -2.0])
-        [(status, want)] = feasibility._run_blocks([spec], xp[None])
+        [(status, want)] = feasibility._run_blocks(spec, xp[None])
         assert status == feasibility.SOLVED
         got = project_feasible(xp, spec, 20000, 1e-10)
         assert is_feasible(got, spec, 1e-9)
@@ -505,9 +511,9 @@ class TestDeltaMin:
         spec = FeasibleSetSpec.from_problem(RecourseProblem(
             x0=FeatureVector.from_features([-scale, -scale]), belief=belief, delta=0.0,
             margin=1e-3, cost=Cost.L1))
-        dmin, point = feasibility.min_cost_point([spec])[0]
-        assert is_feasible(point, spec.without_delta(), 1e-9 * scale)
-        assert dmin == cost_of(point, spec.x0, Cost.L1)
+        dmin, point = feasibility.min_cost_point(spec)[0]
+        assert is_feasible(point, with_delta(spec, None), 1e-9 * scale)
+        assert dmin == cost_of(point, spec.x0[0], Cost.L1)
         if rho == 0.0:
             assert dmin == pytest.approx(2.0 * scale + 1e-3, rel=1e-9, abs=0.0)
         else:  # the cone lies inside the halfspace
@@ -522,9 +528,9 @@ class TestDeltaMin:
             dm = delta_min(spec)
             if dm <= 1e-2:
                 continue
-            project_feasible(spec.x0, replace(spec, delta=dm + 1e-4), max_iter=20000)
+            project_feasible(spec.x0, with_delta(spec, dm + 1e-4), max_iter=20000)
             with pytest.raises((EmptyFeasibleSet, MaxIterExceeded)):
-                project_feasible(spec.x0, replace(spec, delta=dm - 1e-2), max_iter=2000)
+                project_feasible(spec.x0, with_delta(spec, dm - 1e-2), max_iter=2000)
             count += 1
 
 
@@ -545,7 +551,7 @@ class TestConicKernel:
     def test_unconverged_distance_program_is_unattainable(self, monkeypatch):
         spec = raw_spec([-1.0, 0.0], [[1.0, 0.5]], [0.1])
         fail_kernel(monkeypatch)
-        [got] = feasibility.min_cost_point([spec])
+        [got] = feasibility.min_cost_point(spec)
         assert isinstance(got, Unattainable) and "did not converge" in str(got)
         with pytest.raises(Unattainable, match="did not converge"):
             delta_min(spec)
@@ -561,7 +567,7 @@ class TestConicKernel:
     def test_emptiness_comes_with_a_farkas_certificate(self):
         # the halfspace x >= 0.1 misses the l2 ball of radius 0.5 around -1
         spec = raw_spec([-1.0, 0.0], [[1.0, 0.0]], [0.0], margin=0.1, delta=0.5, cost=Cost.L2)
-        c, G, H, sizes, _ = feasibility._conic_program([spec], spec.x0[None])
+        c, G, H, sizes, _ = feasibility._conic_program(spec, spec.x0)
         status, _, Z = feasibility._cone_lp(c, G, H, sizes)
         assert status[0] == feasibility.INFEASIBLE
         z = Z[0]
@@ -589,20 +595,23 @@ class TestConicKernel:
     def test_block_rows_match_single_runs_bitwise(self, monkeypatch, rng, cost):
         thetas = np.array([[1.0, 0.4, 0.2], [0.8, 0.7, -0.1]])
         specs = []
-        for i in range(9):
-            x0 = np.array([*(rng.normal(size=2) - 2.0), 1.0])
-            upper = [np.inf, 0.5, 1.0]
-            if i == 4:  # a different pinned set: its own block
-                upper[1] = x0[1]
-            # margins differ within a block: they enter h, not G
-            specs.append(raw_spec(x0, thetas, [0.1, 0.2], margin=[1e-3, 0.5][i % 2], cost=cost,
-                                  lower=[-np.inf, x0[1], 1.0], upper=upper))
-        # a block of their own whose l1 distance programs meet an exact zero
-        # pivot: the normal equations split into single-row solves
+        for margin in (1e-3, 0.5):
+            rows = []
+            for i in range(5):
+                x0 = np.array([*(rng.normal(size=2) - 2.0), 1.0])
+                upper = [np.inf, 0.5, 1.0]
+                if i == 2:  # a different pinned set: its own group
+                    upper[1] = x0[1]
+                rows.append(raw_spec(x0, thetas, [0.1, 0.2], margin=margin, cost=cost,
+                                     lower=[-np.inf, x0[1], 1.0], upper=upper))
+            specs.append(FeasibleSetSpec.stack(rows))
+        # a block whose l1 distance programs meet an exact zero pivot: the
+        # normal equations split into single-row solves
         belief = MixtureBelief((ComponentMoments([1.0, 0.9, 0.2], 0.05 * np.eye(3), 0.1),), [1.0])
-        specs += [FeasibleSetSpec.from_problem(RecourseProblem(
-            x0=FeatureVector.from_features(x), belief=belief, delta=0.0, cost=Cost.L1))
-            for x in ([-1.2, -0.8], [-1.0, -1.0], [-2.0, 0.5])]
+        spec, _ = FeasibleSetSpec.block([[-1.2, -0.8, 1.0], [-1.0, -1.0, 1.0], [-2.0, 0.5, 1.0]],
+                                        belief, ActionabilitySpec().with_bias_pinned(3), Cost.L1,
+                                        1e-3)
+        specs.append(spec)
         split, inner = [], feasibility._solve
 
         def recorded(A, b):
@@ -616,13 +625,15 @@ class TestConicKernel:
 
         recorded.depth = 0
         monkeypatch.setattr(feasibility, "_solve", recorded)
-        block = feasibility.min_cost_point(specs, 1e-10)
+        blocks = [feasibility.min_cost_point(spec, 1e-10) for spec in specs]
         assert split and set(split) == {1}
-        for spec, got in zip(specs, block):
-            alone = feasibility.min_cost_point([spec], 1e-10)[0]
-            assert got[0] == alone[0] and np.array_equal(got[1], alone[1])
-            assert is_feasible(got[1], spec.without_delta(), 1e-9)
-            assert got[0] == cost_of(got[1], spec.x0, spec.cost)
+        for spec, block in zip(specs, blocks):
+            for n, got in enumerate(block):
+                row = spec.take([n])
+                alone = feasibility.min_cost_point(row, 1e-10)[0]
+                assert got[0] == alone[0] and np.array_equal(got[1], alone[1])
+                assert is_feasible(got[1], row, 1e-9)
+                assert got[0] == cost_of(got[1], row.x0[0], spec.cost)
 
 
 _INF = np.inf
@@ -662,14 +673,14 @@ class TestOneCoordinateMove:
     def test_refused_rows_get_the_kernel_answer(self, monkeypatch, case):
         spec = self.REFUSED[case]
         if spec.l1:
-            assert feasibility._one_coordinate_moves([spec]) == [None]
-        [(status, want)] = feasibility._run_blocks([spec])
+            assert feasibility._one_coordinate_moves(spec)[1].tolist() == [False]
+        [(status, want)] = feasibility._run_blocks(spec)
         assert status == feasibility.SOLVED
         calls = _counted_kernel(monkeypatch)
-        dmin, point = feasibility.min_cost_point([spec])[0]
+        dmin, point = feasibility.min_cost_point(spec)[0]
         assert calls == [1]
         assert point.tobytes() == want.tobytes()
-        assert dmin == cost_of(want, spec.x0, spec.cost)
+        assert dmin == cost_of(want, spec.x0[0], spec.cost)
 
     def test_cone_intervals_against_a_grid(self, rng):
         # every branch: halfspaces (b = 0 too), half-lines |b| > rho,
@@ -695,7 +706,7 @@ class TestOneCoordinateMove:
         # the coordinate of largest |theta_j| (Mangasarian, 1999)
         spec = raw_spec([-1.0, 0.0, 1.0], [[1.0, 0.5, 0.0]], [0.0], 0.5, cost=Cost.L1, **_BIAS)
         calls = _counted_kernel(monkeypatch)
-        dmin, point = feasibility.min_cost_point([spec])[0]
+        dmin, point = feasibility.min_cost_point(spec)[0]
         assert calls == []
         assert dmin == 1.5 and point.tolist() == [0.5, 0.0, 1.0]
 
@@ -703,28 +714,33 @@ class TestOneCoordinateMove:
         # the root of this row rounds to a point just outside its halfspace
         spec = raw_spec([-0.22, -2.83, 1.0], [[0.167, 0.109, -1.227]], [0.0], 1e-3,
                         cost=Cost.L1, **_BIAS)
-        (theta,), x0 = spec.thetas, spec.x0
+        (theta,), (x0,) = spec.thetas, spec.x0
         # the move of x_0, the largest |theta_j|, up to the halfspace's end
         rest = theta[1] * x0[1] + theta[2] * x0[2]
         lo, _ = feasibility._cone_intervals(theta[0], 0.0, spec.margin - rest, x0[1:] @ x0[1:])
         root = np.array([lo, *x0[1:]])
         assert not is_feasible(root, spec, 0.0)
-        [x] = feasibility._one_coordinate_moves([spec])
-        assert is_feasible(x, spec, 0.0)
-        assert np.count_nonzero(x != spec.x0) == 1 and x[0] != root[0]
+        [x], [ok] = feasibility._one_coordinate_moves(spec)
+        assert ok and is_feasible(x, spec, 0.0)
+        assert np.count_nonzero(x != x0) == 1 and x[0] != root[0]
 
     def test_row_bytes_alone_and_in_a_mixed_call(self):
-        row = raw_spec([-1.3, -0.4, 1.0], [[0.9, 0.35, -0.2]], [0.1], 1e-3, cost=Cost.L1, **_BIAS)
-        [moved] = feasibility._one_coordinate_moves([row])
-        assert moved is not None
+        theta = [[0.9, 0.35, -0.2]]
+        row = raw_spec([-1.3, -0.4, 1.0], theta, [0.1], 1e-3, cost=Cost.L1, **_BIAS)
+        [moved], [ok] = feasibility._one_coordinate_moves(row)
+        assert ok
+        # rows of other radii, pins and bounds, one of them a tie that the
+        # kernel answers
         others = [
-            raw_spec([-1.0, -2.0, 1.0], [[0.9, 0.35, -0.2]], [0.1], 1e-3, cost=Cost.L2, **_BIAS),
-            raw_spec([-2.0, -1.0, 1.0], [[1.0, 0.4, 0.2], [0.8, 0.7, -0.1]], [0.1, 0.2], 0.5,
-                     cost=Cost.L1, **_BIAS),
-            raw_spec([-0.5, -3.0, 1.0], [[0.9, 0.35, -0.2]], [0.1], 0.5, cost=Cost.L1, **_BIAS),
+            raw_spec([-1.0, -2.0, 1.0], theta, [0.3], 1e-3, cost=Cost.L1, **_BIAS),
+            raw_spec([-2.0, -1.0, 1.0], theta, [0.0], 1e-3, cost=Cost.L1,
+                     lower=[-2.0, -np.inf, 1.0], upper=[-2.0, np.inf, 1.0]),
+            raw_spec([-0.5, -3.0, 1.0], theta, [0.1], 1e-3, cost=Cost.L1,
+                     lower=[-np.inf, -3.0, 1.0], upper=[np.inf, np.inf, 1.0]),
         ]
-        alone = feasibility.min_cost_point([row])[0]
-        block = feasibility.min_cost_point([others[0], row, *others[1:], row])
+        alone = feasibility.min_cost_point(row)[0]
+        mixed = FeasibleSetSpec.stack([others[0], row, *others[1:], row])
+        block = feasibility.min_cost_point(mixed)
         for got in (block[1], block[-1]):
             assert got[0] == alone[0] and got[1].tobytes() == alone[1].tobytes()
         assert alone[1].tobytes() == moved.tobytes()
@@ -742,6 +758,15 @@ def _distance_cases(draw):
     thetas = np.array([[draw(_THETA) for _ in range(d)] for _ in range(K)])
     radii = np.array([draw(st.sampled_from([0.0, 0.05, 0.3, 0.7])) for _ in range(K)])
     radii *= np.linalg.norm(thetas, axis=1)
+    lower, upper = _draw_bounds(draw, x0)
+    return raw_spec(x0, thetas, radii, draw(st.sampled_from([1e-3, 0.5])), cost=Cost.L1,
+                    lower=lower, upper=upper)
+
+
+def _draw_bounds(draw, x0):
+    """(lower, upper): each coordinate but the pinned bias free, pinned,
+    non-decreasing or boxed."""
+    d = x0.size
     lower, upper = np.full(d, -np.inf), np.full(d, np.inf)
     for j in range(d - 1):
         kind = draw(st.sampled_from(["free", "pinned", "non-decreasing", "box"]))
@@ -754,8 +779,7 @@ def _distance_cases(draw):
             if lower[j] == upper[j] and not np.isfinite(lower[j]):
                 lower[j], upper[j] = -np.inf, np.inf
     lower[-1] = upper[-1] = 1.0
-    return raw_spec(x0, thetas, radii, draw(st.sampled_from([1e-3, 0.5])), cost=Cost.L1,
-                    lower=lower, upper=upper)
+    return lower, upper
 
 
 @settings(max_examples=300, deadline=None)
@@ -763,20 +787,20 @@ def _distance_cases(draw):
 def test_one_coordinate_move_matches_the_kernel(spec):
     """A certified row lies in its set and has the kernel's distance to
     1e-12 relative; every other row gets the kernel's answer bit for bit."""
-    if spec.defect or is_feasible(spec.x0, spec, 1e-8) or np.any(spec.lower > spec.upper):
+    if spec.defect(0) or is_feasible(spec.x0, spec, 1e-8) or np.any(spec.lower > spec.upper):
         return
-    [moved] = feasibility._one_coordinate_moves([spec])
-    [(status, x)] = feasibility._run_blocks([spec])
-    got = feasibility.min_cost_point([spec])[0]
-    if moved is not None:
+    [moved], [certified] = feasibility._one_coordinate_moves(spec)
+    [(status, x)] = feasibility._run_blocks(spec)
+    got = feasibility.min_cost_point(spec)[0]
+    if certified:
         assert is_feasible(moved, spec, 0.0)
         assert got[1].tobytes() == moved.tobytes()
-        assert got[0] == cost_of(moved, spec.x0, Cost.L1)
+        assert got[0] == cost_of(moved, spec.x0[0], Cost.L1)
         if status == feasibility.SOLVED:
-            want = cost_of(x, spec.x0, Cost.L1)
+            want = cost_of(x, spec.x0[0], Cost.L1)
             assert abs(got[0] - want) <= 1e-12 * want
     elif status == feasibility.SOLVED:
-        assert got[0] == cost_of(x, spec.x0, Cost.L1) and got[1].tobytes() == x.tobytes()
+        assert got[0] == cost_of(x, spec.x0[0], Cost.L1) and got[1].tobytes() == x.tobytes()
     else:
         assert isinstance(got, Unattainable)
 
@@ -788,11 +812,11 @@ def _cost_one_row(diff, l1):
 def _member_one_row(x, spec, tol):
     """The membership test of one row, as x @ x and thetas @ x compute its
     products: the reference for _members."""
-    if spec.delta is not None and _cost_one_row(x - spec.x0, spec.l1) > spec.delta + tol:
+    if spec.delta is not None and _cost_one_row(x - spec.x0[0], spec.l1) > spec.delta[0] + tol:
         return False
-    if (spec.thetas @ x - spec.radii * math.sqrt(float(x @ x)) - spec.margin < -tol).any():
+    if (spec.thetas @ x - spec.radii[0] * math.sqrt(float(x @ x)) - spec.margin < -tol).any():
         return False
-    return not ((x < spec.lower - tol).any() or (x > spec.upper + tol).any())
+    return not ((x < spec.lower[0] - tol).any() or (x > spec.upper[0] + tol).any())
 
 
 _WIDTH = st.sampled_from([0.0, 0.5, np.inf])
@@ -857,11 +881,12 @@ def test_row_wise_membership_matches_each_row_alone(case):
     s0 = specs[0]
 
     def stacked(name):
-        return np.array([getattr(s, name) for s in specs])
+        return np.concatenate([getattr(s, name) for s in specs])
 
     got = feasibility._members(
-        X, tol, s0.thetas, stacked("radii"), stacked("margin")[:, None], stacked("lower"),
-        stacked("upper"), stacked("x0"), None if s0.delta is None else stacked("delta"), s0.l1)
+        X, tol, s0.thetas, stacked("radii"), np.array([[s.margin] for s in specs]),
+        stacked("lower"), stacked("upper"), stacked("x0"),
+        None if s0.delta is None else stacked("delta"), s0.l1)
     want = [_member_one_row(x, spec, tol) for x, spec in zip(X, specs)]
     assert got.tolist() == want == [is_feasible(x, spec, tol) for x, spec in zip(X, specs)]
 
@@ -883,34 +908,37 @@ def test_row_products_are_the_one_row_products(rng):
 
 
 def test_min_cost_point_mixes_defect_rows_without_a_warning():
-    """Normal rows among a zero direction, a radius of |theta| and one of
-    1e308, l1 and l2, K = 1 and 2, in one call: no row with a defect is
-    evaluated, and each row's answer or error is its lone call's."""
+    """Normal rows among a radius of |theta| and radii of 1e308, l1 and l2,
+    K = 1 and 2, and rows of a zero direction, each spec's rows in one
+    call: no row with a defect is evaluated, and each row's answer or error
+    is its lone call's."""
     one, two = [[0.9, 0.35, -0.2]], [[1.0, 0.4, 0.2], [0.8, 0.7, -0.1]]
-    specs = [
-        raw_spec([-1.3, -0.4, 1.0], one, [0.1], 1e-3, cost=cost, **_BIAS) for cost in Cost
-    ] + [
-        raw_spec([-2.0, -1.0, 1.0], two, [0.1, 0.2], 0.5, cost=cost, **_BIAS) for cost in Cost
-    ] + [
-        raw_spec([1.0, 1.0, 1.0], one, [0.1], 1e-3, cost=Cost.L1, **_BIAS),  # x0 inside
-        raw_spec([-1.0, 0.0, 1.0], [[0.0, 0.0, 0.0], two[0]], [0.0, 0.1], 1e-3, **_BIAS),
-        raw_spec([-1.0, 0.0, 1.0], one, [np.linalg.norm(one)], 1e-3, cost=Cost.L1, **_BIAS),
-        raw_spec([-1.0, 0.0, 1.0], two, [1e308, 0.1], 1e-3, cost=Cost.L1, **_BIAS),
-        raw_spec([-1.0, 0.0, 1.0], one, [1e308], 1e-3, cost=Cost.L2, **_BIAS),
+    out = [-1.0, 0.0, 1.0]
+    groups = [  # thetas, cost, margin, and per row x0 and radii
+        (one, Cost.L1, 1e-3, [([-1.3, -0.4, 1.0], [0.1]), ([1.0, 1.0, 1.0], [0.1]),  # x0 inside
+                              (out, [np.linalg.norm(one)])]),
+        (one, Cost.L2, 1e-3, [([-1.3, -0.4, 1.0], [0.1]), (out, [1e308])]),
+        (two, Cost.L1, 0.5, [([-2.0, -1.0, 1.0], [0.1, 0.2]), (out, [1e308, 0.1])]),
+        (two, Cost.L2, 0.5, [([-2.0, -1.0, 1.0], [0.1, 0.2])]),
+        ([[0.0, 0.0, 0.0], two[0]], Cost.L2, 1e-3, [(out, [0.0, 0.1]), (out, [0.1, 0.1])]),
     ]
-    order = [0, 5, 7, 1, 6, 2, 8, 3, 4, 0]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        block = feasibility.min_cost_point([specs[i] for i in order])
-        alone = [feasibility.min_cost_point([spec])[0] for spec in specs]
-    kinds = [type(best).__name__ for best in alone]
-    assert kinds == ["tuple"] * 5 + ["DegenerateDirection"] + ["Unattainable"] * 3
-    for i, got in zip(order, block):
-        want = alone[i]
-        if isinstance(want, tuple):
-            assert got[0] == want[0] and got[1].tobytes() == want[1].tobytes()
-        else:
-            assert (type(got), str(got)) == (type(want), str(want))
+    kinds = []
+    for thetas, cost, margin, cases in groups:
+        rows = [raw_spec(x0, thetas, radii, margin, cost=cost, **_BIAS) for x0, radii in cases]
+        order = [*range(len(rows))][::-1] + [0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            block = feasibility.min_cost_point(FeasibleSetSpec.stack([rows[i] for i in order]))
+            alone = [feasibility.min_cost_point(row)[0] for row in rows]
+        kinds += [type(best).__name__ for best in alone]
+        for i, got in zip(order, block):
+            want = alone[i]
+            if isinstance(want, tuple):
+                assert got[0] == want[0] and got[1].tobytes() == want[1].tobytes()
+            else:
+                assert (type(got), str(got)) == (type(want), str(want))
+    assert kinds == (["tuple"] * 2 + ["Unattainable"] + ["tuple", "Unattainable"] * 2 + ["tuple"]
+                     + ["DegenerateDirection", "Unattainable"])
 
 
 class TestCostOf:
@@ -934,15 +962,15 @@ class TestCachedInvariants:
     def test_empty_margin_set_raises_on_every_call(self):
         spec = raw_spec([1.0, 0.0], [[1.0, 0.0], [0.0, 1.0]], [0.1, 2.0], delta=1.0)
         self._raises_twice(spec, EmptyFeasibleSet)
-        self._raises_twice(replace(spec, delta=3.0), EmptyFeasibleSet)
-        self._raises_twice(spec.without_delta(), EmptyFeasibleSet)
+        self._raises_twice(with_delta(spec, 3.0), EmptyFeasibleSet)
+        self._raises_twice(with_delta(spec, None), EmptyFeasibleSet)
         with pytest.raises(EmptyFeasibleSet, match=r"components \[1\]"):
             project_feasible(spec.x0, spec)
 
     def test_zero_direction_raises_on_every_call(self):
         spec = raw_spec([1.0, 0.0], [[0.0, 0.0]], [0.0], delta=1.0)
         self._raises_twice(spec, DegenerateDirection)
-        self._raises_twice(spec.without_delta(), DegenerateDirection)
+        self._raises_twice(with_delta(spec, None), DegenerateDirection)
 
     def test_spec_pickles_after_projection(self):
         import pickle
@@ -1030,14 +1058,15 @@ class TestL1RowGather:
         specs = [raw_spec(x0, [0.0] * (d - 1) + [1.0], 0.0, cost=Cost.L1, lower=lower,
                           upper=upper) for x0, _, _ in rows]
         Y, deltas = np.array([y for _, y, _ in rows]), [r for _, _, r in rows]
-        got, errors = RowProjection(specs, deltas)(Y, np.arange(len(rows)))
+        spec = FeasibleSetSpec.stack(specs).take(np.arange(len(rows)), deltas)
+        got, errors = RowProjection(spec)(Y, np.arange(len(rows)))
         assert not errors
         pins = np.r_[np.zeros(d - 1, bool), True]
-        for (x0, y, radius), spec, row in zip(rows, specs, got):
+        for (x0, y, radius), one, row in zip(rows, specs, got):
             assert row[-1] == 1.0
             pinned = np.where(pins, x0, y)
             assert row.tobytes() == cost_ball_numpy(pinned, x0, radius, Cost.L1).tobytes()
-            assert row.tobytes() == project_feasible(y, replace(spec, delta=radius)).tobytes()
+            assert row.tobytes() == project_feasible(y, with_delta(one, radius)).tobytes()
 
 
 _COORD = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 0.5, 1.0, 2.0]) | st.floats(-3.0, 3.0)
@@ -1064,34 +1093,87 @@ def _block_cases(draw):
             draw(st.sampled_from(list(Cost))), draw(st.sampled_from([0.0, 1.5])))
 
 
-def _defect(spec):
-    return None if spec.defect is None else (type(spec.defect()), str(spec.defect()))
+def _defect(spec, n):
+    defect = spec.defect(n)
+    return None if defect is None else (type(defect), str(defect))
 
 
 @settings(max_examples=300, deadline=None)
 @given(_block_cases())
 def test_block_rows_match_from_problem(case):
     """Each row of FeasibleSetSpec.block is from_problem's spec, array for
-    array and bit for bit, with the same cached invariants, or the same
-    error; the bounds are those of the coordinate-by-coordinate loop."""
+    array and bit for bit, with the same defect, or the same error; the
+    bounds are those of the coordinate-by-coordinate loop."""
     X0, belief, act, cost, delta = case
     problems = [RecourseProblem(x0=FeatureVector(x0), belief=belief, delta=delta, margin=1e-3,
                                 cost=cost, actionability=act) for x0 in X0]
-    rows = FeasibleSetSpec.block(X0, belief, problems[0].actionability, cost, 1e-3, delta)
-    assert len(rows) == len(problems)
-    for problem, row in zip(problems, rows):
+    spec, errors = FeasibleSetSpec.block(X0, belief, problems[0].actionability, cost, 1e-3, delta)
+    assert len(spec.x0) == len(problems)
+    for n, problem in enumerate(problems):
         lower, upper = actionability_bounds_loop(problem.x0.values, problem.actionability)
         try:
             want = FeasibleSetSpec.from_problem(problem)
         except EmptyFeasibleSet as exc:
-            assert type(row) is EmptyFeasibleSet and str(row) == str(exc)
+            assert type(errors[n]) is EmptyFeasibleSet and str(errors[n]) == str(exc)
             assert np.any(lower > upper)
             continue
-        assert want.lower.tobytes() == lower.tobytes()
-        assert want.upper.tobytes() == upper.tobytes()
-        for name in ("x0", "thetas", "radii", "lower", "upper", "tts"):
+        assert n not in errors
+        assert want.lower[0].tobytes() == lower.tobytes()
+        assert want.upper[0].tobytes() == upper.tobytes()
+        row = spec.take([n], spec.delta[[n]])
+        for name in ("x0", "thetas", "radii", "lower", "upper", "delta", "tts"):
             a, b = getattr(row, name), getattr(want, name)
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
-        assert (row.delta, row.cost, row.margin, row.l1) == (want.delta, want.cost,
-                                                             want.margin, want.l1)
-        assert _defect(row) == _defect(want)
+        assert (row.cost, row.margin, row.l1) == (want.cost, want.margin, want.l1)
+        assert _defect(spec, n) == _defect(want, 0)
+
+
+@st.composite
+def _mixed_blocks(draw):
+    """One spec whose rows share thetas, margin and cost and differ in x0,
+    radii, pins and which bounds are finite, d up to 10 and K up to 3,
+    with a budget and a target per row."""
+    d, K, N = draw(st.integers(2, 10)), draw(st.integers(1, 3)), draw(st.integers(2, 6))
+    thetas = np.array([[draw(_THETA) for _ in range(d)] for _ in range(K)])
+    cost, margin = draw(st.sampled_from(list(Cost))), draw(st.sampled_from([1e-3, 0.5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows, deltas, Y = [], [], []
+    for _ in range(N):
+        x0 = np.array([draw(_COORD) for _ in range(d - 1)] + [1.0])
+        radii = np.array([draw(st.sampled_from([0.0, 0.05, 0.3, 0.7])) for _ in range(K)])
+        rows.append(raw_spec(x0, thetas, radii * np.linalg.norm(thetas, axis=1), margin,
+                             cost=cost, **dict(zip(("lower", "upper"), _draw_bounds(draw, x0)))))
+        deltas.append(draw(st.sampled_from([0.5, 2.0, 10.0])))
+        Y.append(x0 + draw(st.sampled_from([0.5, 3.0])) * rng.normal(size=d))
+    return rows, deltas, np.array(Y)
+
+
+def _same(got, want):
+    """Whether two answers of a row are one: the same bytes, or the same error."""
+    if isinstance(want, RecourseError) or want is None:
+        return (type(got), str(got)) == (type(want), str(want))
+    return all(a.tobytes() == b.tobytes() for a, b in zip(map(np.asarray, got),
+                                                           map(np.asarray, want)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_mixed_blocks())
+def test_mixed_rows_match_their_one_row_calls(case):
+    """A spec whose rows differ in radii, pins and finite bounds: through
+    min_cost_point, _run_blocks and RowProjection, every row's answer is
+    its one-row call's, bit for bit."""
+    rows, deltas, Y = case
+    spec, n = FeasibleSetSpec.stack(rows), np.arange(len(rows))
+    ball = spec.take(n, deltas)
+    for i, got in enumerate(feasibility.min_cost_point(spec)):
+        assert _same(got, feasibility.min_cost_point(rows[i])[0])
+    for i, got in enumerate(feasibility._run_blocks(ball, Y)):
+        assert _same(got, feasibility._run_blocks(ball.take([i], deltas[i:i + 1]), Y[i:i + 1])[0])
+    if spec.defect(0):  # a zero direction: no projection
+        return
+    X, errors = RowProjection(ball)(Y, n)
+    for i in n.tolist():
+        one, one_errors = RowProjection(ball.take([i], deltas[i:i + 1]))(Y[i:i + 1], n[:1])
+        assert _same(errors.get(i), one_errors.get(0))
+        if i not in errors:
+            assert X[i].tobytes() == one[0].tobytes()

@@ -591,7 +591,7 @@ class TestGenerateRecourses:
             # the descent's projections of the third instance run out
             points, errors = project(self, Y, rows, far)
             for j, r in enumerate(rows.tolist()):
-                if np.array_equal(self.specs[r].x0, instances[2].values):
+                if np.array_equal(self.x0[r], instances[2].values):
                     errors[j] = MaxIterExceeded("the projection ran out")
             return points, errors
 
@@ -627,7 +627,7 @@ class TestGenerateRecourses:
         alone, errors = generate_recourses(template, good)
         assert not any(errors)
         problem = template.problem_for(good[1], alone[1].delta_min + template.delta_add)
-        start = fz.min_cost_point([fz.FeasibleSetSpec.from_problem(problem)], 1e-10)[0][1]
+        start = fz.min_cost_point(fz.FeasibleSetSpec.from_problem(problem), 1e-10)[0][1]
         victim = make_objective(problem)(start).component_values
         weight_dual = objective._weight_dual
 
@@ -656,7 +656,7 @@ class TestGenerateRecourses:
         for a, b in zip(seq, par):
             assert np.array_equal(a.action.values, b.action.values)
         # chunks of 1, 1 and 2 rows; feature 0 may only grow and stays at
-        # most 0, so the second row fails in FeasibleSetSpec.from_problem
+        # most 0, so the second row's bounds exclude its input
         act = ActionabilitySpec(non_decreasing=frozenset({0}),
                                 box=[[-np.inf, 0.0], [-np.inf, np.inf], [-np.inf, np.inf]])
         template = replace(template, actionability=act)

@@ -14,6 +14,7 @@ from robust_recourse.errors import (
     ObjectiveOverflow,
     ZeroAction,
 )
+from robust_recourse import objective
 from robust_recourse.model import ComponentMoments, Divergence, MixtureBelief, Mode
 from robust_recourse.objective import (
     _component_stats,
@@ -189,6 +190,24 @@ class TestWeightRobust:
         # exception would end the whole block
         f, p = np.array([bad, 0.5, 0.2]), np.array([0.2, 0.5, 0.3])
         with pytest.raises(DualSolveFailed, match="not all finite"):
+            _weight_dual(f, p, 0.1, divergence)
+
+    SOLVERS = [(Divergence.KL, "_kl_weights"), (Divergence.CHI2, "_chi2_weights")]
+
+    @pytest.mark.parametrize("divergence, solver", SOLVERS)
+    def test_weights_of_no_finite_value_are_rejected(self, monkeypatch, divergence, solver):
+        # the weights' normalization turns a NaN weight into a NaN value
+        monkeypatch.setattr(objective, solver, lambda h, p, eps: (0.0, 0.0, [math.nan] * len(h)))
+        f, p = np.array([0.2, 0.5, 0.3]), np.array([0.2, 0.5, 0.3])
+        with pytest.raises(DualSolveFailed, match="no usable optimum"):
+            _weight_dual(f, p, 0.1, divergence)
+
+    @pytest.mark.parametrize("divergence, solver", SOLVERS)
+    def test_weights_below_the_nominal_value_are_rejected(self, monkeypatch, divergence, solver):
+        # all mass on the least component value: 0.2 against the nominal 0.38
+        monkeypatch.setattr(objective, solver, lambda h, p, eps: (0.0, 0.0, [1.0, 0.0, 0.0]))
+        f, p = np.array([0.2, 0.5, 0.3]), np.array([0.2, 0.5, 0.3])
+        with pytest.raises(DualSolveFailed, match="fell below the nominal mixture value"):
             _weight_dual(f, p, 0.1, divergence)
 
     @pytest.mark.parametrize("divergence", [Divergence.KL, Divergence.CHI2])

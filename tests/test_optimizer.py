@@ -188,10 +188,10 @@ class TestSolve:
                 targets.extend(map(reach, Y))
             return row_projection(self, Y, rows, far)
 
-        def counted(specs, targets=None):
+        def counted(spec, targets=None):
             if targets is not None:  # projection programs, not distance programs
                 fallback.extend(map(reach, targets))
-            return run_blocks(specs, targets)
+            return run_blocks(spec, targets)
 
         def step(t, x, value):
             if t:  # the round's last projected point is the accepted trial
@@ -234,10 +234,10 @@ class TestSolve:
         events, fallback = [], []
         row_projection, run_blocks = fz.RowProjection.__call__, fz._run_blocks
 
-        def counted(specs, targets=None):
+        def counted(spec, targets=None):
             if targets is not None:  # projection programs, not distance programs
                 fallback.extend(targets)
-            return run_blocks(specs, targets)
+            return run_blocks(spec, targets)
 
         def recording(self, Y, rows, far=None):
             points, errors = row_projection(self, Y, rows, far)
@@ -313,13 +313,13 @@ def slow_start_problem():
 
 def cheapest_pair(prob):
     """The (delta_min, cheapest point) pair generate_recourses hands to solve_block for prob."""
-    return fz.min_cost_point([fz.FeasibleSetSpec.from_problem(prob)], 1e-10)[0]
+    return fz.min_cost_point(fz.FeasibleSetSpec.from_problem(prob), 1e-10)[0]
 
 
 def block_inputs(problems):
-    """(problems, specs, cheapest): solve_block's inputs, as solve makes them."""
-    specs = [fz.FeasibleSetSpec.from_problem(prob) for prob in problems]
-    return problems, specs, fz.min_cost_point(specs, 1e-10)
+    """(problems, spec, cheapest): solve_block's inputs, each row as solve makes it."""
+    spec = fz.FeasibleSetSpec.stack([fz.FeasibleSetSpec.from_problem(prob) for prob in problems])
+    return problems, spec, fz.min_cost_point(spec, 1e-10)
 
 
 class TestStartRule:
@@ -442,7 +442,7 @@ class TestPgdCore:
         spec = fz.FeasibleSetSpec.from_problem(prob)
         # strictly interior point: every projection is the identity on it
         x = fz.project_feasible(np.array([0.8, 0.8, 1.0]), spec)
-        x = x + 0.02 * (spec.x0 - x)
+        x = x + 0.02 * (spec.x0[0] - x)
         assert fz.is_feasible(x, spec, 0.0)
 
         def flat(y):
@@ -462,14 +462,15 @@ class TestErrorPaths:
         # trials at zeta (the measuring projection) and 0.7*zeta close in
         # the first cycle, the one at 0.49*zeta leaves the box (x_0 <= 0.3)
         # and goes to the kernel, stubbed to fail
-        spec = fz.FeasibleSetSpec(np.array([0.0, 0.5]), 1.0, Cost.L1, 0.1, np.array([[0.0, 1.0]]),
-                                  np.zeros(1), np.full(2, -np.inf), np.array([0.3, np.inf]))
-        proj = fz.RowProjection([spec], [spec.delta])
+        spec = fz.FeasibleSetSpec(np.array([[0.0, 0.5]]), np.ones(1), Cost.L1, 0.1,
+                                  np.array([[0.0, 1.0]]), np.zeros((1, 1)),
+                                  np.full((1, 2), -np.inf), np.array([[0.3, np.inf]]))
+        proj = fz.RowProjection(spec)
         calls = []
 
-        def failed(specs, targets=None):
-            calls.append(len(specs))
-            return [(fz.FAILED, None)] * len(specs)
+        def failed(spec, targets=None):
+            calls.append(len(spec.x0))
+            return [(fz.FAILED, None)] * len(spec.x0)
 
         def fn(X, rows):
             moved = ~(X == spec.x0).all(-1)
@@ -477,10 +478,10 @@ class TestErrorPaths:
 
         monkeypatch.setattr(fz, "_run_blocks", failed)
         X, _, _, iterations, converged, _, errors = optimizer._descend(
-            fn, proj, SolverConfig(), spec.x0[None], proj.delta)
+            fn, proj, SolverConfig(), spec.x0, proj.delta)
         assert calls == [1, 1]  # without the ball, then with it
         assert list(errors) == [0] and isinstance(errors[0], MaxIterExceeded)
-        assert np.array_equal(X[0], spec.x0) and iterations[0] == 0 and not converged[0]
+        assert np.array_equal(X[0], spec.x0[0]) and iterations[0] == 0 and not converged[0]
 
     def test_objective_error_retires_the_row_and_is_raised(self):
         # unlike InfeasibleMargin, any other error at a candidate ends the descent
@@ -711,10 +712,10 @@ class TestBlock:
         projecting, calls = [], []  # the row count of each projection _cone_lp call
         run_blocks, cone_lp = fz._run_blocks, fz._cone_lp
 
-        def blocks(specs, targets=None):
+        def blocks(spec, targets=None):
             projecting.append(targets is not None)
             try:
-                return run_blocks(specs, targets)
+                return run_blocks(spec, targets)
             finally:
                 projecting.pop()
 

@@ -91,8 +91,9 @@ def test_cone_projection_feasible_and_idempotent(v, rho_frac, margin):
     theta[0] = 1.0
     rho = rho_frac  # strictly below ||theta|| = 1
     # the margin set alone: no cost ball, no bounds
-    spec = FeasibleSetSpec(np.zeros_like(v), None, Cost.L2, margin, theta[None], np.array([rho]),
-                           np.full(v.size, -np.inf), np.full(v.size, np.inf))
+    spec = FeasibleSetSpec(np.zeros((1, v.size)), None, Cost.L2, margin, theta[None],
+                           np.array([[rho]]), np.full((1, v.size), -np.inf),
+                           np.full((1, v.size), np.inf))
     y = project_feasible(v, spec)
     assert rho * np.linalg.norm(y) - y[0] <= -margin + 1e-9
     z = project_feasible(y, spec)
